@@ -265,14 +265,13 @@ def _interp_H_at_projection(curve: ProfileCurve, H: np.ndarray, z0, r0):
     quadratic interpolation of H there.  Returns (value, ok) arrays.
     """
     s = curve.arclength
-    d2 = (curve.z[None, :] - z0[:, None]) ** 2 + (curve.r[None, :] - r0[:, None]) ** 2
-    j = np.argmin(d2, axis=1)
+    # nearest node from a KD-tree: memory stays linear in the node counts
+    _, j = cKDTree(np.column_stack((curve.z, curve.r))).query(np.column_stack((z0, r0)))
     ok = (j > 0) & (j < curve.num_nodes - 1)
     jj = np.clip(j, 1, curve.num_nodes - 2)
-    rows = np.arange(z0.size)
-    dm = d2[rows, jj - 1]
-    d0 = d2[rows, jj]
-    dp = d2[rows, jj + 1]
+    dm = (curve.z[jj - 1] - z0) ** 2 + (curve.r[jj - 1] - r0) ** 2
+    d0 = (curve.z[jj] - z0) ** 2 + (curve.r[jj] - r0) ** 2
+    dp = (curve.z[jj + 1] - z0) ** 2 + (curve.r[jj + 1] - r0) ** 2
     sm, s0, sp = s[jj - 1], s[jj], s[jj + 1]
     # vertex of the parabola through (s, d^2)
     denom = (dm - d0) * (sp - s0) - (dp - d0) * (sm - s0)
@@ -412,6 +411,9 @@ def singular_distance_scaling(traj: Trajectory, tau_max: Optional[float] = None,
         raise InsufficientDataError(f"only {len(taus)} usable ladder points (need 4)")
     taus = np.array(taus)
     rtaus = np.array(rtaus)
+    if np.any(rtaus <= 0.0):
+        raise InsufficientDataError(
+            f"singular-point estimate lies on the flow at tau = {taus[rtaus <= 0.0].max():.6g}")
     order = np.argsort(taus)
     taus, rtaus = taus[order], rtaus[order]
     slope, intercept = np.polyfit(np.log(taus), np.log(rtaus), 1)

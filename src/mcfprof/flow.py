@@ -1,9 +1,14 @@
-"""Explicit time integration of mean curvature flow with adaptive step control.
+"""Time integration of mean curvature flow with adaptive step control.
 
-Each node of a profile curve moves by dt * H along the inward normal; graph
-patches evolve by the quasilinear graph equation with frozen Dirichlet
-boundary values.  The integrator detects the approach to the first singular
-time via curvature blow-up and records a snapshot cascade accumulating there.
+Profile curves advance by a linearly implicit step: z_t = Δz and
+r_t = Δr - (n-1)/r, with Δ the Laplace-Beltrami operator frozen at the current
+curve, one tridiagonal solve per coordinate, and Richardson extrapolation to
+second order in time.  ``step_axisymmetric`` keeps the explicit Euler step
+(each node moves by dt * H along the inward normal) as the single-step
+reference.  Graph patches evolve by the quasilinear graph equation with
+explicit Euler and frozen Dirichlet boundary values.  The integrator detects
+the approach to the first singular time via curvature blow-up and records a
+snapshot cascade accumulating there.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
 from .geometry import (CLOSED, FlowSnapshot, GraphPatch, ProfileCurve,
@@ -27,6 +33,16 @@ STOP_UNDERFLOW = "step-underflow"
 # geometrically between recorded snapshots)
 CASCADE_FACTOR = np.sqrt(2.0)
 MAX_CASCADE_SNAPSHOTS = 240
+
+# profile step: dt = cfl * min(h_min / sqrt(max|A|^2), STEP_K / max|A|^2).  The
+# h-term keeps dt proportional to h, so the scheme converges at second order in
+# h; the curvature term stops refined meshes from taking steps so large that
+# the cascade skips rungs.
+STEP_K = 0.05
+# a step that would carry max|A|^2 past the next rung (or A2_stop) is shortened
+# to end at this multiple of it, so every run records its rungs and its final
+# snapshot at the same curvature levels however coarse its steps are
+LANDING_FACTOR = 1.02
 
 
 @dataclass
@@ -98,7 +114,12 @@ def adaptive_dt(state: FlowSnapshot, ctl: StepControl):
 
 
 def step_axisymmetric(state: FlowSnapshot, dt: float) -> FlowSnapshot:
-    """One explicit Euler step of dF/dt = H * nu for a profile curve."""
+    """One explicit Euler step of dF/dt = H * nu for a profile curve.
+
+    This is the single-step reference scheme (the H-evolution order check is
+    built on it); ``run_until`` advances profiles with the linearly implicit
+    step instead.
+    """
     curve = state.surface
     if curve.n < 2:
         raise ValueError("axisymmetric flow requires ambient dimension n >= 2")
@@ -164,13 +185,6 @@ def _maybe_resample(snap: FlowSnapshot, ctl: StepControl) -> FlowSnapshot:
     return FlowSnapshot(resample_arclength(curve, num=num), snap.t)
 
 
-def _is_extinct(snap: FlowSnapshot) -> bool:
-    curve = snap.surface
-    if not isinstance(curve, ProfileCurve):
-        return False
-    return float(curve.r.max()) < 3.0 * curve.mean_spacing
-
-
 def _fit_singular_time(times, maxA2) -> Optional[float]:
     """Least-squares affine fit of 1/max|A|^2 vs t over the final decade; root is T."""
     times = np.asarray(times)
@@ -190,11 +204,13 @@ def _fit_singular_time(times, maxA2) -> Optional[float]:
     return float(-alpha / beta)
 
 
-def _axi_fields(z, r, n, closed, period):
-    """Fused curvature/normal/spacing evaluation on raw profile arrays.
+def _profile_derivatives(z, r, closed, period):
+    """Arclength derivatives of raw profile arrays on 3-point nonuniform stencils.
 
-    Returns (H, nu_z, nu_r, maxA2, ds).  ds includes the wrap segment for
-    periodic profiles.
+    Closed profiles are continued through the axis by reflection (z, -r);
+    periodic ones wrap with a z-shift of one period.  Returns
+    (z_s, r_s, z_ss, r_ss, seg), where seg holds the N + 1 chord lengths of the
+    padded curve: node i sits between seg[i] and seg[i + 1].
     """
     if closed:
         zp = np.concatenate(([z[1]], z, [z[-2]]))
@@ -202,9 +218,7 @@ def _axi_fields(z, r, n, closed, period):
     else:
         zp = np.concatenate(([z[-1] - period], z, [z[0] + period]))
         rp = np.concatenate(([r[-1]], r, [r[0]]))
-    dz = np.diff(zp)
-    dr = np.diff(rp)
-    seg = np.hypot(dz, dr)
+    seg = np.hypot(np.diff(zp), np.diff(rp))
     hm = seg[:-1]
     hp = seg[1:]
     denom = hm * hp * (hm + hp)
@@ -214,6 +228,15 @@ def _axi_fields(z, r, n, closed, period):
     r_s = (hm2 * rp[2:] + (hp2 - hm2) * rp[1:-1] - hp2 * rp[:-2]) / denom
     z_ss = 2.0 * (hm * zp[2:] - (hm + hp) * zp[1:-1] + hp * zp[:-2]) / denom
     r_ss = 2.0 * (hm * rp[2:] - (hm + hp) * rp[1:-1] + hp * rp[:-2]) / denom
+    return z_s, r_s, z_ss, r_ss, seg
+
+
+def _max_A2_spacings(z, r, n, closed, period):
+    """(max|A|^2, node spacings) of raw profile arrays.
+
+    The spacings include the wrap segment for periodic profiles.
+    """
+    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
     w2 = z_s * z_s + r_s * r_s
     w = np.sqrt(w2)
     lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
@@ -226,9 +249,104 @@ def _axi_fields(z, r, n, closed, period):
     else:
         np.divide(z_s, r * w, out=lam_rot)
         ds = seg[1:]
-    H = lam_axial + (n - 1) * lam_rot
     A2 = lam_axial * lam_axial + (n - 1) * lam_rot * lam_rot
-    return H, r_s / w, -z_s / w, float(A2.max()), ds
+    return float(A2.max()), ds
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
+    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
+
+    Without ``cyclic`` lower[0] and upper[-1] are ignored.  With it they couple
+    the last and first unknowns (indices mod N), and the system is reduced to a
+    tridiagonal one by Sherman-Morrison.  A singular system or a non-finite
+    solution raises NumericalBlowupError.
+    """
+    if cyclic:
+        gamma = -diag[0]
+        diag = diag.copy()
+        diag[0] -= gamma
+        diag[-1] -= lower[0] * upper[-1] / gamma
+        u = np.zeros_like(rhs)
+        u[0] = gamma
+        u[-1] = upper[-1]
+        rhs = np.column_stack((rhs, u))
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    try:
+        x = solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBlowupError(f"singular implicit step system: {exc}") from exc
+    if cyclic:
+        y, w = x.T
+        v_last = lower[0] / gamma
+        x = y - (y[0] + v_last * y[-1]) / (1.0 + w[0] + v_last * w[-1]) * w
+    if not np.all(np.isfinite(x)):
+        raise NumericalBlowupError("non-finite solution of the implicit step system")
+    return x
+
+
+def _implicit_euler(z, r, n, closed, period, dt):
+    """One linearly implicit Euler step of z_t = Δz, r_t = Δr - (n-1)/r.
+
+    Δ = ∂ss + (n-1)(r_s/r)∂s is frozen at (z, r) and -(n-1)/r is linearized
+    about r, so the step solves (I - dt M) δ = dt F for the increments δ, with
+    F the explicit right-hand side.  At a pole of a closed profile r stays 0
+    and z moves by n ∂ss z (even reflection through the axis).
+    """
+    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
+    hm = seg[:-1]
+    hp = seg[1:]
+    # r = 0 makes the pole rows non-finite here; they are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (n - 1) * r_s / r
+        q = (n - 1) / (r * r)
+        lower = (2.0 - p * hp) / (hm * (hm + hp))
+        upper = (2.0 + p * hm) / (hp * (hm + hp))
+        diag = -(lower + upper)  # Δ annihilates constants
+        f_z = z_ss + p * z_s
+        f_r = r_ss + p * r_s - q * r
+    if closed:
+        c_first = 2.0 * n / seg[0] ** 2
+        c_last = 2.0 * n / seg[-1] ** 2
+        diag[0], upper[0] = -c_first, c_first
+        diag[-1], lower[-1] = -c_last, c_last
+        f_z[0] = n * z_ss[0]
+        f_z[-1] = n * z_ss[-1]
+    lo = -dt * lower
+    up = -dt * upper
+    a_z = 1.0 - dt * diag
+    a_r = a_z + dt * q
+    if not closed:
+        return (z + _solve_tridiagonal(lo, a_z, up, dt * f_z, cyclic=True),
+                r + _solve_tridiagonal(lo, a_r, up, dt * f_r, cyclic=True))
+    dr = np.zeros_like(r)
+    dr[1:-1] = _solve_tridiagonal(lo[1:-1], a_r[1:-1], up[1:-1], dt * f_r[1:-1])
+    return z + _solve_tridiagonal(lo, a_z, up, dt * f_z), r + dr
+
+
+def _pinched(r, closed) -> bool:
+    """Some node that must stay off the axis is on or across it."""
+    return bool(np.any((r[1:-1] if closed else r) <= 0.0))
+
+
+def _implicit_step(z, r, n, closed, period, dt):
+    """Linearly implicit profile step, Richardson-extrapolated to second order in dt.
+
+    One full step and two half steps, combined as 2 * half - full.  Raises
+    NeckPinchError when a node that must stay off the axis reaches it.
+    """
+    z_full, r_full = _implicit_euler(z, r, n, closed, period, dt)
+    z_half, r_half = _implicit_euler(z, r, n, closed, period, 0.5 * dt)
+    if _pinched(r_half, closed):
+        raise NeckPinchError("r <= 0 at an interior node after a half step")
+    z_half, r_half = _implicit_euler(z_half, r_half, n, closed, period, 0.5 * dt)
+    z_new = 2.0 * z_half - z_full
+    r_new = 2.0 * r_half - r_full
+    if _pinched(r_new, closed):
+        raise NeckPinchError("r <= 0 at an interior node after the step")
+    return z_new, r_new
 
 
 def run_until(initial: FlowSnapshot, ctl: StepControl,
@@ -268,11 +386,20 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
     last_recorded_t = t
 
     while True:
-        H, nu_z, nu_r, maxA2, ds = _axi_fields(z, r, n, closed, period)
+        maxA2, ds = _max_A2_spacings(z, r, n, closed, period)
         hist_t.append(t)
         hist_A2.append(maxA2)
         if cascade_level is None:
             cascade_level = max(maxA2, 1e-12) * CASCADE_FACTOR
+        # a rung is recorded at the curve that crossed it, not one step later,
+        # where a coarse step could merge it with the final snapshot
+        if maxA2 >= cascade_level and cascade_count < MAX_CASCADE_SNAPSHOTS:
+            while cascade_level <= maxA2:
+                cascade_level *= CASCADE_FACTOR
+            cascade_count += 1
+            if last_recorded_t != t:
+                snapshots.append(make_snapshot())
+                last_recorded_t = t
 
         if maxA2 >= ctl.A2_stop:
             stop_reason = STOP_CURVATURE
@@ -285,8 +412,17 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
             stop_reason = STOP_EXTINCTION
             break
 
-        dt = ctl.cfl * min(ds.min() ** 2 / (2.0 * n),
-                           np.inf if maxA2 == 0.0 else 1.0 / (2.0 * maxA2))
+        dt = (ctl.cfl * min(ds.min() / np.sqrt(maxA2), STEP_K / maxA2)
+              if maxA2 > 0.0 else np.inf)
+        # 1/max|A|^2 is nearly affine in t under the type-I law: its secant
+        # over the last step predicts when the next level is crossed
+        if len(hist_t) > 1 and maxA2 > 0.0 and hist_A2[-2] > 0.0:
+            rate = (1.0 / hist_A2[-2] - 1.0 / maxA2) / (t - hist_t[-2])
+            if rate > 0.0:
+                level = ctl.A2_stop
+                if cascade_count < MAX_CASCADE_SNAPSHOTS:
+                    level = min(level, cascade_level)
+                dt = min(dt, (1.0 / maxA2 - 1.0 / (LANDING_FACTOR * level)) / rate)
         if dt < ctl.dt_min:
             underflow = True
             stop_reason = STOP_UNDERFLOW
@@ -300,18 +436,12 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
 
         ok = False
         while True:
-            disp = dt * H
-            z_new = z + disp * nu_z
-            r_new = r + disp * nu_r
-            if closed:
-                r_new[0] = 0.0
-                r_new[-1] = 0.0
-                pinched = bool(np.any(r_new[1:-1] <= 0.0))
-            else:
-                pinched = bool(np.any(r_new <= 0.0))
-            if not pinched:
+            try:
+                z_new, r_new = _implicit_step(z, r, n, closed, period, dt)
                 ok = True
                 break
+            except NeckPinchError:
+                pass
             dt *= 0.5
             hit_schedule = False
             if dt <= ctl.dt_min:
@@ -337,16 +467,8 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
             fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num)
             z, r = fresh.z, fresh.r
 
-        record = False
         if hit_schedule:
             schedule.pop(0)
-            record = True
-        if maxA2 >= cascade_level and cascade_count < MAX_CASCADE_SNAPSHOTS:
-            while cascade_level <= maxA2:
-                cascade_level *= CASCADE_FACTOR
-            record = True
-            cascade_count += 1
-        if record:
             snapshots.append(make_snapshot())
             last_recorded_t = t
 
@@ -359,8 +481,15 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
         final = snapshots[-1]
         curv = final.curvature
         i = int(np.argmax(curv.A2))
-        # axisymmetric first singular points lie on the axis
-        est = SingularEstimate(z=float(final.surface.z[i]), rho=0.0, T=T)
+        z_final = final.surface.z
+        # axisymmetric first singular points lie on the axis; when the
+        # curvature peaks at a pole the closed profile shrinks to a round
+        # point, whose center is the midpoint between the poles
+        if closed and i in (0, z_final.size - 1):
+            z_sing = 0.5 * (z_final[0] + z_final[-1])
+        else:
+            z_sing = z_final[i]
+        est = SingularEstimate(z=float(z_sing), rho=0.0, T=T)
 
     traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason,
                       singular_estimate=est,

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK, _jsonable,
-                         _snapshot_from_obj, _snapshot_obj, main, models_check,
-                         validate_config)
+from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK,
+                         _jsonable, _snapshot_from_obj, _snapshot_obj, main,
+                         models_check, validate_config)
 from mcfprof.errors import ConfigError
 from mcfprof.geometry import FlowSnapshot, GraphPatch
 from mcfprof.shapes import cylinder_profile, sphere_profile
@@ -206,3 +206,16 @@ def test_models_table_in_tolerance(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 6
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_exit_code_singular_step_system(tmp_path, monkeypatch, capsys):
+    from mcfprof import flow
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(flow, "solve_banded", singular)
+    code, _ = run_scenario(tmp_path, BASE_CFG, "sing")
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err

@@ -239,3 +239,13 @@ def test_distance_scaling_insufficient_data():
     traj.singular_estimate = SingularEstimate(0.0, 0.0, 0.25)
     with pytest.raises(InsufficientDataError):
         singular_distance_scaling(traj)
+
+
+def test_distance_scaling_zero_distance_is_insufficient():
+    from mcfprof.flow import SingularEstimate
+    curve = sphere_profile(1.0, 2, 100)
+    snaps = [FlowSnapshot(curve, t) for t in np.linspace(0.0, 0.24, 25)]
+    # the estimate sits on the pole of every snapshot
+    traj = Trajectory(snaps, "t-end", SingularEstimate(float(curve.z[0]), 0.0, 0.25))
+    with pytest.raises(InsufficientDataError):
+        singular_distance_scaling(traj)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from mcfprof.errors import InconclusiveRunError
-from mcfprof.flow import (STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END,
-                          StepControl, adaptive_dt, run_until,
-                          step_axisymmetric, step_graph,
+from mcfprof.errors import InconclusiveRunError, NumericalBlowupError
+from mcfprof.flow import (CASCADE_FACTOR, LANDING_FACTOR, STOP_CURVATURE,
+                          STOP_EXTINCTION, STOP_T_END,
+                          StepControl, _implicit_step, _solve_tridiagonal,
+                          adaptive_dt, run_until, step_axisymmetric, step_graph,
                           verify_mean_convexity)
 from mcfprof.geometry import FlowSnapshot, GraphPatch, ProfileCurve, CLOSED
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, sphere_profile
@@ -179,3 +180,68 @@ def test_radius_law_convergence_order():
         R = np.hypot(final.surface.z, final.surface.r)
         errs.append(np.abs(R - np.sqrt(1.0 - 4.0 * final.t)).max())
     assert np.log2(errs[0] / errs[1]) >= 1.9
+
+
+# ---------------------------------------------------------------------------
+# linearly implicit profile step (the step run_until takes on profiles)
+# ---------------------------------------------------------------------------
+
+def test_implicit_step_sphere_radius_law():
+    curve = sphere_profile(1.0, 2, 400)
+    dt = 1e-5
+    z, r = _implicit_step(curve.z, curve.r, 2, True, None, dt)
+    assert np.abs(z**2 + r**2 - (1.0 - 4.0 * dt)).max() < 1e-9
+    assert r[0] == 0.0 and r[-1] == 0.0
+
+
+def test_implicit_step_cylinder_radius_law():
+    curve = cylinder_profile(0.5, np.pi, 2, 400)
+    dt = 1e-5
+    z, r = _implicit_step(curve.z, curve.r, 2, False, np.pi, dt)
+    assert np.abs(r**2 - (0.25 - 2.0 * dt)).max() < 1e-9
+    assert np.abs(z - curve.z).max() < 1e-15
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_tridiagonal_solve_matches_dense(cyclic):
+    rng = np.random.default_rng(0)
+    N = 12
+    lower, upper = rng.uniform(-1.0, 1.0, (2, N))
+    diag = 2.5 + rng.uniform(0.0, 1.0, N)
+    rhs = rng.normal(size=N)
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    if cyclic:
+        dense[0, -1] = lower[0]
+        dense[-1, 0] = upper[-1]
+    x = _solve_tridiagonal(lower, diag, upper, rhs, cyclic=cyclic)
+    assert np.abs(x - np.linalg.solve(dense, rhs)).max() < 1e-12
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_singular_step_system_is_numerical_failure(cyclic):
+    zeros = np.zeros(4)
+    with pytest.raises(NumericalBlowupError):
+        _solve_tridiagonal(zeros, np.array([1.0, 0.0, 1.0, 1.0]), zeros, np.ones(4),
+                           cyclic=cyclic)
+
+
+def test_step_budgets(sphere_run, ovaloid_run):
+    assert len(sphere_run["traj"].step_times) <= 1000
+    assert len(ovaloid_run["traj"].step_times) <= 2000
+
+
+def test_round_point_singular_point_is_center(ovaloid_run):
+    traj = ovaloid_run["traj"]
+    assert abs(traj.singular_estimate.z) < traj.snapshots[-1].surface.mean_spacing
+
+
+def test_coarse_steps_record_every_rung_where_crossed(dumbbell_run):
+    """~5 steps per rung still record each rung and the stop just past its level."""
+    traj = dumbbell_run["traj"]
+    at = dict(zip(traj.step_times, traj.step_maxA2))
+    A2 = np.array([at[snap.t] for snap in traj.snapshots])
+    rung = np.log(A2[1:-1] / A2[0]) / np.log(CASCADE_FACTOR)
+    past = rung - np.arange(1, rung.size + 1)
+    assert np.all(past >= 0.0)
+    assert np.all(past < np.log(LANDING_FACTOR) / np.log(CASCADE_FACTOR) + 0.01)
+    assert 2.0e4 <= A2[-1] < 1.01 * LANDING_FACTOR * 2.0e4
