@@ -238,11 +238,11 @@ def _neck_radius(curve) -> float:
 
 def write_timeseries(path: str, traj: Trajectory, diags: dict):
     cols = ["t", "max_H", "min_H", "max_A2"]
-    if "ratioA2H2" in diags:
+    if diags.get("ratioA2H2"):
         cols.append("max_A2_over_H2")
-    if "noncollapse" in diags:
+    if diags.get("noncollapse"):
         cols.append("kappa_min")
-    if "pinching" in diags:
+    if diags.get("pinching"):
         cols.append("min_lambda1_over_H")
     cols += ["neck_radius", "dt"]
     lines = [",".join(cols)]
@@ -257,11 +257,11 @@ def write_timeseries(path: str, traj: Trajectory, diags: dict):
                "dt": 0.0 if t_prev is None else snap.t - t_prev}
         pos = H > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            if "ratioA2H2" in diags:
+            if diags.get("ratioA2H2"):
                 row["max_A2_over_H2"] = float(np.max(c.A2[m][pos] / H[pos] ** 2)) if pos.any() else float("nan")
-            if "pinching" in diags:
+            if diags.get("pinching"):
                 row["min_lambda1_over_H"] = float(np.min(c.lam[m, 0][pos] / H[pos])) if pos.any() else float("nan")
-        if "noncollapse" in diags:
+        if diags.get("noncollapse"):
             try:
                 row["kappa_min"] = dg.noncollapsing_ratio(snap).kappa_min
             except McfError:

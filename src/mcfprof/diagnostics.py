@@ -17,7 +17,8 @@ from scipy.spatial import cKDTree
 from .errors import (DomainError, InsufficientDataError, TopologyError,
                      WindowError)
 from .flow import Trajectory
-from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, _pad_profile
+from .geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, _d1_d2,
+                       _pad_profile)
 
 
 @dataclass
@@ -67,10 +68,24 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
     """Tangent-constrained inscribed radius at the given nodes (all by default).
 
     r(x) = sup{rho : the ball of radius rho centered at x + rho*nu(x) stays
-    inside the enclosed region}.  Bisection over rho; the inside test is
-    min-distance-from-center-to-surface >= rho - tol with tol = h/10.  Centers
-    are meridian points (z_c, r_c) with the ambient radial coordinate |r_c|,
-    so a center that crosses the axis is measured correctly.
+    inside the enclosed region}, found by bisection over rho in [0, diam] to
+    width tol = h/10.  The inside test at rho is "every node is at distance
+    >= rho - tol from the center", with centers taken as meridian points
+    (z_c, r_c) at ambient radial coordinate |r_c|, so a center that crosses
+    the axis is measured correctly.
+
+    The test has a closed form (Andrews' two-point function
+    k(x, y) = 2<y - x, nu>/|y - x|^2 with tol folded in): a point y -- a node,
+    its axis mirror (z, -r) or a periodic copy -- with a = <y - x, nu> > tol
+    fails it exactly when rho > g(y) = (|y - x|^2 - tol^2) / (2 (a - tol)),
+    and no other point ever fails it.  So the test holds iff
+    rho <= rho_max = min_y g(y).  rho_max is found by following violators:
+    start from min(diam, g(mirror of x)), query the nearest node to the
+    center at that radius and, while it violates with a smaller g, move to
+    its g.  The bisection is then replayed with the test decided by
+    mid <= rho_max; only where mid lies within 1e-9*diam of rho_max, where
+    rounding could decide either way, is the nearest-node query made, so the
+    result equals that of querying at every step.
     """
     curve = snapshot.surface
     if not isinstance(curve, ProfileCurve):
@@ -89,16 +104,45 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
     else:
         diam = float(np.hypot(curve.period, 2.0 * curve.r.max()))
+
+    def nearest(idx, rho):
+        """Distance and meridian point (mirrored when r_c < 0) nearest each center."""
+        centers = pts[idx] + rho[:, None] * normal[idx]
+        d, j = tree.query(np.column_stack((centers[:, 0], np.abs(centers[:, 1]))))
+        y = tree.data[j]
+        y[:, 1] = np.copysign(y[:, 1], centers[:, 1])
+        return d, y
+
+    def bound(idx, y):
+        """g(y) for each node of idx against its point y; inf where a <= tol."""
+        dy = y - pts[idx]
+        a = np.einsum("ij,ij->i", dy, normal[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (np.einsum("ij,ij->i", dy, dy) - tol * tol) / (2.0 * (a - tol))
+        return np.where(a > tol, g, np.inf)
+
+    every = np.arange(nodes.size)
+    rho_max = np.minimum(diam, bound(every, pts * np.array([1.0, -1.0])))
+    active = every
+    while active.size:
+        rho = rho_max[active]
+        d, y = nearest(active, rho)
+        g = bound(active, y)
+        shrink = (d < rho - tol) & (g < rho)
+        active = active[shrink]
+        rho_max[active] = g[shrink]
+
     lo = np.zeros(nodes.size)
     hi = np.full(nodes.size, diam)
     for _ in range(64):
         if float(np.max(hi - lo)) <= tol:
             break
         mid = 0.5 * (lo + hi)
-        centers = pts + mid[:, None] * normal
-        centers = np.column_stack((centers[:, 0], np.abs(centers[:, 1])))
-        d, _ = tree.query(centers)
-        inside = d >= mid - tol
+        inside = mid <= rho_max
+        close = np.flatnonzero(np.abs(mid - rho_max) <= 1e-9 * diam)
+        if close.size:
+            d, _ = nearest(close, mid[close])
+            inside[close] = d >= mid[close] - tol
         lo[inside] = mid[inside]
         hi[~inside] = mid[~inside]
     return 0.5 * (lo + hi)
@@ -110,15 +154,22 @@ def inscribed_radius(snapshot: FlowSnapshot, node: int) -> float:
 
 
 def noncollapsing_ratio(snapshot: FlowSnapshot) -> NoncollapseRecord:
-    """Per-node r*H with the minimum and its node; requires min H > 0."""
-    curv = snapshot.curvature
-    if float(np.min(curv.H[curv.interior])) <= 0.0:
-        raise DomainError("noncollapsing ratio requires H > 0 at every node")
-    r_field = _inscribed_radii(snapshot)
-    kappa = r_field * curv.H
-    j = int(np.argmin(kappa))
-    return NoncollapseRecord(t=snapshot.t, kappa_min=float(kappa[j]),
-                             argmin_node=j, r_field=r_field)
+    """Per-node r*H with the minimum and its node; requires min H > 0.
+
+    The record is computed once per snapshot and cached on it; its
+    ``r_field`` is read-only because every caller shares it.
+    """
+    if snapshot._noncollapse is None:
+        curv = snapshot.curvature
+        if float(np.min(curv.H[curv.interior])) <= 0.0:
+            raise DomainError("noncollapsing ratio requires H > 0 at every node")
+        r_field = _inscribed_radii(snapshot)
+        r_field.flags.writeable = False
+        kappa = r_field * curv.H
+        j = int(np.argmin(kappa))
+        snapshot._noncollapse = NoncollapseRecord(t=snapshot.t, kappa_min=float(kappa[j]),
+                                                  argmin_node=j, r_field=r_field)
+    return snapshot._noncollapse
 
 
 def kappa_series(traj: Trajectory):
@@ -289,34 +340,6 @@ def _interp_H_at_projection(curve: ProfileCurve, H: np.ndarray, z0, r0):
     return val, ok
 
 
-def _laplacian_on_profile(curve: ProfileCurve, f: np.ndarray):
-    """Surface Laplacian of a node field: f_ss + (n-1)(r_s/r) f_s."""
-    sp, zp, rp = _pad_profile(curve)
-    if curve.topology == CLOSED:
-        fp = np.concatenate(([f[1]], f, [f[-2]]))  # even continuation through the poles
-    else:
-        fp = np.concatenate(([f[-1]], f, [f[0]]))
-    hm = sp[1:-1] - sp[:-2]
-    hp = sp[2:] - sp[1:-1]
-    denom = hm * hp * (hm + hp)
-    f_s = (hm**2 * fp[2:] + (hp**2 - hm**2) * fp[1:-1] - hp**2 * fp[:-2]) / denom
-    f_ss = 2.0 * (hm * fp[2:] - (hm + hp) * fp[1:-1] + hp * fp[:-2]) / denom
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap = f_ss + (curve.n - 1) * f_s * _d1_over(curve)
-    return lap, f_s, f_ss
-
-
-def _d1_over(curve: ProfileCurve):
-    sp, zp, rp = _pad_profile(curve)
-    hm = sp[1:-1] - sp[:-2]
-    hp = sp[2:] - sp[1:-1]
-    denom = hm * hp * (hm + hp)
-    r_s = (hm**2 * rp[2:] + (hp**2 - hm**2) * rp[1:-1] - hp**2 * rp[:-2]) / denom
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = r_s / curve.r
-    return out
-
-
 def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
                        samples: Optional[Sequence[int]] = None) -> dict:
     """Residual of dH/dt = Lap H + H |A|^2 at the middle of a snapshot triple.
@@ -338,7 +361,16 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
         raise TypeError("H-evolution residual is implemented for profile curves")
     c = mid_s.curvature
     H = c.H
-    lap, _, _ = _laplacian_on_profile(curve, H)
+    # surface Laplacian H_ss + (n-1)(r_s/r) H_s; H continues evenly through the poles
+    sp, _, rp = _pad_profile(curve)
+    if curve.topology == CLOSED:
+        Hp = np.concatenate(([H[1]], H, [H[-2]]))
+    else:
+        Hp = np.concatenate(([H[-1]], H, [H[0]]))
+    H_s, H_ss = _d1_d2(sp, Hp)
+    r_s, _ = _d1_d2(sp, rp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lap = H_ss + (curve.n - 1) * H_s * (r_s / curve.r)
 
     Hm, ok_m = _interp_H_at_projection(prev_s.surface, prev_s.curvature.H,
                                        curve.z, curve.r)

@@ -174,11 +174,16 @@ class CurvatureField:
 
 @dataclass
 class FlowSnapshot:
-    """A surface at one instant, with lazily computed cached curvature."""
+    """A surface at one instant, with lazily computed cached curvature.
+
+    ``_noncollapse`` caches the ``diagnostics.NoncollapseRecord`` that
+    ``noncollapsing_ratio`` computes, as ``_curv`` caches the curvature.
+    """
 
     surface: object  # ProfileCurve | GraphPatch
     t: float
     _curv: Optional[CurvatureField] = field(default=None, repr=False)
+    _noncollapse: Optional[object] = field(default=None, repr=False)
 
     @property
     def curvature(self) -> CurvatureField:

@@ -144,6 +144,23 @@ def test_timeseries_columns_follow_toggles(tmp_path):
     assert all(len(r.split(",")) == len(header) for r in rows)
 
 
+def test_disabled_diagnostics_add_no_columns(tmp_path, monkeypatch):
+    from mcfprof import diagnostics
+
+    def forbidden(snapshot):
+        raise AssertionError("noncollapsing_ratio called with noncollapse off")
+    monkeypatch.setattr(diagnostics, "noncollapsing_ratio", forbidden)
+    cfg = dict(BASE_CFG)
+    cfg["diagnostics"] = {"noncollapse": False, "ratioA2H2": False, "pinching": False,
+                          "distance-scaling": True}
+    code, out = run_scenario(tmp_path, cfg, "off")
+    assert code == EXIT_OK
+    header = (out / "timeseries.csv").read_text().splitlines()[0].split(",")
+    assert header == ["t", "max_H", "min_H", "max_A2", "neck_radius", "dt"]
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["diagnostics"]) == {"distance-scaling"}
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

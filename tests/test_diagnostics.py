@@ -13,6 +13,11 @@ from mcfprof.geometry import FlowSnapshot, resample_arclength
 from mcfprof.rescale import DilationParams, parabolic_dilate, waist_node
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
                             ovaloid_profile, sphere_profile)
+from scipy.spatial import cKDTree
+
+from mcfprof import diagnostics
+from mcfprof.geometry import CLOSED
+from mcfprof.shapes import perturb_profile
 
 
 def brute_force_inscribed_radius(snapshot, node, samples=4000):
@@ -114,6 +119,118 @@ def test_inscribed_radius_continuity():
         r1 = inscribed_radius(snap, node)
         r2 = inscribed_radius(snap2, node)
         assert abs(r1 - r2) <= 10.0 * eps + h / 10.0
+
+
+
+def bisection_inscribed_radii(snapshot, nodes=None):
+    """Reference: the inscribed-radius bisection with a nearest-node query at every step."""
+    curve = snapshot.surface
+    if nodes is None:
+        nodes = np.arange(curve.num_nodes)
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+    tree = diagnostics._surface_tree(curve)
+    normal = snapshot.curvature.normal[nodes]
+    pts = np.column_stack((curve.z[nodes], curve.r[nodes]))
+    h = curve.mean_spacing
+    tol = h / 10.0
+    if curve.topology == CLOSED:
+        diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
+    else:
+        diam = float(np.hypot(curve.period, 2.0 * curve.r.max()))
+    lo = np.zeros(nodes.size)
+    hi = np.full(nodes.size, diam)
+    for _ in range(64):
+        if float(np.max(hi - lo)) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        centers = pts + mid[:, None] * normal
+        centers = np.column_stack((centers[:, 0], np.abs(centers[:, 1])))
+        d, _ = tree.query(centers)
+        inside = d >= mid - tol
+        lo[inside] = mid[inside]
+        hi[~inside] = mid[~inside]
+    return 0.5 * (lo + hi)
+
+
+RADIUS_SHAPES = {
+    "sphere-n2": lambda: sphere_profile(1.0, 2, 300),
+    "sphere-n3": lambda: sphere_profile(0.7, 3, 401),
+    "cylinder": lambda: cylinder_profile(0.5, np.pi, 2, 300),
+    "ovaloid": lambda: ovaloid_profile(1.0, 0.6, 2, 400),
+    "dumbbell": lambda: dumbbell_profile(1.0, 0.35, 8.0, 2, 800),
+    "perturbed-dumbbell": lambda: perturb_profile(dumbbell_profile(1.0, 0.35, 8.0, 2, 800),
+                                                  0.01, 3, 1),
+    "perturbed-cylinder": lambda: perturb_profile(cylinder_profile(1.0, np.pi, 2, 400),
+                                                  0.05, 3, 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RADIUS_SHAPES))
+def test_inscribed_radii_equal_bisection_reference(shape):
+    snap = FlowSnapshot(RADIUS_SHAPES[shape](), 0.0)
+    N = snap.surface.num_nodes
+    assert np.array_equal(diagnostics._inscribed_radii(snap),
+                          bisection_inscribed_radii(snap))
+    # both ends (the poles of a closed profile) and the waist, whose ray
+    # crosses the axis on a dumbbell
+    waist = N // 4 + int(np.argmin(snap.surface.r[N // 4:3 * N // 4]))
+    subset = [0, N - 1, waist, N // 3, 1]
+    assert np.array_equal(diagnostics._inscribed_radii(snap, subset),
+                          bisection_inscribed_radii(snap, subset))
+
+
+class CountingTree(cKDTree):
+    """KD-tree that counts the rows passed to ``query``."""
+
+    rows = 0
+
+    def query(self, x, *args, **kwargs):
+        CountingTree.rows += len(x)
+        return super().query(x, *args, **kwargs)
+
+
+@pytest.fixture
+def counted_queries(monkeypatch):
+    build = diagnostics._surface_tree
+    monkeypatch.setattr(diagnostics, "_surface_tree",
+                        lambda curve: CountingTree(build(curve).data))
+    monkeypatch.setattr(CountingTree, "rows", 0)
+    return CountingTree
+
+
+def test_inscribed_radii_query_budget(counted_queries):
+    snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0)
+    diagnostics._inscribed_radii(snap)
+    assert 0 < counted_queries.rows <= 4 * snap.surface.num_nodes
+
+
+def test_inscribed_radii_query_where_bound_meets_bisection(counted_queries):
+    # a wide periodic cylinder whose radius bound R + tol/2 equals diam/2, the
+    # first bisection midpoint: the test there is decided by a query
+    N, period = 8, 1.0
+    R = 2.5 * N * period * (1.0 - 1.0 / (100.0 * N * N))
+    snap = FlowSnapshot(cylinder_profile(R, period, 2, N), 0.0)
+    r = diagnostics._inscribed_radii(snap)
+    assert counted_queries.rows > N
+    assert np.array_equal(r, bisection_inscribed_radii(snap))
+
+
+def test_noncollapsing_record_cached_per_snapshot(counted_queries):
+    snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
+    rec = noncollapsing_ratio(snap)
+    rows = counted_queries.rows
+    assert noncollapsing_ratio(snap) is rec
+    assert counted_queries.rows == rows
+    assert snap.copy()._noncollapse is None
+    assert parabolic_dilate(snap, DilationParams(2.0, 0.0, 0.0, 0.0))._noncollapse is None
+
+
+def test_noncollapsing_domain_error_not_cached():
+    snap = FlowSnapshot(dumbbell_profile(1.0, 0.05, 8.0, 2, 300), 0.0)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            noncollapsing_ratio(snap)
+    assert snap._noncollapse is None
 
 
 # ---------------------------------------------------------------------------
