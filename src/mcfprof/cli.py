@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -35,6 +36,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INCONCLUSIVE = 4
+
+MODEL_KINDS = (SPHERE, CYLINDER, GRIM_REAPER, BOWL)
+FLOAT_CHUNK = 1024  # floats per written piece of a JSON float array
 
 DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
              "Hevolution", "blowup", "distance-scaling")
@@ -66,6 +70,15 @@ def _apply_thread_cap():
 # config
 # ---------------------------------------------------------------------------
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    """A finite JSON number; ``true``/``false`` are not numbers here."""
+    return (_is_int(val) or isinstance(val, float)) and math.isfinite(val)
+
+
 def _require(cond, msg, fieldpath):
     if not cond:
         raise ConfigError(msg, field=fieldpath)
@@ -93,15 +106,20 @@ def validate_config(raw: dict) -> dict:
     for key, val in body.items():
         if key in ("kind", "params", "path"):
             continue
-        _require(isinstance(val, (int, float)) and val > 0,
-                 f"{key} must be a positive number", f"initial.{tag}.{key}")
+        _require(_is_number(val) and val > 0,
+                 f"{key} must be a positive finite number", f"initial.{tag}.{key}")
+    if tag == "model":
+        _require(body["kind"] in MODEL_KINDS, f"model kind must be one of {MODEL_KINDS}",
+                 "initial.model.kind")
+        _require(isinstance(body["params"], dict), "model params must be an object",
+                 "initial.model.params")
     if tag == "dumbbell":
         _require(body["neck_r"] < body["bulb_R"], "dumbbell requires neck_r < bulb_R",
                  "initial.dumbbell.neck_r")
     if "perturb" in initial:
         p = initial["perturb"]
-        _require(isinstance(p, dict) and p.get("amplitude", 0) >= 0
-                 and isinstance(p.get("modes", 1), int),
+        _require(isinstance(p, dict) and _is_number(p.get("amplitude", 0))
+                 and p.get("amplitude", 0) >= 0 and _is_int(p.get("modes", 1)),
                  "perturb needs {amplitude >= 0, modes: int}", "initial.perturb")
     nodes = cfg.get("nodes", 400)
     _require(isinstance(nodes, int) and nodes >= 8, "nodes must be an integer >= 8", "nodes")
@@ -153,8 +171,11 @@ def build_initial(cfg: dict) -> FlowSnapshot:
     elif tag == "ovaloid":
         curve = ovaloid_profile(body["a"], body["b"], n, nodes)
     elif tag == "model":
-        model = ModelSolution(kind=body["kind"], n=n, **body.get("params", {}))
-        return model_snapshot(model, t=0.0, nodes=nodes)
+        try:
+            model = ModelSolution(kind=body["kind"], n=n, **body["params"])
+            return model_snapshot(model, t=0.0, nodes=nodes)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model params: {exc}", field="initial.model.params")
     else:  # profile-file
         try:
             with open(body["path"]) as fh:
@@ -187,10 +208,71 @@ def _jsonable(obj):
     return obj
 
 
+def _json_pieces(obj, pad="\n"):
+    """Yield ``json.dumps(_jsonable(obj), sort_keys=True, indent=1)`` in pieces.
+
+    ``pad`` is the newline and indent of the enclosing level.  A list or 1-D
+    float array of finite floats takes ``_float_pieces``; dicts, other lists
+    and scalars take the generic path.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            yield from _float_pieces(obj, pad)
+        else:
+            yield from _json_pieces(obj.tolist(), pad)
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner, sep = pad + " ", "{"
+        for key, val in sorted({str(k): v for k, v in obj.items()}.items()):
+            yield sep + inner + json.dumps(key) + ": "
+            yield from _json_pieces(val, inner)
+            sep = ","
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        if all(isinstance(v, float) and math.isfinite(v) for v in obj):
+            yield from _float_pieces(obj, pad)
+            return
+        inner, sep = pad + " ", "["
+        for val in obj:
+            yield sep + inner
+            yield from _json_pieces(val, inner)
+            sep = ","
+        yield pad + "]"
+    else:
+        yield json.dumps(_jsonable(obj))
+
+
+def _float_pieces(values, pad):
+    """JSON array of finite floats, ``FLOAT_CHUNK`` values per piece.
+
+    ``json`` writes a finite float as ``float.__repr__``; joining whole chunks
+    skips its per-item dispatch, and bounding the chunk keeps a snapshot dump
+    from holding a whole array's strings at once.
+    """
+    if not len(values):
+        yield "[]"
+        return
+    inner = pad + " "
+    join, sep = ("," + inner).join, "[" + inner
+    for start in range(0, len(values), FLOAT_CHUNK):
+        part = values[start:start + FLOAT_CHUNK]
+        if isinstance(part, np.ndarray):
+            part = part.tolist()
+        yield sep + join(map(float.__repr__, part))
+        sep = "," + inner
+    yield pad + "]"
+
+
+def _write_json(fh, obj):
+    fh.writelines(_json_pieces(obj))
+    fh.write("\n")
+
+
 def _dump_json(path: str, obj):
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        _write_json(fh, obj)
 
 
 def _sha256(path: str) -> str:
@@ -205,10 +287,10 @@ def _snapshot_obj(snap: FlowSnapshot, index: int) -> dict:
     surf = snap.surface
     if isinstance(surf, ProfileCurve):
         return {"index": index, "t": snap.t, "n": surf.n, "topology": surf.topology,
-                "period": surf.period, "z": surf.z.tolist(), "r": surf.r.tolist()}
+                "period": surf.period, "z": surf.z, "r": surf.r}
     return {"index": index, "t": snap.t, "n": surf.n, "topology": "graph",
             "h": surf.h, "x0": list(surf.x0), "orientation": surf.orientation,
-            "u": surf.u.tolist()}
+            "u": surf.u}
 
 
 def _snapshot_from_obj(obj: dict) -> FlowSnapshot:
@@ -410,19 +492,20 @@ def cmd_run(args) -> int:
                           singular_estimate=traj.singular_estimate)
     report = build_report(rep_traj, cfg)
 
+    written = ["timeseries.csv", "report.json"]
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, cfg["diagnostics"])
     for k, snap in enumerate(traj.snapshots):
-        _dump_json(os.path.join(out_dir, "snapshots", f"t_{k:05d}.json"),
-                   _snapshot_obj(snap, k))
+        written.append(os.path.join("snapshots", f"t_{k:05d}.json"))
+        _dump_json(os.path.join(out_dir, written[-1]), _snapshot_obj(snap, k))
     _dump_json(os.path.join(out_dir, "report.json"), report)
+    # a reused out_dir must not keep the snapshots of an earlier, longer run
+    snap_dir = os.path.join(out_dir, "snapshots")
+    for name in os.listdir(snap_dir):
+        if (name.startswith("t_") and name.endswith(".json")
+                and os.path.join("snapshots", name) not in written):
+            os.remove(os.path.join(snap_dir, name))
 
-    files = {}
-    for root, _, names in os.walk(out_dir):
-        for name in sorted(names):
-            if name == "manifest.json" or not name.endswith((".csv", ".json")):
-                continue
-            full = os.path.join(root, name)
-            files[os.path.relpath(full, out_dir)] = _sha256(full)
+    files = {name: _sha256(os.path.join(out_dir, name)) for name in written}
     est = traj.singular_estimate
     manifest = {
         "config": cfg,
@@ -509,7 +592,7 @@ def cmd_analyze(args) -> int:
               "H_origin": seq.terms[0].H_origin, "fits": fits,
               "min_lambda1": min_lam1}
     _dump_json(os.path.join(args.run_dir, "analysis.json"), result)
-    print(json.dumps(_jsonable(result), sort_keys=True, indent=1))
+    _write_json(sys.stdout, result)
     return EXIT_OK
 
 

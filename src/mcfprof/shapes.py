@@ -63,10 +63,12 @@ def dumbbell_profile(bulb_R: float, neck_r: float, length: float, n: int = 2,
     zt = np.linspace(-L, L, 16 * nodes)
     cap_term = 0.8 * bulb_R * L - neck_r**2  # cap osculating radius = q(L)/L
 
+    sin8 = np.sin(np.pi * zt / L) ** 8
+    cap = cap_term * (zt / L) ** 6
+    envelope = 1.0 - (zt / L) ** 2
+
     def r2_of(k):
-        q = (neck_r**2 + (k * bulb_R**2 - neck_r**2) * np.sin(np.pi * zt / L) ** 8
-             + cap_term * (zt / L) ** 6)
-        return (1.0 - (zt / L) ** 2) * q
+        return envelope * (neck_r**2 + (k * bulb_R**2 - neck_r**2) * sin8 + cap)
 
     # bisect k so that max r = bulb_R
     lo, hi = 0.5, 8.0

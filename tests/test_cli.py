@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK,
-                         _jsonable, _snapshot_from_obj, _snapshot_obj, main,
+                         _dump_json, _jsonable, _snapshot_from_obj, _snapshot_obj, main,
                          models_check, validate_config)
 from mcfprof.errors import ConfigError
 from mcfprof.geometry import FlowSnapshot, GraphPatch
-from mcfprof.shapes import cylinder_profile, sphere_profile
+from mcfprof.shapes import cylinder_profile, dumbbell_profile, perturb_profile, sphere_profile
 
 BASE_CFG = {
     "name": "small-sphere",
@@ -90,6 +90,42 @@ def test_snapshot_roundtrip_graph():
     assert back.surface.h == 0.1 and back.surface.x0 == (1.0, -2.0)
 
 
+NAN, INF = float("nan"), float("inf")
+ENCODER_CASES = {
+    "empty": [{}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}],
+    "nested": {"z": {"y": [1, [2.5, {"x": [0.25, -1.0]}]], "a": []}, "m": [[1.0, 2.0], [3.0]]},
+    "nonfinite": {"a": [1.5, NAN, -INF, INF], "b": np.array([0.0, -0.0, NAN, 2.0]),
+                  "c": [-0.0, 1e-300, 1.7976931348623157e308, 5e-324], "d": NAN, "e": -INF},
+    "numpy": {"i": np.int64(3), "b": np.bool_(True), "f": np.float64(0.1),
+              "ia": np.arange(4), "ba": np.array([True, False]), "f32": np.float32(0.1),
+              "fa32": np.array([0.1, 2.5], dtype=np.float32), "u2": np.eye(2),
+              "scalar": np.array(7.5), "mix": [np.float64(0.3), 0.7, np.float64(-2.0)]},
+    "long": {"a": np.linspace(-3.0, 3.0, 2 * 1024 + 5) ** 3, "b": [0.1 * k for k in range(1025)],
+             "c": np.arange(2049.0), "d": np.r_[np.ones(1500), np.nan]},
+    "misc": {1: (1.0, 2.0), 2: None, "q": 'naïve "quoted" \\ \u2603', "é": [True, 1, "x", 2.0],
+             "t": (None, (3, 4.0)), "big": 10**30},
+}
+
+
+@pytest.mark.parametrize("obj", list(ENCODER_CASES.values()), ids=list(ENCODER_CASES))
+def test_dump_json_matches_json_module(tmp_path, obj):
+    path = tmp_path / "out.json"
+    _dump_json(str(path), obj)
+    expected = json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_dump_json_matches_json_module_on_snapshots(tmp_path):
+    dumbbell = perturb_profile(dumbbell_profile(1.0, 0.35, 8.0, 2, 200), 0.005, 3, 1)
+    graph = GraphPatch(np.linspace(-1.0, 1.0, 30).reshape(5, 6) ** 3, 0.1, (1.0, -2.0))
+    for k, snap in enumerate([FlowSnapshot(dumbbell, 0.125), FlowSnapshot(graph, 0.5)]):
+        obj = _snapshot_obj(snap, k)
+        path = tmp_path / f"t_{k}.json"
+        _dump_json(str(path), obj)
+        expected = json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
 # ---------------------------------------------------------------------------
 # run artifacts and determinism
 # ---------------------------------------------------------------------------
@@ -161,6 +197,25 @@ def test_disabled_diagnostics_add_no_columns(tmp_path, monkeypatch):
     assert set(report["diagnostics"]) == {"distance-scaling"}
 
 
+def test_rerun_into_same_dir_replaces_stale_snapshots(tmp_path):
+    long_cfg = dict(BASE_CFG, diagnostics={"noncollapse": True})
+    short_cfg = dict(long_cfg, step={"A2_stop": 2.0 / 0.3**2})
+    _, out = run_scenario(tmp_path, long_cfg, "reuse")
+    long_count = len(list((out / "snapshots").iterdir()))
+    code = main(["run", "--config", write_cfg(tmp_path, short_cfg, "short.json"),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    names = sorted(p.name for p in (out / "snapshots").iterdir())
+    assert 0 < len(names) < long_count
+    report_bytes = (out / "report.json").read_bytes()
+    assert json.loads(report_bytes)["num_snapshots"] == len(names)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == sorted(
+        ["report.json", "timeseries.csv"] + [os.path.join("snapshots", n) for n in names])
+    assert main(["analyze", str(out)]) == EXIT_OK
+    assert (out / "report.json").read_bytes() == report_bytes
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -185,6 +240,17 @@ def test_analyze_blowup_at_point(tmp_path):
     assert abs(result["H_origin"] - 1.0) < 0.1
 
 
+def test_analyze_blowup_at_prints_analysis_json(tmp_path, capsys):
+    _, out = run_scenario(tmp_path, BASE_CFG, "pr")
+    last = json.loads(sorted((out / "snapshots").iterdir())[-1].read_text())
+    capsys.readouterr()
+    assert main(["analyze", str(out), "--blowup-at", f"x=0.0,t={last['t']}"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed == (out / "analysis.json").read_text()
+    result = json.loads(printed)
+    assert printed == json.dumps(result, sort_keys=True, indent=1) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and models table
 # ---------------------------------------------------------------------------
@@ -195,6 +261,22 @@ def test_exit_code_bad_config(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     missing = write_cfg(tmp_path, {"name": "x"}, "missing.json")
     assert main(["run", "--config", missing, "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("initial_text", [
+    '{"sphere": {"R0": 1.0}, "perturb": {"amplitude": "big", "modes": 3}}',
+    '{"sphere": {"R0": 1e400}}',
+    '{"sphere": {"R0": true}}',
+    '{"model": {"kind": "nope", "params": {}}}',
+    '{"model": {"kind": "cylinder", "params": {"m": 5}}}',
+], ids=["amplitude-string", "R0-overflow", "R0-bool", "model-kind", "cylinder-m"])
+def test_exit_code_invalid_initial_datum(tmp_path, capsys, initial_text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"name": "x", "nodes": 64, "initial": %s}' % initial_text)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: initial.") and "Traceback" not in err
 
 
 def test_exit_code_unwritable_output(tmp_path):
