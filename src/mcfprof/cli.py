@@ -26,7 +26,7 @@ from .errors import (ConfigError, EmptyWindowError, InconclusiveRunError,
                      WindowError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
 from .geometry import CLOSED, PERIODIC, FlowSnapshot, GraphPatch, ProfileCurve
-from .models import (BOWL, CYLINDER, GRIM_REAPER, SPHERE, ModelSolution,
+from .models import (CYLINDER, SPHERE, ModelSolution,
                      bowl_soliton_profile, grim_reaper_patch, model_snapshot,
                      shrinker_radius, translator_residual)
 from .shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
@@ -37,7 +37,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INCONCLUSIVE = 4
 
-MODEL_KINDS = (SPHERE, CYLINDER, GRIM_REAPER, BOWL)
 FLOAT_CHUNK = 1024  # floats per written piece of a JSON float array
 
 DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
@@ -76,7 +75,12 @@ def _is_int(val) -> bool:
 
 def _is_number(val) -> bool:
     """A finite JSON number; ``true``/``false`` are not numbers here."""
-    return (_is_int(val) or isinstance(val, float)) and math.isfinite(val)
+    if not (_is_int(val) or isinstance(val, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer literal past the float range
+        return False
 
 
 def _require(cond, msg, fieldpath):
@@ -108,11 +112,6 @@ def validate_config(raw: dict) -> dict:
             continue
         _require(_is_number(val) and val > 0,
                  f"{key} must be a positive finite number", f"initial.{tag}.{key}")
-    if tag == "model":
-        _require(body["kind"] in MODEL_KINDS, f"model kind must be one of {MODEL_KINDS}",
-                 "initial.model.kind")
-        _require(isinstance(body["params"], dict), "model params must be an object",
-                 "initial.model.params")
     if tag == "dumbbell":
         _require(body["neck_r"] < body["bulb_R"], "dumbbell requires neck_r < bulb_R",
                  "initial.dumbbell.neck_r")
@@ -175,7 +174,7 @@ def build_initial(cfg: dict) -> FlowSnapshot:
             model = ModelSolution(kind=body["kind"], n=n, **body["params"])
             return model_snapshot(model, t=0.0, nodes=nodes)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model params: {exc}", field="initial.model.params")
+            raise ConfigError(f"bad model: {exc}", field="initial.model")
     else:  # profile-file
         try:
             with open(body["path"]) as fh:
@@ -231,8 +230,8 @@ def _json_pieces(obj, pad="\n"):
             sep = ","
         yield pad + "}"
     elif isinstance(obj, (list, tuple)):
-        if all(isinstance(v, float) and math.isfinite(v) for v in obj):
-            yield from _float_pieces(obj, pad)
+        if not obj:
+            yield "[]"
             return
         inner, sep = pad + " ", "["
         for val in obj:
@@ -245,7 +244,7 @@ def _json_pieces(obj, pad="\n"):
 
 
 def _float_pieces(values, pad):
-    """JSON array of finite floats, ``FLOAT_CHUNK`` values per piece.
+    """A 1-D array of finite floats as JSON, ``FLOAT_CHUNK`` values per piece.
 
     ``json`` writes a finite float as ``float.__repr__``; joining whole chunks
     skips its per-item dispatch, and bounding the chunk keeps a snapshot dump
@@ -257,9 +256,7 @@ def _float_pieces(values, pad):
     inner = pad + " "
     join, sep = ("," + inner).join, "[" + inner
     for start in range(0, len(values), FLOAT_CHUNK):
-        part = values[start:start + FLOAT_CHUNK]
-        if isinstance(part, np.ndarray):
-            part = part.tolist()
+        part = values[start:start + FLOAT_CHUNK].tolist()
         yield sep + join(map(float.__repr__, part))
         sep = "," + inner
     yield pad + "]"
@@ -465,11 +462,19 @@ def cmd_run(args) -> int:
     if not out_dir:
         raise ConfigError("no output directory (config output_dir or --out)", field="output_dir")
     try:
-        os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
+        snap_dir = os.path.join(out_dir, "snapshots")
+        os.makedirs(snap_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
         with open(probe, "w"):
             pass
         os.remove(probe)
+        # a reused out_dir must not keep an earlier run's snapshots or analysis
+        stale = [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
+                 if name.startswith("t_") and name.endswith(".json")]
+        stale.append(os.path.join(out_dir, "analysis.json"))
+        for path in stale:
+            if os.path.isfile(path):
+                os.remove(path)
     except OSError as exc:
         raise ConfigError(f"output_dir not writable: {exc}", field="output_dir")
 
@@ -498,12 +503,6 @@ def cmd_run(args) -> int:
         written.append(os.path.join("snapshots", f"t_{k:05d}.json"))
         _dump_json(os.path.join(out_dir, written[-1]), _snapshot_obj(snap, k))
     _dump_json(os.path.join(out_dir, "report.json"), report)
-    # a reused out_dir must not keep the snapshots of an earlier, longer run
-    snap_dir = os.path.join(out_dir, "snapshots")
-    for name in os.listdir(snap_dir):
-        if (name.startswith("t_") and name.endswith(".json")
-                and os.path.join("snapshots", name) not in written):
-            os.remove(os.path.join(snap_dir, name))
 
     files = {name: _sha256(os.path.join(out_dir, name)) for name in written}
     est = traj.singular_estimate

@@ -38,6 +38,8 @@ class ModelSolution:
     period: Optional[float] = None
 
     def __post_init__(self):
+        if self.kind not in (SPHERE, CYLINDER, GRIM_REAPER, BOWL):
+            raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == CYLINDER:
             if self.m is None or not 1 <= self.m <= self.n:
                 raise ValueError("cylinder requires 1 <= m <= n")

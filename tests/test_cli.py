@@ -195,6 +195,9 @@ def test_rerun_into_same_dir_replaces_stale_snapshots(tmp_path):
     short_cfg = dict(long_cfg, step={"A2_stop": 2.0 / 0.3**2})
     _, out = run_scenario(tmp_path, long_cfg, "reuse")
     long_count = len(list((out / "snapshots").iterdir()))
+    last = json.loads(sorted((out / "snapshots").iterdir())[-1].read_text())
+    assert main(["analyze", str(out), "--blowup-at", f"x=0.0,t={last['t']}"]) == EXIT_OK
+    assert (out / "analysis.json").is_file()
     code = main(["run", "--config", write_cfg(tmp_path, short_cfg, "short.json"),
                  "--out", str(out)])
     assert code == EXIT_OK
@@ -205,6 +208,7 @@ def test_rerun_into_same_dir_replaces_stale_snapshots(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["files"]) == sorted(
         ["report.json", "timeseries.csv"] + [os.path.join("snapshots", n) for n in names])
+    assert not (out / "analysis.json").exists()
     assert main(["analyze", str(out)]) == EXIT_OK
     assert (out / "report.json").read_bytes() == report_bytes
 
@@ -260,9 +264,13 @@ def test_exit_code_bad_config(tmp_path):
     '{"sphere": {"R0": 1.0}, "perturb": {"amplitude": "big", "modes": 3}}',
     '{"sphere": {"R0": 1e400}}',
     '{"sphere": {"R0": true}}',
+    '{"sphere": {"R0": 1%s}}' % ("0" * 400),
+    '{"sphere": {"R0": 1.0}, "perturb": {"amplitude": 1%s, "modes": 3}}' % ("0" * 400),
     '{"model": {"kind": "nope", "params": {}}}',
     '{"model": {"kind": "cylinder", "params": {"m": 5}}}',
-], ids=["amplitude-string", "R0-overflow", "R0-bool", "model-kind", "cylinder-m"])
+    '{"model": {"kind": "sphere", "params": [1.0]}}',
+], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
+         "model-kind", "cylinder-m", "model-params-list"])
 def test_exit_code_invalid_initial_datum(tmp_path, capsys, initial_text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"name": "x", "nodes": 64, "initial": %s}' % initial_text)
