@@ -172,6 +172,8 @@ def build_initial(cfg: dict) -> FlowSnapshot:
     elif tag == "model":
         try:
             model = ModelSolution(kind=body["kind"], n=n, **body["params"])
+            if model.kind not in (SPHERE, CYLINDER):  # translators have no first singular time
+                raise ValueError(f"{model.kind} is a translator, not a shrinker")
             return model_snapshot(model, t=0.0, nodes=nodes)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model: {exc}", field="initial.model")

@@ -61,7 +61,8 @@ def _surface_tree(curve: ProfileCurve) -> cKDTree:
         left = pts + np.array([-curve.period, 0.0])
         right = pts + np.array([curve.period, 0.0])
         pts = np.vstack((left, pts, right))
-    return cKDTree(pts)
+    # a query visits a whole contact arc of equidistant nodes: scan it in big leaves
+    return cKDTree(pts, leafsize=64)
 
 
 def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:

@@ -14,10 +14,10 @@ snapshot cascade accumulating there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
 from .geometry import (CLOSED, FlowSnapshot, GraphPatch, ProfileCurve,
@@ -231,28 +231,6 @@ def _profile_derivatives(z, r, closed, period):
     return z_s, r_s, z_ss, r_ss, seg
 
 
-def _max_A2_spacings(z, r, n, closed, period):
-    """(max|A|^2, node spacings) of raw profile arrays.
-
-    The spacings include the wrap segment for periodic profiles.
-    """
-    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
-    w2 = z_s * z_s + r_s * r_s
-    w = np.sqrt(w2)
-    lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
-    lam_rot = np.empty_like(lam_axial)
-    if closed:
-        np.divide(z_s[1:-1], r[1:-1] * w[1:-1], out=lam_rot[1:-1])
-        lam_rot[0] = lam_axial[0]
-        lam_rot[-1] = lam_axial[-1]
-        ds = seg[1:-1]
-    else:
-        np.divide(z_s, r * w, out=lam_rot)
-        ds = seg[1:]
-    A2 = lam_axial * lam_axial + (n - 1) * lam_rot * lam_rot
-    return float(A2.max()), ds
-
-
 def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
     """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
 
@@ -270,14 +248,10 @@ def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
         u[0] = gamma
         u[-1] = upper[-1]
         rhs = np.column_stack((rhs, u))
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        x = solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBlowupError(f"singular implicit step system: {exc}") from exc
+    # LAPACK gtsv; its inputs are copied, since the z and r solves share lower/upper
+    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info > 0:
+        raise NumericalBlowupError(f"singular implicit step system: zero pivot in row {info}")
     if cyclic:
         y, w = x.T
         v_last = lower[0] / gamma
@@ -287,15 +261,40 @@ def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
     return x
 
 
-def _implicit_euler(z, r, n, closed, period, dt):
-    """One linearly implicit Euler step of z_t = Δz, r_t = Δr - (n-1)/r.
+class StepOperator(NamedTuple):
+    """The dt-independent part of the implicit step at one curve state.
 
-    Δ = ∂ss + (n-1)(r_s/r)∂s is frozen at (z, r) and -(n-1)/r is linearized
-    about r, so the step solves (I - dt M) δ = dt F for the increments δ, with
-    F the explicit right-hand side.  At a pole of a closed profile r stays 0
-    and z moves by n ∂ss z (even reflection through the axis).
+    M = tridiag(lower, diag, upper) is Δ = ∂ss + (n-1)(r_s/r)∂s frozen at the curve,
+    q = (n-1)/r² linearizes -(n-1)/r, (f_z, f_r) is the explicit right-hand side;
+    max_A2 and the spacings ds (with the periodic wrap segment) feed the step rule.
     """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    q: np.ndarray
+    f_z: np.ndarray
+    f_r: np.ndarray
+    max_A2: float
+    ds: np.ndarray
+
+
+def _step_operator(z, r, n, closed, period) -> StepOperator:
+    """Assemble the StepOperator of raw profile arrays from one stencil pass."""
     z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
+    w2 = z_s * z_s + r_s * r_s
+    w = np.sqrt(w2)
+    lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
+    lam_rot = np.empty_like(lam_axial)
+    if closed:
+        np.divide(z_s[1:-1], r[1:-1] * w[1:-1], out=lam_rot[1:-1])
+        lam_rot[0] = lam_axial[0]
+        lam_rot[-1] = lam_axial[-1]
+        ds = seg[1:-1]
+    else:
+        np.divide(z_s, r * w, out=lam_rot)
+        ds = seg[1:]
+    A2 = lam_axial * lam_axial + (n - 1) * lam_rot * lam_rot
     hm = seg[:-1]
     hp = seg[1:]
     # r = 0 makes the pole rows non-finite here; they are replaced below
@@ -307,23 +306,31 @@ def _implicit_euler(z, r, n, closed, period, dt):
         diag = -(lower + upper)  # Δ annihilates constants
         f_z = z_ss + p * z_s
         f_r = r_ss + p * r_s - q * r
-    if closed:
+    if closed:  # at a pole r stays 0 and z moves by n ∂ss z (even reflection)
         c_first = 2.0 * n / seg[0] ** 2
         c_last = 2.0 * n / seg[-1] ** 2
         diag[0], upper[0] = -c_first, c_first
         diag[-1], lower[-1] = -c_last, c_last
         f_z[0] = n * z_ss[0]
         f_z[-1] = n * z_ss[-1]
-    lo = -dt * lower
-    up = -dt * upper
-    a_z = 1.0 - dt * diag
-    a_r = a_z + dt * q
+    return StepOperator(lower, diag, upper, q, f_z, f_r, float(A2.max()), ds)
+
+
+def _implicit_euler(z, r, op, closed, dt):
+    """One linearly implicit Euler step of z_t = Δz, r_t = Δr - (n-1)/r.
+
+    Solves (I - dt M) δ = dt F for the increments δ, with M and F from ``op`` at (z, r).
+    """
+    lo = -dt * op.lower
+    up = -dt * op.upper
+    a_z = 1.0 - dt * op.diag
+    a_r = a_z + dt * op.q
     if not closed:
-        return (z + _solve_tridiagonal(lo, a_z, up, dt * f_z, cyclic=True),
-                r + _solve_tridiagonal(lo, a_r, up, dt * f_r, cyclic=True))
+        return (z + _solve_tridiagonal(lo, a_z, up, dt * op.f_z, cyclic=True),
+                r + _solve_tridiagonal(lo, a_r, up, dt * op.f_r, cyclic=True))
     dr = np.zeros_like(r)
-    dr[1:-1] = _solve_tridiagonal(lo[1:-1], a_r[1:-1], up[1:-1], dt * f_r[1:-1])
-    return z + _solve_tridiagonal(lo, a_z, up, dt * f_z), r + dr
+    dr[1:-1] = _solve_tridiagonal(lo[1:-1], a_r[1:-1], up[1:-1], dt * op.f_r[1:-1])
+    return z + _solve_tridiagonal(lo, a_z, up, dt * op.f_z), r + dr
 
 
 def _pinched(r, closed) -> bool:
@@ -331,17 +338,21 @@ def _pinched(r, closed) -> bool:
     return bool(np.any((r[1:-1] if closed else r) <= 0.0))
 
 
-def _implicit_step(z, r, n, closed, period, dt):
+def _implicit_step(z, r, n, closed, period, dt, op=None):
     """Linearly implicit profile step, Richardson-extrapolated to second order in dt.
 
-    One full step and two half steps, combined as 2 * half - full.  Raises
-    NeckPinchError when a node that must stay off the axis reaches it.
+    One full step and two half steps, combined as 2 * half - full; the first
+    two share ``op``, the StepOperator of (z, r), assembled here if not given.
+    Raises NeckPinchError when a node that must stay off the axis reaches it.
     """
-    z_full, r_full = _implicit_euler(z, r, n, closed, period, dt)
-    z_half, r_half = _implicit_euler(z, r, n, closed, period, 0.5 * dt)
+    if op is None:
+        op = _step_operator(z, r, n, closed, period)
+    z_full, r_full = _implicit_euler(z, r, op, closed, dt)
+    z_half, r_half = _implicit_euler(z, r, op, closed, 0.5 * dt)
     if _pinched(r_half, closed):
         raise NeckPinchError("r <= 0 at an interior node after a half step")
-    z_half, r_half = _implicit_euler(z_half, r_half, n, closed, period, 0.5 * dt)
+    op_half = _step_operator(z_half, r_half, n, closed, period)
+    z_half, r_half = _implicit_euler(z_half, r_half, op_half, closed, 0.5 * dt)
     z_new = 2.0 * z_half - z_full
     r_new = 2.0 * r_half - r_full
     if _pinched(r_new, closed):
@@ -386,7 +397,8 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
     last_recorded_t = t
 
     while True:
-        maxA2, ds = _max_A2_spacings(z, r, n, closed, period)
+        op = _step_operator(z, r, n, closed, period)
+        maxA2, ds = op.max_A2, op.ds
         hist_t.append(t)
         hist_A2.append(maxA2)
         if cascade_level is None:
@@ -437,7 +449,7 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
         ok = False
         while True:
             try:
-                z_new, r_new = _implicit_step(z, r, n, closed, period, dt)
+                z_new, r_new = _implicit_step(z, r, n, closed, period, dt, op)
                 ok = True
                 break
             except NeckPinchError:

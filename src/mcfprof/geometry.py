@@ -20,9 +20,6 @@ from .errors import DegenerateSurfaceError, ResolutionError, TopologyError
 CLOSED = "closed-through-axis"
 PERIODIC = "periodic-in-z"
 
-# axis-orthogonality tolerance |dz/ds| at the poles of a closed profile
-POLE_SLOPE_TOL = 0.15
-
 
 @dataclass
 class ProfileCurve:
@@ -83,10 +80,6 @@ class ProfileCurve:
                 raise DegenerateSurfaceError("closed-through-axis profile must have r = 0 at both ends")
             if np.any(self.r[1:-1] <= 0.0):
                 raise DegenerateSurfaceError("non-positive r at an interior node")
-            ds = self.spacings()
-            if abs(self.z[1] - self.z[0]) > POLE_SLOPE_TOL * ds[0] * 4:
-                # |dz/ds| ~ |z1-z0|/ds0 must vanish like ds at an orthogonal cap
-                pass  # soft contract; caps built by resampling satisfy it
         else:
             if np.any(self.r <= 0.0):
                 raise DegenerateSurfaceError("non-positive r on a periodic profile")

@@ -24,15 +24,6 @@ def cylinder_profile(R: float, period: float, n: int = 2, nodes: int = 400) -> P
     return ProfileCurve(z, r, n, PERIODIC, period)
 
 
-def perturbed_cylinder_profile(R: float, amp: float, period: float, n: int = 2,
-                               nodes: int = 400, modes: int = 1) -> ProfileCurve:
-    """Cylinder with a cosine perturbation r(z) = R + amp*cos(2*pi*modes*z/period)."""
-    z = np.linspace(0.0, period, nodes, endpoint=False)
-    r = R + amp * np.cos(2 * np.pi * modes * z / period)
-    curve = ProfileCurve(z, r, n, PERIODIC, period)
-    return resample_arclength(curve)
-
-
 def ovaloid_profile(a: float, b: float, n: int = 2, nodes: int = 400) -> ProfileCurve:
     """Ellipsoid of revolution with z-semi-axis a and radial semi-axis b."""
     theta = np.linspace(0.0, np.pi, 8 * nodes)

@@ -269,8 +269,10 @@ def test_exit_code_bad_config(tmp_path):
     '{"model": {"kind": "nope", "params": {}}}',
     '{"model": {"kind": "cylinder", "params": {"m": 5}}}',
     '{"model": {"kind": "sphere", "params": [1.0]}}',
+    '{"model": {"kind": "grim-reaper-product", "params": {}}}',
+    '{"model": {"kind": "bowl-soliton", "params": {}}}',
 ], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
-         "model-kind", "cylinder-m", "model-params-list"])
+         "model-kind", "cylinder-m", "model-params-list", "model-grim-reaper", "model-bowl"])
 def test_exit_code_invalid_initial_datum(tmp_path, capsys, initial_text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"name": "x", "nodes": 64, "initial": %s}' % initial_text)
@@ -311,10 +313,10 @@ def test_models_table_in_tolerance(capsys):
 def test_exit_code_singular_step_system(tmp_path, monkeypatch, capsys):
     from mcfprof import flow
 
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+    def singular(dl, d, du, b, *args, **kwargs):
+        return dl, d, du, b, 1  # LAPACK info > 0: zero pivot in row 1
 
-    monkeypatch.setattr(flow, "solve_banded", singular)
+    monkeypatch.setattr(flow, "dgtsv", singular)
     code, _ = run_scenario(tmp_path, BASE_CFG, "sing")
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from mcfprof.errors import InconclusiveRunError, NumericalBlowupError
+from mcfprof import flow
+from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
 from mcfprof.flow import (CASCADE_FACTOR, LANDING_FACTOR, STOP_CURVATURE,
                           STOP_EXTINCTION, STOP_T_END,
-                          StepControl, _implicit_step, _solve_tridiagonal,
+                          StepControl, _implicit_step, _pinched, _profile_derivatives,
+                          _solve_tridiagonal, _step_operator,
                           adaptive_dt, run_until, step_axisymmetric, step_graph,
                           verify_mean_convexity)
 from mcfprof.geometry import FlowSnapshot, GraphPatch, ProfileCurve, CLOSED
-from mcfprof.shapes import cylinder_profile, dumbbell_profile, sphere_profile
+from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
+                            perturb_profile, sphere_profile)
 
 
 def test_one_step_sphere_radius_law():
@@ -245,3 +249,147 @@ def test_coarse_steps_record_every_rung_where_crossed(dumbbell_run):
     assert np.all(past >= 0.0)
     assert np.all(past < np.log(LANDING_FACTOR) / np.log(CASCADE_FACTOR) + 0.01)
     assert 2.0e4 <= A2[-1] < 1.01 * LANDING_FACTOR * 2.0e4
+
+
+# ---------------------------------------------------------------------------
+# reference: the step with one stencil pass per Euler step, the curvature of
+# the step rule in a pass of its own, and banded solves through solve_banded
+# ---------------------------------------------------------------------------
+
+def _reference_max_A2_spacings(z, r, n, closed, period):
+    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
+    w2 = z_s * z_s + r_s * r_s
+    w = np.sqrt(w2)
+    lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
+    lam_rot = np.empty_like(lam_axial)
+    if closed:
+        np.divide(z_s[1:-1], r[1:-1] * w[1:-1], out=lam_rot[1:-1])
+        lam_rot[0] = lam_axial[0]
+        lam_rot[-1] = lam_axial[-1]
+        ds = seg[1:-1]
+    else:
+        np.divide(z_s, r * w, out=lam_rot)
+        ds = seg[1:]
+    A2 = lam_axial * lam_axial + (n - 1) * lam_rot * lam_rot
+    return float(A2.max()), ds
+
+
+def _reference_solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
+    if cyclic:
+        gamma = -diag[0]
+        diag = diag.copy()
+        diag[0] -= gamma
+        diag[-1] -= lower[0] * upper[-1] / gamma
+        u = np.zeros_like(rhs)
+        u[0] = gamma
+        u[-1] = upper[-1]
+        rhs = np.column_stack((rhs, u))
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    try:
+        x = solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBlowupError(f"singular implicit step system: {exc}") from exc
+    if cyclic:
+        y, w = x.T
+        v_last = lower[0] / gamma
+        x = y - (y[0] + v_last * y[-1]) / (1.0 + w[0] + v_last * w[-1]) * w
+    if not np.all(np.isfinite(x)):
+        raise NumericalBlowupError("non-finite solution of the implicit step system")
+    return x
+
+
+def _reference_implicit_euler(z, r, n, closed, period, dt):
+    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
+    hm = seg[:-1]
+    hp = seg[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (n - 1) * r_s / r
+        q = (n - 1) / (r * r)
+        lower = (2.0 - p * hp) / (hm * (hm + hp))
+        upper = (2.0 + p * hm) / (hp * (hm + hp))
+        diag = -(lower + upper)
+        f_z = z_ss + p * z_s
+        f_r = r_ss + p * r_s - q * r
+    if closed:
+        c_first = 2.0 * n / seg[0] ** 2
+        c_last = 2.0 * n / seg[-1] ** 2
+        diag[0], upper[0] = -c_first, c_first
+        diag[-1], lower[-1] = -c_last, c_last
+        f_z[0] = n * z_ss[0]
+        f_z[-1] = n * z_ss[-1]
+    lo = -dt * lower
+    up = -dt * upper
+    a_z = 1.0 - dt * diag
+    a_r = a_z + dt * q
+    if not closed:
+        return (z + _reference_solve_tridiagonal(lo, a_z, up, dt * f_z, cyclic=True),
+                r + _reference_solve_tridiagonal(lo, a_r, up, dt * f_r, cyclic=True))
+    dr = np.zeros_like(r)
+    dr[1:-1] = _reference_solve_tridiagonal(lo[1:-1], a_r[1:-1], up[1:-1], dt * f_r[1:-1])
+    return z + _reference_solve_tridiagonal(lo, a_z, up, dt * f_z), r + dr
+
+
+def _reference_implicit_step(z, r, n, closed, period, dt):
+    z_full, r_full = _reference_implicit_euler(z, r, n, closed, period, dt)
+    z_half, r_half = _reference_implicit_euler(z, r, n, closed, period, 0.5 * dt)
+    if _pinched(r_half, closed):
+        raise NeckPinchError("r <= 0 at an interior node after a half step")
+    z_half, r_half = _reference_implicit_euler(z_half, r_half, n, closed, period, 0.5 * dt)
+    z_new = 2.0 * z_half - z_full
+    r_new = 2.0 * r_half - r_full
+    if _pinched(r_new, closed):
+        raise NeckPinchError("r <= 0 at an interior node after the step")
+    return z_new, r_new
+
+
+STEP_SHAPES = {
+    "sphere-n2": lambda: sphere_profile(1.0, 2, 300),
+    "sphere-n3": lambda: sphere_profile(0.7, 3, 401),
+    "ovaloid": lambda: ovaloid_profile(1.0, 0.6, 2, 400),
+    "dumbbell": lambda: dumbbell_profile(1.0, 0.35, 8.0, 2, 800),
+    "perturbed-dumbbell": lambda: perturb_profile(dumbbell_profile(1.0, 0.35, 8.0, 2, 800),
+                                                  0.01, 3, 1),
+    "cylinder": lambda: cylinder_profile(0.5, np.pi, 2, 300),
+    "perturbed-cylinder": lambda: perturb_profile(cylinder_profile(1.0, np.pi, 2, 400),
+                                                  0.05, 3, 2),
+}
+
+
+@pytest.mark.parametrize("dt", [1e-5, 2e-3])
+@pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
+def test_implicit_step_equals_reference(shape, dt):
+    curve = STEP_SHAPES[shape]()
+    args = (curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period)
+    z, r = _implicit_step(*args, dt)
+    z_ref, r_ref = _reference_implicit_step(*args, dt)
+    assert np.array_equal(z, z_ref) and np.array_equal(r, r_ref)
+    op = _step_operator(*args)
+    max_A2, ds = _reference_max_A2_spacings(*args)
+    assert op.max_A2 == max_A2 and np.array_equal(op.ds, ds)
+
+
+@pytest.mark.parametrize("cyclic, N", [(False, 2), (False, 3), (False, 400),
+                                        (True, 3), (True, 400)])
+def test_tridiagonal_solve_equals_solve_banded(cyclic, N):
+    rng = np.random.default_rng(N)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, N))
+    diag = 2.5 + rng.uniform(0.0, 1.0, N)
+    rhs = rng.normal(size=N)
+    x = _solve_tridiagonal(lower, diag, upper, rhs, cyclic=cyclic)
+    assert np.array_equal(x, _reference_solve_tridiagonal(lower, diag, upper, rhs, cyclic=cyclic))
+
+
+def test_two_stencil_passes_per_step(monkeypatch):
+    """The step rule and the full and first half step share one operator assembly."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _profile_derivatives(*args)
+
+    monkeypatch.setattr(flow, "_profile_derivatives", counted)
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
+    assert len(calls) <= 2 * len(traj.step_times)
