@@ -3,8 +3,7 @@
 from .geometry import (CLOSED, PERIODIC, CurvatureField, FlowSnapshot,
                        GraphPatch, ProfileCurve, curvature_axisymmetric,
                        curvature_graph, resample_arclength)
-from .flow import (StepControl, Trajectory, adaptive_dt, run_until,
-                   step_axisymmetric, step_graph, verify_mean_convexity)
+from .flow import StepControl, Trajectory, run_until, verify_mean_convexity
 from .models import (ModelSolution, bowl_soliton_profile, grim_reaper_eval,
                      model_snapshot, shrinker_radius, translator_residual)
 from .rescale import (BlowupSequence, BlowupTerm, DilationParams, fit_model,

@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from . import diagnostics as dg
 from . import rescale as rs
-from .errors import (ConfigError, EmptyWindowError, InconclusiveRunError,
-                     InsufficientDataError, McfError, NumericalBlowupError,
-                     WindowError)
+from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
+                     InconclusiveRunError, McfError, NumericalBlowupError,
+                     ResolutionError, WindowError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
-from .geometry import CLOSED, PERIODIC, FlowSnapshot, GraphPatch, ProfileCurve
+from .geometry import PERIODIC, FlowSnapshot, GraphPatch, ProfileCurve
 from .models import (CYLINDER, SPHERE, ModelSolution,
                      bowl_soliton_profile, grim_reaper_patch, model_snapshot,
                      shrinker_radius, translator_residual)
@@ -156,6 +156,14 @@ def load_config(path: str) -> dict:
     return validate_config(raw)
 
 
+def _valid_datum(curve: ProfileCurve, tag: str) -> ProfileCurve:
+    try:
+        curve.validate()
+    except (ResolutionError, DegenerateSurfaceError) as exc:
+        raise ConfigError(f"invalid initial datum: {exc}", field=f"initial.{tag}")
+    return curve
+
+
 def build_initial(cfg: dict) -> FlowSnapshot:
     initial = cfg["initial"]
     tag = next(k for k in initial if k != "perturb")
@@ -174,21 +182,26 @@ def build_initial(cfg: dict) -> FlowSnapshot:
             model = ModelSolution(kind=body["kind"], n=n, **body["params"])
             if model.kind not in (SPHERE, CYLINDER):  # translators have no first singular time
                 raise ValueError(f"{model.kind} is a translator, not a shrinker")
-            return model_snapshot(model, t=0.0, nodes=nodes)
+            snap = model_snapshot(model, t=0.0, nodes=nodes)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model: {exc}", field="initial.model")
+        _valid_datum(snap.surface, tag)
+        return snap
     else:  # profile-file
         try:
             with open(body["path"]) as fh:
                 data = json.load(fh)
             curve = ProfileCurve(np.asarray(data["z"]), np.asarray(data["r"]),
                                  data.get("n", n), data["topology"], data.get("period"))
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad profile file: {exc}", field="initial.profile-file.path")
+        _require(_is_int(curve.n) and curve.n >= 2, "n must be an integer >= 2", "initial.profile-file")
+        # the perturbation respaces with splines, which need a valid curve
+        _valid_datum(curve, tag)
     if "perturb" in initial:
         p = initial["perturb"]
         curve = perturb_profile(curve, p["amplitude"], p.get("modes", 3), cfg["seed"])
-    return FlowSnapshot(curve, 0.0)
+    return FlowSnapshot(_valid_datum(curve, tag), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +315,15 @@ def _snapshot_from_obj(obj: dict) -> FlowSnapshot:
     return FlowSnapshot(curve, obj["t"])
 
 
-def _neck_radius(curve) -> float:
-    if not isinstance(curve, ProfileCurve):
+def _neck_radius(snap: FlowSnapshot) -> float:
+    """Periodic profiles: min r; closed ones: r at the narrowest waist, nan without one."""
+    r = snap.surface.r
+    if snap.surface.topology == PERIODIC:
+        return float(r.min())
+    try:
+        return float(r[rs.waist_node(snap)])
+    except EmptyWindowError:
         return float("nan")
-    if curve.topology == PERIODIC:
-        return float(curve.r.min())
-    r = curve.r
-    i = np.arange(1, r.size - 1)
-    locmin = i[(r[i] < r[i - 1]) & (r[i] <= r[i + 1])]
-    return float(r[locmin].min()) if locmin.size else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +347,7 @@ def write_timeseries(path: str, traj: Trajectory, diags: dict):
         H = c.H[m]
         row = {"t": snap.t, "max_H": float(H.max()), "min_H": float(H.min()),
                "max_A2": float(c.A2[m].max()),
-               "neck_radius": _neck_radius(snap.surface),
+               "neck_radius": _neck_radius(snap),
                "dt": 0.0 if t_prev is None else snap.t - t_prev}
         pos = H > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -665,9 +678,8 @@ def make_parser() -> argparse.ArgumentParser:
                       help="rescaled window radius for model fits")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_mod = sub.add_parser("models", help="reference-solution residual table")
-    p_mod.add_argument("--check", action="store_true",
-                       help="exit nonzero unless all residuals are in tolerance")
+    p_mod = sub.add_parser("models", help="reference-solution residual table "
+                                          "(exit 0 iff all residuals are in tolerance)")
     p_mod.set_defaults(func=cmd_models)
     return parser
 

@@ -290,10 +290,7 @@ def ratio_A2_H2(traj: Trajectory, tol_rate: float = 10.0) -> dict:
             raise DomainError("|A|^2/H^2 check requires H > 0 throughout")
         ratios.append(float(np.max(c.A2[m] / c.H[m] ** 2)))
         times.append(snap.t)
-        if isinstance(snap.surface, ProfileCurve):
-            hs.append(snap.surface.mean_spacing)
-        else:
-            hs.append(snap.surface.h)
+        hs.append(snap.surface.mean_spacing)
     worst = 0.0
     ok = True
     for k in range(1, len(ratios)):

@@ -1,14 +1,10 @@
-"""Time integration of mean curvature flow with adaptive step control.
+"""Time integration of mean curvature flow for profile curves.
 
-Profile curves advance by a linearly implicit step: z_t = Δz and
-r_t = Δr - (n-1)/r, with Δ the Laplace-Beltrami operator frozen at the current
-curve, one tridiagonal solve per coordinate, and Richardson extrapolation to
-second order in time.  ``step_axisymmetric`` keeps the explicit Euler step
-(each node moves by dt * H along the inward normal) as the single-step
-reference.  Graph patches evolve by the quasilinear graph equation with
-explicit Euler and frozen Dirichlet boundary values.  The integrator detects
-the approach to the first singular time via curvature blow-up and records a
-snapshot cascade accumulating there.
+Profiles advance by a linearly implicit step: z_t = Δz and r_t = Δr - (n-1)/r,
+with Δ the Laplace-Beltrami operator frozen at the current curve, one
+tridiagonal solve per coordinate, and Richardson extrapolation to second order
+in time.  The integrator detects the approach to the first singular time via
+curvature blow-up and records a snapshot cascade accumulating there.
 """
 
 from __future__ import annotations
@@ -20,8 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
-from .geometry import (CLOSED, FlowSnapshot, GraphPatch, ProfileCurve,
-                       graph_gradients, resample_arclength)
+from .geometry import CLOSED, FlowSnapshot, ProfileCurve, resample_arclength
 
 STOP_CURVATURE = "curvature-threshold"
 STOP_EXTINCTION = "extinction"
@@ -90,99 +85,6 @@ class Trajectory:
 
     def nearest_snapshot(self, t: float) -> FlowSnapshot:
         return self.snapshots[int(np.argmin(np.abs(self.times - t)))]
-
-
-def adaptive_dt(state: FlowSnapshot, ctl: StepControl):
-    """Stable explicit step: dt = cfl * min(h^2/(2n), 1/(2 max|A|^2)).
-
-    h is the minimum node spacing.  Returns (dt, underflow_flag); when the
-    bound falls below dt_min the floor is returned with the flag set.
-    """
-    curv = state.curvature
-    maxA2 = float(np.max(curv.A2[curv.interior])) if np.any(curv.interior) else float(np.max(curv.A2))
-    if isinstance(state.surface, ProfileCurve):
-        h = float(state.surface.spacings().min())
-        n = state.surface.n
-    else:
-        h = state.surface.h
-        n = state.surface.n
-    bound = min(h * h / (2.0 * n), np.inf if maxA2 == 0.0 else 1.0 / (2.0 * maxA2))
-    dt = ctl.cfl * bound
-    if dt < ctl.dt_min:
-        return ctl.dt_min, True
-    return dt, False
-
-
-def step_axisymmetric(state: FlowSnapshot, dt: float) -> FlowSnapshot:
-    """One explicit Euler step of dF/dt = H * nu for a profile curve.
-
-    This is the single-step reference scheme (the H-evolution order check is
-    built on it); ``run_until`` advances profiles with the linearly implicit
-    step instead.
-    """
-    curve = state.surface
-    if curve.n < 2:
-        raise ValueError("axisymmetric flow requires ambient dimension n >= 2")
-    curv = state.curvature
-    disp = dt * curv.H
-    z = curve.z + disp * curv.normal[:, 0]
-    r = curve.r + disp * curv.normal[:, 1]
-    if curve.topology == CLOSED:
-        # poles stay on the axis and move along it
-        r[0] = 0.0
-        r[-1] = 0.0
-        if np.any(r[1:-1] <= 0.0):
-            raise NeckPinchError("r <= 0 at an interior node after the step")
-    else:
-        if np.any(r <= 0.0):
-            raise NeckPinchError("r <= 0 after the step")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(r))):
-        raise NumericalBlowupError("NaN/overflow in step_axisymmetric")
-    new = ProfileCurve(z, r, curve.n, curve.topology, curve.period)
-    return FlowSnapshot(new, state.t + dt)
-
-
-def step_graph(state: FlowSnapshot, dt: float) -> FlowSnapshot:
-    """One explicit Euler step of the graph equation; boundary values frozen."""
-    patch = state.surface
-    grads, seconds = graph_gradients(patch)
-    if patch.n == 1:
-        up = grads[0]
-        upp = seconds[0][0]
-        rhs = upp / (1.0 + up**2)
-    else:
-        ux, uy = grads
-        (uxx, uxy), (_, uyy) = seconds
-        W2 = 1.0 + ux**2 + uy**2
-        rhs = ((1.0 + uy**2) * uxx - 2.0 * ux * uy * uxy + (1.0 + ux**2) * uyy) / W2
-    u = patch.u + dt * rhs
-    # frozen Dirichlet boundary
-    if patch.n == 1:
-        u[0], u[-1] = patch.u[0], patch.u[-1]
-    else:
-        u[0, :], u[-1, :] = patch.u[0, :], patch.u[-1, :]
-        u[:, 0], u[:, -1] = patch.u[:, 0], patch.u[:, -1]
-    if not np.all(np.isfinite(u)):
-        raise NumericalBlowupError("NaN/overflow in step_graph")
-    return FlowSnapshot(GraphPatch(u, patch.h, patch.x0, patch.orientation), state.t + dt)
-
-
-def _maybe_resample(snap: FlowSnapshot, ctl: StepControl) -> FlowSnapshot:
-    curve = snap.surface
-    if not isinstance(curve, ProfileCurve):
-        return snap
-    curv = snap.curvature
-    maxA2 = float(np.max(curv.A2))
-    num = None
-    if ctl.refine and maxA2 > 0.0:
-        target = ctl.refine_target / np.sqrt(maxA2)
-        if curve.mean_spacing > 1.25 * target:
-            total = curve.arclength[-1] + (curve.spacings()[-1] if curve.topology != CLOSED else 0.0)
-            num = min(int(np.ceil(total / target)) + 1, ctl.max_nodes)
-            num = max(num, curve.num_nodes)
-    if num is None and curve.spacing_ratio() <= ctl.resample_ratio:
-        return snap
-    return FlowSnapshot(resample_arclength(curve, num=num), snap.t)
 
 
 def _fit_singular_time(times, maxA2) -> Optional[float]:
@@ -360,35 +262,49 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
     return z_new, r_new
 
 
+def _respace(z, r, n, topology, period, max_A2, ds, ctl: StepControl):
+    """Resample (z, r) uniformly in arclength when the spacings ds call for it.
+
+    ds and max_A2 come from a StepOperator.  The curve is refined when its mean
+    spacing exceeds 1.25 times the resolution target refine_target/sqrt(max_A2),
+    and respaced at its node count when max/min spacing exceeds resample_ratio;
+    otherwise (z, r) is returned as given.
+    """
+    num = None
+    if ctl.refine and max_A2 > 0.0:
+        target = ctl.refine_target / np.sqrt(max_A2)
+        if ds.mean() > 1.25 * target:
+            num = max(min(int(np.ceil(ds.sum() / target)) + 1, ctl.max_nodes), z.size)
+    if num is None and ds.max() <= ctl.resample_ratio * ds.min():
+        return z, r
+    fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num)
+    return fresh.z, fresh.r
+
+
 def run_until(initial: FlowSnapshot, ctl: StepControl,
               record_times: Sequence[float] = ()) -> Trajectory:
-    """Integrate until a stop criterion fires.
+    """Integrate a profile curve until a stop criterion fires.
 
     Snapshots are recorded at the requested times plus a geometric curvature
     cascade so that blow-up sequences have material to rescale.
     """
-    if isinstance(initial.surface, ProfileCurve):
-        return _run_profile(initial, ctl, record_times)
-    return _run_graph(initial, ctl, record_times)
-
-
-def _run_profile(initial: FlowSnapshot, ctl: StepControl,
-                 record_times: Sequence[float]) -> Trajectory:
-    curve0 = initial.surface
-    if curve0.n < 2:
+    curve = initial.surface
+    if not isinstance(curve, ProfileCurve):
+        raise TypeError("run_until integrates ProfileCurve snapshots only")
+    if curve.n < 2:
         raise ValueError("axisymmetric flow requires ambient dimension n >= 2")
-    state = _maybe_resample(initial, ctl)
-    curve = state.surface
-    z, r = curve.z.copy(), curve.r.copy()
+    curve.validate()
     n, closed, period = curve.n, curve.topology == CLOSED, curve.period
     topology = curve.topology
-    t = state.t
+    op = _step_operator(curve.z, curve.r, n, closed, period)
+    z, r = _respace(curve.z, curve.r, n, topology, period, op.max_A2, op.ds, ctl)
+    t = initial.t
     schedule = sorted(tt for tt in record_times if tt > t)
 
     def make_snapshot():
         return FlowSnapshot(ProfileCurve(z.copy(), r.copy(), n, topology, period), t)
 
-    snapshots = [state]
+    snapshots = [make_snapshot()]
     hist_t, hist_A2 = [], []
     stop_reason = None
     underflow = False
@@ -419,8 +335,7 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
         if ctl.t_end is not None and t >= ctl.t_end - 1e-15:
             stop_reason = STOP_T_END
             break
-        mean_ds = ds.mean()
-        if r.max() < 3.0 * mean_ds:
+        if r.max() < 3.0 * ds.mean():
             stop_reason = STOP_EXTINCTION
             break
 
@@ -467,17 +382,8 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
         z, r = z_new, r_new
         t += dt
 
-        # resample / refine on the spacing contract and the curvature-resolution target
-        num = None
-        if ctl.refine and maxA2 > 0.0:
-            target = ctl.refine_target / np.sqrt(maxA2)
-            if mean_ds > 1.25 * target:
-                total = ds.sum()
-                num = min(int(np.ceil(total / target)) + 1, ctl.max_nodes)
-                num = max(num, z.size)
-        if num is not None or ds.max() > ctl.resample_ratio * ds.min():
-            fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num)
-            z, r = fresh.z, fresh.r
+        # the spacing test uses the curve the step started from
+        z, r = _respace(z, r, n, topology, period, maxA2, ds, ctl)
 
         if hit_schedule:
             schedule.pop(0)
@@ -513,62 +419,6 @@ def _run_profile(initial: FlowSnapshot, ctl: StepControl,
     return traj
 
 
-def _run_graph(initial: FlowSnapshot, ctl: StepControl,
-               record_times: Sequence[float]) -> Trajectory:
-    state = initial
-    schedule = sorted(t for t in record_times if t > state.t)
-    snapshots = [state]
-    hist_t, hist_A2 = [], []
-    stop_reason = None
-    underflow = False
-
-    while True:
-        curv = state.curvature
-        interior = curv.interior
-        maxA2 = float(np.max(curv.A2[interior])) if np.any(interior) else float(np.max(curv.A2))
-        hist_t.append(state.t)
-        hist_A2.append(maxA2)
-
-        if maxA2 >= ctl.A2_stop:
-            stop_reason = STOP_CURVATURE
-            break
-        if ctl.t_end is not None and state.t >= ctl.t_end - 1e-15:
-            stop_reason = STOP_T_END
-            break
-        dt, under = adaptive_dt(state, ctl)
-        if under:
-            underflow = True
-            stop_reason = STOP_UNDERFLOW
-            break
-        hit_schedule = False
-        if ctl.t_end is not None and state.t + dt > ctl.t_end:
-            dt = ctl.t_end - state.t
-        if schedule and state.t + dt >= schedule[0] - 1e-15:
-            dt = schedule[0] - state.t
-            hit_schedule = True
-        state = step_graph(state, dt)
-        if hit_schedule:
-            schedule.pop(0)
-            snapshots.append(state)
-
-    if snapshots[-1] is not state:
-        snapshots.append(state)
-
-    est = None
-    T = _fit_singular_time(hist_t, hist_A2)
-    if T is not None:
-        est = SingularEstimate(z=np.nan, rho=np.nan, T=T)
-
-    traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason,
-                      singular_estimate=est,
-                      step_times=np.array(hist_t), step_maxA2=np.array(hist_A2),
-                      underflow=underflow)
-    if stop_reason == STOP_UNDERFLOW and est is None:
-        raise InconclusiveRunError(
-            "time step underflowed before any singularity indicator", trajectory=traj)
-    return traj
-
-
 def verify_mean_convexity(traj: Trajectory, tol_factor: float = 10.0) -> dict:
     """Check that min H stays positive along a mean-convex run.
 
@@ -588,10 +438,7 @@ def verify_mean_convexity(traj: Trajectory, tol_factor: float = 10.0) -> dict:
         m = float(np.min(c.H[c.interior])) if np.any(c.interior) else float(np.min(c.H))
         times.append(snap.t)
         min_H.append(m)
-        if isinstance(snap.surface, ProfileCurve):
-            h = snap.surface.mean_spacing
-        else:
-            h = snap.surface.h
+        h = snap.surface.mean_spacing
         if snap.t > first.t and m < -tol_factor * h * h:
             scheme_failure = True
     positive = all(m > 0.0 for m, t in zip(min_H[1:], times[1:]))

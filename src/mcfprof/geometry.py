@@ -71,6 +71,8 @@ class ProfileCurve:
         return float(np.mean(self.spacings()))
 
     def validate(self):
+        if self.z.ndim != 1 or self.z.shape != self.r.shape:
+            raise DegenerateSurfaceError("z and r must be 1-D arrays of one length")
         if self.num_nodes < 8:
             raise ResolutionError(f"need at least 8 nodes, got {self.num_nodes}")
         if not np.all(np.isfinite(self.z)) or not np.all(np.isfinite(self.r)):
@@ -83,14 +85,6 @@ class ProfileCurve:
         else:
             if np.any(self.r <= 0.0):
                 raise DegenerateSurfaceError("non-positive r on a periodic profile")
-        ds = self.spacings()
-        mean = ds.mean()
-        if ds.max() > 2.0 * mean * (1 + 1e-9) or ds.min() < 0.5 * mean * (1 - 1e-9):
-            raise ResolutionError("node spacing violates the factor-2 quasi-uniformity contract")
-
-    def spacing_ratio(self) -> float:
-        ds = self.spacings()
-        return float(ds.max() / ds.min())
 
     def is_self_intersecting(self) -> bool:
         try:
@@ -154,7 +148,6 @@ class CurvatureField:
     lam: np.ndarray
     H: np.ndarray
     A2: np.ndarray
-    Lambda_total: np.ndarray
     normal: np.ndarray
     boundary: np.ndarray
     lam_axial: Optional[np.ndarray] = None
@@ -275,10 +268,9 @@ def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
     lam.sort(axis=1)
     H = lam.sum(axis=1)
     A2 = lam_axial**2 + (n - 1) * lam_rot**2
-    Lambda_total = np.abs(lam_axial) + (n - 1) * np.abs(lam_rot)
     normal = np.column_stack((r_s / w, -z_s / w))
     boundary = np.zeros(curve.num_nodes, dtype=bool)
-    return CurvatureField(lam, H, A2, Lambda_total, normal, boundary,
+    return CurvatureField(lam, H, A2, normal, boundary,
                           lam_axial=lam_axial, lam_rot=lam_rot)
 
 
@@ -343,8 +335,7 @@ def curvature_graph(patch: GraphPatch) -> CurvatureField:
         normal *= sgn
         boundary = _boundary_mask(patch.u.shape).ravel()
         H = lam.sum(axis=1)
-        return CurvatureField(lam, H, lam.ravel() ** 2, np.abs(lam.ravel()),
-                              normal, boundary)
+        return CurvatureField(lam, H, lam.ravel() ** 2, normal, boundary)
 
     ux, uy = grads
     (uxx, uxy), (_, uyy) = seconds
@@ -366,11 +357,10 @@ def curvature_graph(patch: GraphPatch) -> CurvatureField:
     lam = np.column_stack((lam1.ravel(), lam2.ravel()))
     H = lam.sum(axis=1)
     A2 = (lam**2).sum(axis=1)
-    Lambda_total = np.abs(lam).sum(axis=1)
     normal = np.column_stack((-ux.ravel(), -uy.ravel(), np.ones(N))) / W.reshape(-1, 1)
     normal *= sgn
     boundary = _boundary_mask(patch.u.shape).ravel()
-    return CurvatureField(lam, H, A2, Lambda_total, normal, boundary)
+    return CurvatureField(lam, H, A2, normal, boundary)
 
 
 # ---------------------------------------------------------------------------

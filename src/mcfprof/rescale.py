@@ -16,7 +16,7 @@ from scipy.optimize import least_squares
 
 from .errors import EmptyWindowError, FitFailureError, InsufficientDataError
 from .flow import Trajectory
-from .geometry import FlowSnapshot, GraphPatch, ProfileCurve
+from .geometry import FlowSnapshot, ProfileCurve
 
 
 @dataclass
@@ -64,14 +64,10 @@ def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
     """
     t_new = d.a**2 * (snapshot.t - d.t0)
     surf = snapshot.surface
-    if isinstance(surf, ProfileCurve):
-        z = d.a * (surf.z - d.z0)
-        r = d.a * surf.r
-        period = None if surf.period is None else d.a * surf.period
-        return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
-    x0 = tuple(d.a * (x - d.z0) for x in surf.x0)  # graph origin shifts along x1 only
-    u = d.a * (surf.u - d.rho0)
-    return FlowSnapshot(GraphPatch(u, d.a * surf.h, x0, surf.orientation), t_new)
+    z = d.a * (surf.z - d.z0)
+    r = d.a * surf.r
+    period = None if surf.period is None else d.a * surf.period
+    return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
 
 
 def dilation_covariance_error(snapshot: FlowSnapshot, d: DilationParams) -> float:

@@ -14,8 +14,8 @@ import numpy as np
 from mcfprof import diagnostics as dg
 from mcfprof import rescale as rs
 from mcfprof.cli import _harnack_report, main
-from mcfprof.flow import StepControl, Trajectory, adaptive_dt, run_until, step_axisymmetric
-from mcfprof.geometry import FlowSnapshot
+from mcfprof.flow import Trajectory, _implicit_step
+from mcfprof.geometry import CLOSED, FlowSnapshot, ProfileCurve
 from mcfprof.models import bowl_soliton_profile, grim_reaper_patch, translator_residual
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, sphere_profile
 
@@ -173,10 +173,14 @@ def test_criterion_07_monotone_ratio(sphere_run, cylinder_run, dumbbell_run, ova
 # ---------------------------------------------------------------------------
 
 def _H_residual(factory, N, dt):
-    snap = FlowSnapshot(factory(N), 0.0)
-    s1 = step_axisymmetric(snap, dt)
-    s2 = step_axisymmetric(s1, dt)
-    traj = Trajectory([snap, s1, s2], "t-end", None)
+    curve = factory(N)
+    snaps = [FlowSnapshot(curve, 0.0)]
+    for k in (1, 2):
+        z, r = _implicit_step(curve.z, curve.r, curve.n, curve.topology == CLOSED,
+                              curve.period, dt)
+        curve = ProfileCurve(z, r, curve.n, curve.topology, curve.period)
+        snaps.append(FlowSnapshot(curve, k * dt))
+    traj = Trajectory(snaps, "t-end", None)
     return dg.verify_H_evolution(traj, 1)["max_residual"]
 
 
@@ -184,7 +188,9 @@ def test_criterion_08_H_evolution_order():
     ok = True
     for factory in (lambda N: sphere_profile(1.0, 2, N),
                     lambda N: cylinder_profile(1.0, np.pi, 2, N)):
-        dt, _ = adaptive_dt(FlowSnapshot(factory(100), 0.0), StepControl())
+        curve = factory(100)
+        # dt ∝ h² (the explicit stability bound), so h -> h/2 with dt -> dt/4 refines both errors
+        dt = 0.8 * curve.spacings().min() ** 2 / (2 * curve.n)
         coarse = _H_residual(factory, 100, dt)
         fine = _H_residual(factory, 200, dt / 4.0)
         ok &= np.log2(coarse / fine) >= 1.9

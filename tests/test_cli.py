@@ -143,6 +143,13 @@ def test_run_writes_artifacts(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report["diagnostics"]) == {"noncollapse", "ratioA2H2", "distance-scaling"}
     assert report["diagnostics"]["ratioA2H2"]["nonincreasing"] is True
+    # a profile file sampled far from uniformly in arclength is respaced by the run
+    _sphere_file(tmp_path / "profile.json", theta=np.pi * np.linspace(0.0, 1.0, 200) ** 2)
+    cfg = dict(BASE_CFG, initial={"profile-file": {"path": str(tmp_path / "profile.json")}})
+    code, out = run_scenario(tmp_path, cfg, "file")
+    assert code == EXIT_OK
+    T = json.loads((out / "manifest.json").read_text())["T_sing"]
+    assert abs(T - 0.25) < 0.25 * 0.01
 
 
 def test_run_byte_determinism(tmp_path):
@@ -260,20 +267,43 @@ def test_exit_code_bad_config(tmp_path):
     assert main(["run", "--config", missing, "--out", str(tmp_path / "y")]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("initial_text", [
-    '{"sphere": {"R0": 1.0}, "perturb": {"amplitude": "big", "modes": 3}}',
-    '{"sphere": {"R0": 1e400}}',
-    '{"sphere": {"R0": true}}',
-    '{"sphere": {"R0": 1%s}}' % ("0" * 400),
-    '{"sphere": {"R0": 1.0}, "perturb": {"amplitude": 1%s, "modes": 3}}' % ("0" * 400),
-    '{"model": {"kind": "nope", "params": {}}}',
-    '{"model": {"kind": "cylinder", "params": {"m": 5}}}',
-    '{"model": {"kind": "sphere", "params": [1.0]}}',
-    '{"model": {"kind": "grim-reaper-product", "params": {}}}',
-    '{"model": {"kind": "bowl-soliton", "params": {}}}',
+def _sphere_file(path, theta=np.linspace(0.0, np.pi, 64), **change):
+    """A unit-sphere profile file sampled at the angles theta; ``change`` overrides fields."""
+    r = np.sin(theta)
+    r[0] = r[-1] = 0.0
+    data = {"z": list(-np.cos(theta)), "r": list(r), "topology": "closed-through-axis"}
+    data.update(change)
+    path.write_text(json.dumps(data))
+
+
+PROFILE_FILE = '{"profile-file": {"path": "profile.json"}}'
+
+
+@pytest.mark.parametrize("initial_text, profile_change", [
+    ('{"sphere": {"R0": 1.0}, "perturb": {"amplitude": "big", "modes": 3}}', None),
+    ('{"sphere": {"R0": 1e400}}', None),
+    ('{"sphere": {"R0": true}}', None),
+    ('{"sphere": {"R0": 1%s}}' % ("0" * 400), None),
+    ('{"sphere": {"R0": 1.0}, "perturb": {"amplitude": 1%s, "modes": 3}}' % ("0" * 400), None),
+    ('{"model": {"kind": "nope", "params": {}}}', None),
+    ('{"model": {"kind": "cylinder", "params": {"m": 5}}}', None),
+    ('{"model": {"kind": "sphere", "params": [1.0]}}', None),
+    ('{"model": {"kind": "grim-reaper-product", "params": {}}}', None),
+    ('{"model": {"kind": "bowl-soliton", "params": {}}}', None),
+    (PROFILE_FILE, {"z": [-1.0, 0.0, 1.0], "r": [0.0, 1.0, 0.0]}),
+    (PROFILE_FILE, {"r": [0.0] + [float("nan")] * 62 + [0.0]}),
+    (PROFILE_FILE, {"r": list(0.1 + np.sin(np.linspace(0.0, np.pi, 64)))}),
+    (PROFILE_FILE, {"r": [0.0] + [0.5] * 8 + [0.0]}),
+    (PROFILE_FILE, {"n": 1}),
 ], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
-         "model-kind", "cylinder-m", "model-params-list", "model-grim-reaper", "model-bowl"])
-def test_exit_code_invalid_initial_datum(tmp_path, capsys, initial_text):
+         "model-kind", "cylinder-m", "model-params-list", "model-grim-reaper", "model-bowl",
+         "profile-3-nodes", "profile-nan", "profile-off-axis", "profile-length-mismatch",
+         "profile-n1"])
+def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_text,
+                                         profile_change):
+    monkeypatch.chdir(tmp_path)
+    if profile_change is not None:
+        _sphere_file(tmp_path / "profile.json", **profile_change)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"name": "x", "nodes": 64, "initial": %s}' % initial_text)
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])

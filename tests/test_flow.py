@@ -9,84 +9,20 @@ from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowup
 from mcfprof.flow import (CASCADE_FACTOR, LANDING_FACTOR, STOP_CURVATURE,
                           STOP_EXTINCTION, STOP_T_END,
                           StepControl, _implicit_step, _pinched, _profile_derivatives,
-                          _solve_tridiagonal, _step_operator,
-                          adaptive_dt, run_until, step_axisymmetric, step_graph,
+                          _solve_tridiagonal, _step_operator, run_until,
                           verify_mean_convexity)
 from mcfprof.geometry import FlowSnapshot, GraphPatch, ProfileCurve, CLOSED
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                             perturb_profile, sphere_profile)
 
 
-def test_one_step_sphere_radius_law():
-    snap = FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0)
-    dt = 1e-5
-    out = step_axisymmetric(snap, dt)
-    R2 = out.surface.z**2 + out.surface.r**2
-    assert np.abs(R2 - (1.0 - 4.0 * dt)).max() < 1e-9
-
-
-def test_one_step_cylinder_radius_law():
-    snap = FlowSnapshot(cylinder_profile(0.5, np.pi, 2, 400), 0.0)
-    dt = 1e-5
-    out = step_axisymmetric(snap, dt)
-    assert np.abs(out.surface.r**2 - (0.25 - 2.0 * dt)).max() < 1e-9
-
-
 def test_ambient_dimension_precondition():
     z = np.linspace(0.0, np.pi, 20, endpoint=False)
     flatish = ProfileCurve(z, np.full(20, 5.0), 1, "periodic-in-z", np.pi)
     with pytest.raises(ValueError):
-        step_axisymmetric(FlowSnapshot(flatish, 0.0), 1e-5)
-
-
-def test_adaptive_dt_formula():
-    # sphere R=1, n=2, h ~ 0.01, cfl=0.5: h^2/(2n) = 2.5e-5 < 1/(2 max|A|^2) = 0.25
-    nodes = int(round(np.pi / 0.01)) + 1
-    snap = FlowSnapshot(sphere_profile(1.0, 2, nodes), 0.0)
-    dt, under = adaptive_dt(snap, StepControl(cfl=0.5))
-    assert not under
-    assert abs(dt - 1.25e-5) < 1e-7
-
-
-def test_adaptive_dt_underflow_flag():
-    snap = FlowSnapshot(sphere_profile(1e-5, 2, 64), 0.0)
-    dt, under = adaptive_dt(snap, StepControl(dt_min=1e-8))
-    assert under and dt == 1e-8
-
-
-def test_adaptive_dt_flat_patch():
-    patch = GraphPatch(np.zeros((16, 16)), 0.1)
-    dt, under = adaptive_dt(FlowSnapshot(patch, 0.0), StepControl(cfl=0.5))
-    assert not under
-    assert abs(dt - 0.5 * 0.1**2 / 4.0) < 1e-15
-
-
-def test_step_graph_plane_stationary():
-    patch = GraphPatch(np.zeros((16, 16)), 0.1)
-    out = step_graph(FlowSnapshot(patch, 0.0), 1e-3)
-    assert np.array_equal(out.surface.u, patch.u)
-
-
-def test_step_graph_grim_reaper_translates():
-    h = 0.01
-    m = int(round(1.2 / h))
-    x = -m * h + h * np.arange(2 * m + 1)
-    X, _ = np.meshgrid(x, h * np.arange(21), indexing="ij")
-    u = -np.log(np.cos(X))
-    dt = 1e-5
-    out = step_graph(FlowSnapshot(GraphPatch(u, h, (x[0], 0.0)), 0.0), dt)
-    err = np.abs(out.surface.u[2:-2, 2:-2] - (u[2:-2, 2:-2] + dt)).max()
-    assert err < 10.0 * h**2 * dt
-
-
-def test_step_graph_radial_bump_max_decreases():
-    h = 0.05
-    m = 40
-    x = -m * h + h * np.arange(2 * m + 1)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    u = np.exp(-(X**2 + Y**2))
-    out = step_graph(FlowSnapshot(GraphPatch(u, h, (x[0], x[0])), 0.0), 1e-4)
-    assert out.surface.u.max() < u.max()
+        run_until(FlowSnapshot(flatish, 0.0), StepControl(t_end=1e-5))
+    with pytest.raises(TypeError):
+        run_until(FlowSnapshot(GraphPatch(np.zeros(16), 0.1), 0.0), StepControl(t_end=1e-5))
 
 
 def test_run_until_t_end_exact():

@@ -93,7 +93,6 @@ def test_curvature_field_invariants_random_profiles(seed):
     scale = np.maximum(np.abs(c.lam).sum(axis=1), 1e-30)
     assert np.abs(c.H - c.lam.sum(axis=1)).max() / scale.max() < 1e-13
     assert np.all(c.A2 >= c.H**2 / curve.n - 1e-12)
-    assert np.all(c.Lambda_total >= np.abs(c.H) - 1e-12)
     assert np.all(np.abs(np.linalg.norm(c.normal, axis=1) - 1.0) < 1e-12)
     assert np.all(np.diff(c.lam, axis=1) >= 0.0)
 
@@ -159,9 +158,10 @@ def test_resample_clustered_circle():
     r[0] = 0.0
     r[-1] = 0.0
     curve = ProfileCurve(z, r, 2, CLOSED)
-    assert curve.spacing_ratio() > 1.5
-    out = resample_arclength(curve)
-    assert out.spacing_ratio() < 1.01
+    ds = curve.spacings()
+    assert ds.max() / ds.min() > 1.5
+    ds = resample_arclength(curve).spacings()
+    assert ds.max() / ds.min() < 1.01
 
 
 def test_resample_preserves_shape():
