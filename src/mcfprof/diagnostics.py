@@ -16,9 +16,8 @@ from scipy.spatial import cKDTree
 
 from .errors import (DomainError, InsufficientDataError, TopologyError,
                      WindowError)
-from .flow import Trajectory
-from .geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, _d1_d2,
-                       _pad_profile)
+from .flow import Trajectory, _step_operator
+from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve
 
 
 @dataclass
@@ -359,16 +358,11 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
         raise TypeError("H-evolution residual is implemented for profile curves")
     c = mid_s.curvature
     H = c.H
-    # surface Laplacian H_ss + (n-1)(r_s/r) H_s; H continues evenly through the poles
-    sp, _, rp = _pad_profile(curve)
-    if curve.topology == CLOSED:
-        Hp = np.concatenate(([H[1]], H, [H[-2]]))
-    else:
-        Hp = np.concatenate(([H[-1]], H, [H[0]]))
-    H_s, H_ss = _d1_d2(sp, Hp)
-    r_s, _ = _d1_d2(sp, rp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap = H_ss + (curve.n - 1) * H_s * (r_s / curve.r)
+    # Lap H from the integrator's frozen Δ = ∂ss + (n-1)(r_s/r)∂s at the middle
+    # curve; the pole rows of a closed profile come out non-finite or masked below
+    closed = curve.topology == CLOSED
+    op = _step_operator(curve.z, curve.r, curve.n, closed, curve.period)
+    lap = op.lower * np.roll(H, 1) + op.diag * H + op.upper * np.roll(H, -1)
 
     Hm, ok_m = _interp_H_at_projection(prev_s.surface, prev_s.curvature.H,
                                        curve.z, curve.r)
@@ -380,7 +374,7 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
 
     h = curve.mean_spacing
     valid = ok_m & ok_p & np.isfinite(lap)
-    if curve.topology == CLOSED:
+    if closed:
         valid &= curve.r > 4.0 * h
     if samples is not None:
         pick = np.zeros(curve.num_nodes, dtype=bool)

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
-from .geometry import CLOSED, FlowSnapshot, ProfileCurve, resample_arclength
+from .geometry import (CLOSED, FlowSnapshot, ProfileCurve, principal_curvatures,
+                       profile_derivatives, resample_arclength)
 
 STOP_CURVATURE = "curvature-threshold"
 STOP_EXTINCTION = "extinction"
@@ -106,33 +107,6 @@ def _fit_singular_time(times, maxA2) -> Optional[float]:
     return float(-alpha / beta)
 
 
-def _profile_derivatives(z, r, closed, period):
-    """Arclength derivatives of raw profile arrays on 3-point nonuniform stencils.
-
-    Closed profiles are continued through the axis by reflection (z, -r);
-    periodic ones wrap with a z-shift of one period.  Returns
-    (z_s, r_s, z_ss, r_ss, seg), where seg holds the N + 1 chord lengths of the
-    padded curve: node i sits between seg[i] and seg[i + 1].
-    """
-    if closed:
-        zp = np.concatenate(([z[1]], z, [z[-2]]))
-        rp = np.concatenate(([-r[1]], r, [-r[-2]]))
-    else:
-        zp = np.concatenate(([z[-1] - period], z, [z[0] + period]))
-        rp = np.concatenate(([r[-1]], r, [r[0]]))
-    seg = np.hypot(np.diff(zp), np.diff(rp))
-    hm = seg[:-1]
-    hp = seg[1:]
-    denom = hm * hp * (hm + hp)
-    hm2 = hm * hm
-    hp2 = hp * hp
-    z_s = (hm2 * zp[2:] + (hp2 - hm2) * zp[1:-1] - hp2 * zp[:-2]) / denom
-    r_s = (hm2 * rp[2:] + (hp2 - hm2) * rp[1:-1] - hp2 * rp[:-2]) / denom
-    z_ss = 2.0 * (hm * zp[2:] - (hm + hp) * zp[1:-1] + hp * zp[:-2]) / denom
-    r_ss = 2.0 * (hm * rp[2:] - (hm + hp) * rp[1:-1] + hp * rp[:-2]) / denom
-    return z_s, r_s, z_ss, r_ss, seg
-
-
 def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
     """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
 
@@ -183,20 +157,9 @@ class StepOperator(NamedTuple):
 
 def _step_operator(z, r, n, closed, period) -> StepOperator:
     """Assemble the StepOperator of raw profile arrays from one stencil pass."""
-    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
-    w2 = z_s * z_s + r_s * r_s
-    w = np.sqrt(w2)
-    lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
-    lam_rot = np.empty_like(lam_axial)
-    if closed:
-        np.divide(z_s[1:-1], r[1:-1] * w[1:-1], out=lam_rot[1:-1])
-        lam_rot[0] = lam_axial[0]
-        lam_rot[-1] = lam_axial[-1]
-        ds = seg[1:-1]
-    else:
-        np.divide(z_s, r * w, out=lam_rot)
-        ds = seg[1:]
-    A2 = lam_axial * lam_axial + (n - 1) * lam_rot * lam_rot
+    z_s, r_s, z_ss, r_ss, seg = profile_derivatives(z, r, closed, period)
+    A2 = principal_curvatures(z_s, r_s, z_ss, r_ss, r, n, closed)[2]
+    ds = seg[1:-1] if closed else seg[1:]
     hm = seg[:-1]
     hp = seg[1:]
     # r = 0 makes the pole rows non-finite here; they are replaced below

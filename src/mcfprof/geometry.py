@@ -185,89 +185,78 @@ class FlowSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# the profile stencil and curvature operators
 # ---------------------------------------------------------------------------
 
-def _pad_profile(curve: ProfileCurve):
-    """Ghost-extended (s, z, r) arrays for centered stencils at the ends.
+def profile_derivatives(z, r, closed, period):
+    """Arclength derivatives of raw profile arrays on 3-point nonuniform stencils.
 
-    Closed caps use the mirror continuation through the axis (z, -r); periodic
-    profiles wrap with a z-shift of one period.
+    Closed profiles are continued through the axis by reflection (z, -r);
+    periodic ones wrap with a z-shift of one period.  Returns
+    (z_s, r_s, z_ss, r_ss, seg), where seg holds the N + 1 chord lengths of the
+    padded curve: node i sits between seg[i] and seg[i + 1].  The stencils are
+    exact on quadratics and second order for quasi-uniform spacing.
     """
-    s = curve.arclength
-    z, r = curve.z, curve.r
-    if curve.topology == CLOSED:
+    if closed:
         zp = np.concatenate(([z[1]], z, [z[-2]]))
         rp = np.concatenate(([-r[1]], r, [-r[-2]]))
-        sp = np.concatenate(([s[0] - (s[1] - s[0])], s, [s[-1] + (s[-1] - s[-2])]))
     else:
-        wrap = np.hypot(z[0] + curve.period - z[-1], r[0] - r[-1])
-        pre = np.hypot(z[-1] - curve.period - z[0], r[-1] - r[0])
-        zp = np.concatenate(([z[-1] - curve.period], z, [z[0] + curve.period]))
+        zp = np.concatenate(([z[-1] - period], z, [z[0] + period]))
         rp = np.concatenate(([r[-1]], r, [r[0]]))
-        sp = np.concatenate(([s[0] - pre], s, [s[-1] + wrap]))
-    return sp, zp, rp
-
-
-def _d1_d2(sp, fp):
-    """First and second derivative at interior nodes of a padded array.
-
-    Standard 3-point nonuniform stencils: exact on quadratics, second order
-    for quasi-uniform spacing.
-    """
-    hm = sp[1:-1] - sp[:-2]
-    hp = sp[2:] - sp[1:-1]
+    seg = np.hypot(np.diff(zp), np.diff(rp))
+    hm = seg[:-1]
+    hp = seg[1:]
     denom = hm * hp * (hm + hp)
-    f0, f1, f2 = fp[:-2], fp[1:-1], fp[2:]
-    d1 = (hm * hm * f2 + (hp * hp - hm * hm) * f1 - hp * hp * f0) / denom
-    d2 = 2.0 * (hm * f2 - (hm + hp) * f1 + hp * f0) / denom
-    return d1, d2
+    hm2 = hm * hm
+    hp2 = hp * hp
+    z_s = (hm2 * zp[2:] + (hp2 - hm2) * zp[1:-1] - hp2 * zp[:-2]) / denom
+    r_s = (hm2 * rp[2:] + (hp2 - hm2) * rp[1:-1] - hp2 * rp[:-2]) / denom
+    z_ss = 2.0 * (hm * zp[2:] - (hm + hp) * zp[1:-1] + hp * zp[:-2]) / denom
+    r_ss = 2.0 * (hm * rp[2:] - (hm + hp) * rp[1:-1] + hp * rp[:-2]) / denom
+    return z_s, r_s, z_ss, r_ss, seg
 
 
-def profile_derivatives(curve: ProfileCurve):
-    """(z_s, r_s, z_ss, r_ss) with respect to (chord) arclength at every node."""
-    sp, zp, rp = _pad_profile(curve)
-    z_s, z_ss = _d1_d2(sp, zp)
-    r_s, r_ss = _d1_d2(sp, rp)
-    return z_s, r_s, z_ss, r_ss
-
-
-# ---------------------------------------------------------------------------
-# curvature operators
-# ---------------------------------------------------------------------------
-
-def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
-    """Principal curvatures of a surface of revolution.
+def principal_curvatures(z_s, r_s, z_ss, r_ss, r, n, closed):
+    """(lam_axial, lam_rot, A2, w) from the output of ``profile_derivatives``.
 
     lambda_axial is the signed curvature of the generating curve with respect
-    to the inward normal nu = (r_s, -z_s); lambda_rot = z_s / r carries
-    multiplicity n-1.  At the poles of a closed profile the rotational
-    curvature is evaluated by its smooth limit lambda_rot = lambda_axial.
+    to the inward normal nu = (r_s, -z_s) / w, with w = |(z_s, r_s)|;
+    lambda_rot = z_s / (r w) carries multiplicity n-1, and at the poles of a
+    closed profile takes its smooth limit lambda_rot = lambda_axial.
     """
+    w2 = z_s * z_s + r_s * r_s
+    w = np.sqrt(w2)
+    lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
+    lam_rot = np.empty_like(lam_axial)
+    if closed:
+        np.divide(z_s[1:-1], r[1:-1] * w[1:-1], out=lam_rot[1:-1])
+        lam_rot[0] = lam_axial[0]
+        lam_rot[-1] = lam_axial[-1]
+    else:
+        np.divide(z_s, r * w, out=lam_rot)
+    A2 = lam_axial * lam_axial + (n - 1) * lam_rot * lam_rot
+    return lam_axial, lam_rot, A2, w
+
+
+def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
+    """Principal curvatures of a surface of revolution (see ``principal_curvatures``)."""
     if curve.num_nodes < 8:
         raise ResolutionError(f"need at least 8 nodes, got {curve.num_nodes}")
-    if curve.topology == CLOSED:
+    closed = curve.topology == CLOSED
+    if closed:
         if np.any(curve.r[1:-1] <= 0.0):
             raise DegenerateSurfaceError("non-positive r at an interior node")
     elif np.any(curve.r <= 0.0):
         raise DegenerateSurfaceError("non-positive r at a node")
 
-    z_s, r_s, z_ss, r_ss = profile_derivatives(curve)
-    w = np.hypot(z_s, r_s)
-    lam_axial = (z_ss * r_s - r_ss * z_s) / w**3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_rot = z_s / (curve.r * w)
-    if curve.topology == CLOSED:
-        lam_rot[0] = lam_axial[0]
-        lam_rot[-1] = lam_axial[-1]
-
-    n = curve.n
-    lam = np.empty((curve.num_nodes, n))
+    z_s, r_s, z_ss, r_ss, _ = profile_derivatives(curve.z, curve.r, closed, curve.period)
+    lam_axial, lam_rot, A2, w = principal_curvatures(z_s, r_s, z_ss, r_ss, curve.r,
+                                                     curve.n, closed)
+    lam = np.empty((curve.num_nodes, curve.n))
     lam[:, 0] = lam_axial
     lam[:, 1:] = lam_rot[:, None]
     lam.sort(axis=1)
     H = lam.sum(axis=1)
-    A2 = lam_axial**2 + (n - 1) * lam_rot**2
     normal = np.column_stack((r_s / w, -z_s / w))
     boundary = np.zeros(curve.num_nodes, dtype=bool)
     return CurvatureField(lam, H, A2, normal, boundary,

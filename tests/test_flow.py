@@ -8,10 +8,11 @@ from mcfprof import flow
 from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
 from mcfprof.flow import (CASCADE_FACTOR, LANDING_FACTOR, STOP_CURVATURE,
                           STOP_EXTINCTION, STOP_T_END,
-                          StepControl, _implicit_step, _pinched, _profile_derivatives,
+                          StepControl, _implicit_step, _pinched,
                           _solve_tridiagonal, _step_operator, run_until,
                           verify_mean_convexity)
-from mcfprof.geometry import FlowSnapshot, GraphPatch, ProfileCurve, CLOSED
+from mcfprof.geometry import (FlowSnapshot, GraphPatch, ProfileCurve, CLOSED,
+                              curvature_axisymmetric, profile_derivatives)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                             perturb_profile, sphere_profile)
 
@@ -193,7 +194,7 @@ def test_coarse_steps_record_every_rung_where_crossed(dumbbell_run):
 # ---------------------------------------------------------------------------
 
 def _reference_max_A2_spacings(z, r, n, closed, period):
-    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
+    z_s, r_s, z_ss, r_ss, seg = profile_derivatives(z, r, closed, period)
     w2 = z_s * z_s + r_s * r_s
     w = np.sqrt(w2)
     lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
@@ -238,7 +239,7 @@ def _reference_solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
 
 
 def _reference_implicit_euler(z, r, n, closed, period, dt):
-    z_s, r_s, z_ss, r_ss, seg = _profile_derivatives(z, r, closed, period)
+    z_s, r_s, z_ss, r_ss, seg = profile_derivatives(z, r, closed, period)
     hm = seg[:-1]
     hp = seg[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -305,6 +306,8 @@ def test_implicit_step_equals_reference(shape, dt):
     op = _step_operator(*args)
     max_A2, ds = _reference_max_A2_spacings(*args)
     assert op.max_A2 == max_A2 and np.array_equal(op.ds, ds)
+    # one curvature kernel: the diagnostics read the step rule's max|A|^2
+    assert curvature_axisymmetric(curve).A2.max() == op.max_A2
 
 
 @pytest.mark.parametrize("cyclic, N", [(False, 2), (False, 3), (False, 400),
@@ -324,8 +327,8 @@ def test_two_stencil_passes_per_step(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return _profile_derivatives(*args)
+        return profile_derivatives(*args)
 
-    monkeypatch.setattr(flow, "_profile_derivatives", counted)
+    monkeypatch.setattr(flow, "profile_derivatives", counted)
     traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
     assert len(calls) <= 2 * len(traj.step_times)
