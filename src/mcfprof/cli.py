@@ -88,6 +88,21 @@ def _require(cond, msg, fieldpath):
         raise ConfigError(msg, field=fieldpath)
 
 
+def _is_positive(val) -> bool:
+    return _is_number(val) and val > 0
+
+
+# options of the diagnostics that take an object: option -> (check, requirement)
+DIAG_OPTIONS = {
+    "blowup": {"points-rule": (lambda v: v in ("neck", "max-curvature"),
+                               "must be 'neck' or 'max-curvature'"),
+               "count": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
+               "window": (_is_positive, "must be a positive finite number")},
+    "harnack": {"R": (_is_positive, "must be a positive finite number"),
+                "H_threshold": (_is_positive, "must be a positive finite number")},
+}
+
+
 def validate_config(raw: dict) -> dict:
     """Normalize and validate a scenario config dict; raises ConfigError."""
     _require(isinstance(raw, dict), "config must be a JSON object", "")
@@ -136,8 +151,14 @@ def validate_config(raw: dict) -> dict:
     if isinstance(diags, list):
         diags = {k: True for k in diags}
     _require(isinstance(diags, dict), "diagnostics must be an object or list of toggles", "diagnostics")
-    for key in diags:
+    for key, spec in diags.items():
         _require(key in DIAG_KEYS, f"unknown diagnostic {key!r}", f"diagnostics.{key}")
+        if key in DIAG_OPTIONS and isinstance(spec, dict):
+            for opt, val in spec.items():
+                where = f"diagnostics.{key}.{opt}"
+                _require(opt in DIAG_OPTIONS[key], f"unknown {key} option {opt!r}", where)
+                check, need = DIAG_OPTIONS[key][opt]
+                _require(check(val), f"{opt} {need}", where)
     cfg["diagnostics"] = diags
     seed = cfg.get("seed", 0)
     _require(isinstance(seed, int), "seed must be an integer", "seed")

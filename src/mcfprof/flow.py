@@ -75,7 +75,6 @@ class Trajectory:
     snapshots: list
     stop_reason: str
     singular_estimate: Optional[SingularEstimate]
-    scenario_meta: dict = field(default_factory=dict)
     step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_maxA2: np.ndarray = field(default_factory=lambda: np.empty(0))
     underflow: bool = False

@@ -8,7 +8,7 @@ agrees with the literal spacetime map up to a rigid radial translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,25 +35,18 @@ class DilationParams:
 
 @dataclass
 class BlowupTerm:
-    """One member of a blow-up sequence: rescaled snapshots around one center."""
+    """One member of a blow-up sequence: the dilated snapshot at its center."""
 
     params: DilationParams
-    snapshots: list  # rescaled FlowSnapshots, times a^2(t - t0)
-    center_index: int  # index of the rescaled-time-0 snapshot
+    center: FlowSnapshot  # the center's snapshot dilated by params, at rescaled time 0
     origin_rho: float  # off-axis position of the blow-up origin, = a * rho0
     H_origin: float  # recomputed rescaled mean curvature at the origin
-
-    @property
-    def center(self) -> FlowSnapshot:
-        return self.snapshots[self.center_index]
 
 
 @dataclass
 class BlowupSequence:
     terms: list
-    normalized: bool
     scales_increasing: bool
-    source: Optional[Trajectory] = field(default=None, repr=False)
 
 
 def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
@@ -119,7 +112,7 @@ def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
 
 
 def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
-                      window_s: float = 4.0, origin_H_tol: Optional[float] = None) -> BlowupSequence:
+                      origin_H_tol: Optional[float] = None) -> BlowupSequence:
     """Blow-up sequence with a_k = H(x_k, t_k) at each requested spacetime point.
 
     Each point is snapped to the nearest node of the nearest recorded
@@ -142,28 +135,17 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
         if H <= 0.0:
             raise ValueError("normalized blow-up requires H > 0 at the center point")
         d = DilationParams(a=H, z0=float(curve.z[j]), rho0=float(curve.r[j]), t0=snap.t)
-        rescaled = []
-        center_index = None
-        for s in traj.snapshots:
-            s_res = H * H * (s.t - snap.t)
-            if -window_s <= s_res <= window_s:
-                rescaled.append(parabolic_dilate(s, d))
-                if s is snap:
-                    center_index = len(rescaled) - 1
-        if center_index is None:
-            raise EmptyWindowError("no snapshots in the rescaled time window")
-        center = rescaled[center_index]
+        center = parabolic_dilate(snap, d)
         j2 = _nearest_node(center.surface, 0.0, d.a * d.rho0)
         H_origin = float(center.curvature.H[j2])
         tol = origin_H_tol if origin_H_tol is not None else 5.0 * center.surface.mean_spacing
         if abs(H_origin - 1.0) > tol:
             raise ValueError(
                 f"rescaled H at the origin is {H_origin:.6g}, outside 1 +- {tol:.3g}")
-        terms.append(BlowupTerm(d, rescaled, center_index, d.a * d.rho0, H_origin))
+        terms.append(BlowupTerm(d, center, d.a * d.rho0, H_origin))
     scales = [t.params.a for t in terms]
     increasing = all(b > a for a, b in zip(scales, scales[1:]))
-    return BlowupSequence(terms=terms, normalized=True,
-                          scales_increasing=increasing, source=traj)
+    return BlowupSequence(terms=terms, scales_increasing=increasing)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,22 @@ def test_validate_defaults():
      "diagnostics.magic"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "nodes": 4}, "nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "seed": "a"}, "seed"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"blowup": {"points-rule": "bogus"}}}, "diagnostics.blowup.points-rule"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"blowup": {"count": "x"}}}, "diagnostics.blowup.count"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"blowup": {"count": 0}}}, "diagnostics.blowup.count"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"blowup": {"window": -2.0}}}, "diagnostics.blowup.window"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"blowup": {"rule": "neck"}}}, "diagnostics.blowup.rule"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"harnack": {"R": "a"}}}, "diagnostics.harnack.R"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"harnack": {"H_threshold": float("inf")}}}, "diagnostics.harnack.H_threshold"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
+      "diagnostics": {"harnack": {"radius": 1.0}}}, "diagnostics.harnack.radius"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:

