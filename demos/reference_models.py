@@ -7,7 +7,10 @@
 # the rotationally symmetric bowl soliton (solved as a boundary-value ODE).
 # This script prints the same residual table as `mcfprof models` and then a
 # few bowl-soliton profile values with their asymptotic trend
-# u(r) ~ r^2 / (2 (n - 1)).
+# u(r) ~ r^2 / (2 (n - 1)).  It exits with the table's code, so it fails
+# when a reference residual leaves its tolerance.
+
+import sys
 
 import numpy as np
 
@@ -26,3 +29,4 @@ for r_probe in (1.0, 5.0, 10.0, 25.0, 50.0):
     print(f"{prof.r[k]:8.2f} {prof.u[k]:12.4f} {prof.up[k]:10.4f} "
           f"{prof.up[k] / prof.r[k]:10.4f}")
 print("u'(r)/r -> 1/(n-1) = 1 at large r: the bowl opens like a paraboloid")
+sys.exit(exit_code)
