@@ -125,8 +125,8 @@ def validate_config(raw: dict) -> dict:
     for key, val in body.items():
         if key in ("kind", "params", "path"):
             continue
-        _require(_is_number(val) and val > 0,
-                 f"{key} must be a positive finite number", f"initial.{tag}.{key}")
+        _require(_is_positive(val), f"{key} must be a positive finite number",
+                 f"initial.{tag}.{key}")
     if tag == "dumbbell":
         _require(body["neck_r"] < body["bulb_R"], "dumbbell requires neck_r < bulb_R",
                  "initial.dumbbell.neck_r")
