@@ -93,13 +93,13 @@ def _is_positive(val) -> bool:
 
 
 # options of the diagnostics that take an object: option -> (check, requirement)
+POSITIVE = (_is_positive, "must be a positive finite number")
 DIAG_OPTIONS = {
     "blowup": {"points-rule": (lambda v: v in ("neck", "max-curvature"),
                                "must be 'neck' or 'max-curvature'"),
                "count": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
-               "window": (_is_positive, "must be a positive finite number")},
-    "harnack": {"R": (_is_positive, "must be a positive finite number"),
-                "H_threshold": (_is_positive, "must be a positive finite number")},
+               "window": POSITIVE},
+    "harnack": {"R": POSITIVE, "H_threshold": POSITIVE},
 }
 
 

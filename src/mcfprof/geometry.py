@@ -3,13 +3,12 @@
 Two carriers are supported: ``ProfileCurve`` (arclength-sampled generating
 curve of a rotationally symmetric hypersurface in R^(n+1)) and ``GraphPatch``
 (uniform-grid scalar height function, n in {1, 2}).  Profiles have one
-derivative kernel, ``profile_derivatives`` (3-point nonuniform stencils on the
-chord segments of the padded curve), and one curvature formula,
-``principal_curvatures``: ``curvature_axisymmetric``, the integrator's step
-operator and, through that operator's Laplacian, the H-evolution residual all
-read them.  The sign convention is the inward normal with H > 0 on round
-spheres.
+derivative kernel, ``profile_derivatives`` (3-point stencils on chord
+segments), and one curvature formula, ``principal_curvatures``, which
+``curvature_axisymmetric`` and the integrator's step operator share.  The sign
+convention is the inward normal with H > 0 on round spheres.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field
