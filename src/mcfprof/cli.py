@@ -23,7 +23,7 @@ from . import diagnostics as dg
 from . import rescale as rs
 from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
                      InconclusiveRunError, McfError, NumericalBlowupError,
-                     ResolutionError, WindowError)
+                     ResolutionError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
 from .geometry import PERIODIC, FlowSnapshot, GraphPatch, ProfileCurve
 from .models import (CYLINDER, SPHERE, ModelSolution,
@@ -391,7 +391,7 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
     R = spec.get("R", 1.0)
     threshold = spec.get("H_threshold", 10.0)
     H0max = float(np.max(traj.snapshots[0].curvature.H))
-    records = []
+    records, skipped = [], []
     for snap in traj.snapshots[1:]:
         try:
             j = rs.waist_node(snap)
@@ -404,11 +404,13 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
         p = (float(snap.surface.z[j]), float(snap.surface.r[j]), snap.t)
         try:
             rec = dg.harnack_check(traj, p, R)
-        except (WindowError, McfError):
+        except McfError as exc:
+            skipped.append({"t": snap.t, "reason": f"{type(exc).__name__}: {exc}"})
             continue
         records.append({"t": snap.t, "H_p": H_p, "delta": rec.delta_achieved,
                         "sup_H": rec.sup_H, "inf_H": rec.inf_H})
-    out = {"R": R, "H_threshold": threshold, "initial_max_H": H0max, "points": records}
+    out = {"R": R, "H_threshold": threshold, "initial_max_H": H0max, "points": records,
+           "skipped": skipped}
     if records:
         out["min_delta"] = min(r["delta"] for r in records)
     return out
@@ -541,6 +543,7 @@ def cmd_run(args) -> int:
     _dump_json(os.path.join(out_dir, "report.json"), report)
 
     files = {name: _sha256(os.path.join(out_dir, name)) for name in written}
+    nodes = [snap.surface.num_nodes for snap in traj.snapshots]
     est = traj.singular_estimate
     manifest = {
         "config": cfg,
@@ -552,6 +555,7 @@ def cmd_run(args) -> int:
         "T_sing": None if est is None else est.T,
         "singular_point": None if est is None else {"z": est.z, "rho": est.rho},
         "files": files,
+        "run_stats": dict(traj.stats, snapshot_nodes=nodes, snapshot_nodes_total=sum(nodes)),
     }
     _dump_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"{cfg['name']}: stop={traj.stop_reason} snapshots={len(traj.snapshots)} "

@@ -69,10 +69,11 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
 
     r(x) = sup{rho : the ball of radius rho centered at x + rho*nu(x) stays
     inside the enclosed region}, found by bisection over rho in [0, diam] to
-    width tol = h/10.  The inside test at rho is "every node is at distance
-    >= rho - tol from the center", with centers taken as meridian points
-    (z_c, r_c) at ambient radial coordinate |r_c|, so a center that crosses
-    the axis is measured correctly.
+    width tol = h/10, h the node's ``ProfileCurve.node_spacing`` (so a graded
+    mesh is resolved at its local spacing).  The inside test at rho is "every
+    node is at distance >= rho - tol from the center", with centers taken as
+    meridian points (z_c, r_c) at ambient radial coordinate |r_c|, so a
+    center that crosses the axis is measured correctly.
 
     The test has a closed form (Andrews' two-point function
     k(x, y) = 2<y - x, nu>/|y - x|^2 with tol folded in): a point y -- a node,
@@ -98,8 +99,7 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
     tree = _surface_tree(curve)
     normal = snapshot.curvature.normal[nodes]
     pts = np.column_stack((curve.z[nodes], curve.r[nodes]))
-    h = curve.mean_spacing
-    tol = h / 10.0
+    tol = curve.node_spacing()[nodes] / 10.0
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
     else:
@@ -117,9 +117,10 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
         """g(y) for each node of idx against its point y; inf where a <= tol."""
         dy = y - pts[idx]
         a = np.einsum("ij,ij->i", dy, normal[idx])
+        eps = tol[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = (np.einsum("ij,ij->i", dy, dy) - tol * tol) / (2.0 * (a - tol))
-        return np.where(a > tol, g, np.inf)
+            g = (np.einsum("ij,ij->i", dy, dy) - eps * eps) / (2.0 * (a - eps))
+        return np.where(a > eps, g, np.inf)
 
     every = np.arange(nodes.size)
     rho_max = np.minimum(diam, bound(every, pts * np.array([1.0, -1.0])))
@@ -128,21 +129,21 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
         rho = rho_max[active]
         d, y = nearest(active, rho)
         g = bound(active, y)
-        shrink = (d < rho - tol) & (g < rho)
+        shrink = (d < rho - tol[active]) & (g < rho)
         active = active[shrink]
         rho_max[active] = g[shrink]
 
     lo = np.zeros(nodes.size)
     hi = np.full(nodes.size, diam)
     for _ in range(64):
-        if float(np.max(hi - lo)) <= tol:
+        if np.all(hi - lo <= tol):
             break
         mid = 0.5 * (lo + hi)
         inside = mid <= rho_max
         close = np.flatnonzero(np.abs(mid - rho_max) <= 1e-9 * diam)
         if close.size:
             d, _ = nearest(close, mid[close])
-            inside[close] = d >= mid[close] - tol
+            inside[close] = d >= mid[close] - tol[close]
         lo[inside] = mid[inside]
         hi[~inside] = mid[~inside]
     return 0.5 * (lo + hi)
@@ -278,8 +279,8 @@ def ratio_A2_H2(traj: Trajectory, tol_rate: float = 10.0) -> dict:
     """Per-snapshot max of |A|^2/H^2; checks the max is nonincreasing in time.
 
     The allowed slack between consecutive snapshots is tol_rate * h^2 per unit
-    time (discretization error of the maximum principle), h the mean spacing
-    of the later snapshot.
+    time (discretization error of the maximum principle), h the
+    ``node_spacing`` of the later snapshot at its maximizing node.
     """
     times, ratios, hs = [], [], []
     for snap in traj.snapshots:
@@ -287,9 +288,11 @@ def ratio_A2_H2(traj: Trajectory, tol_rate: float = 10.0) -> dict:
         m = c.interior
         if float(np.min(c.H[m])) <= 0.0:
             raise DomainError("|A|^2/H^2 check requires H > 0 throughout")
-        ratios.append(float(np.max(c.A2[m] / c.H[m] ** 2)))
+        ratio = c.A2[m] / c.H[m] ** 2
+        k = int(np.argmax(ratio))
+        ratios.append(float(ratio[k]))
         times.append(snap.t)
-        hs.append(snap.surface.mean_spacing)
+        hs.append(float(snap.surface.node_spacing()[m][k]))
     worst = 0.0
     ok = True
     for k in range(1, len(ratios)):
@@ -372,10 +375,12 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
     dp = next_s.t - mid_s.t
     dHdt = (dm**2 * Hp + (dp**2 - dm**2) * H - dp**2 * Hm) / (dm * dp * (dm + dp))
 
-    h = curve.mean_spacing
     valid = ok_m & ok_p & np.isfinite(lap)
     if closed:
-        valid &= curve.r > 4.0 * h
+        # a pole margin of 4 spacings, in the coarser of the local and the mean spacing
+        ds = curve.spacings()
+        local = np.maximum(np.concatenate(([ds[0]], ds)), np.concatenate((ds, [ds[-1]])))
+        valid &= curve.r > 4.0 * np.maximum(local, ds.mean())
     if samples is not None:
         pick = np.zeros(curve.num_nodes, dtype=bool)
         pick[np.asarray(samples, dtype=int)] = True

@@ -39,6 +39,9 @@ STEP_K = 0.05
 # to end at this multiple of it, so every run records its rungs and its final
 # snapshot at the same curvature levels however coarse its steps are
 LANDING_FACTOR = 1.02
+# graded respacing: the target spacings of neighbouring segments differ by at
+# most this factor, so the neck's fine spacing blends into the coarse bulbs
+GRADING_FACTOR = 1.1
 
 
 @dataclass
@@ -50,7 +53,8 @@ class StepControl:
     A2_stop: float = 1e4
     t_end: Optional[float] = None
     refine: bool = True
-    refine_target: float = 0.15  # keep mean spacing <= refine_target / sqrt(max|A|^2)
+    # keep the spacing <= refine_target / |A| locally, never coarser than the initial curve
+    refine_target: float = 0.15
     max_nodes: int = 20000
     resample_ratio: float = 2.0
 
@@ -78,6 +82,8 @@ class Trajectory:
     step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_maxA2: np.ndarray = field(default_factory=lambda: np.empty(0))
     underflow: bool = False
+    # run counters: steps taken, respacings at the same node count, refinements
+    stats: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -141,7 +147,8 @@ class StepOperator(NamedTuple):
 
     M = tridiag(lower, diag, upper) is Δ = ∂ss + (n-1)(r_s/r)∂s frozen at the curve,
     q = (n-1)/r² linearizes -(n-1)/r, (f_z, f_r) is the explicit right-hand side;
-    max_A2 and the spacings ds (with the periodic wrap segment) feed the step rule.
+    max_A2 and the spacings ds (with the periodic wrap segment) feed the step rule,
+    and the per-node |A|² A2 the respacing rule.
     """
 
     lower: np.ndarray
@@ -152,6 +159,7 @@ class StepOperator(NamedTuple):
     f_r: np.ndarray
     max_A2: float
     ds: np.ndarray
+    A2: np.ndarray
 
 
 def _step_operator(z, r, n, closed, period) -> StepOperator:
@@ -177,7 +185,7 @@ def _step_operator(z, r, n, closed, period) -> StepOperator:
         diag[-1], lower[-1] = -c_last, c_last
         f_z[0] = n * z_ss[0]
         f_z[-1] = n * z_ss[-1]
-    return StepOperator(lower, diag, upper, q, f_z, f_r, float(A2.max()), ds)
+    return StepOperator(lower, diag, upper, q, f_z, f_r, float(A2.max()), ds, A2)
 
 
 def _implicit_euler(z, r, op, closed, dt):
@@ -224,22 +232,55 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
     return z_new, r_new
 
 
-def _respace(z, r, n, topology, period, max_A2, ds, ctl: StepControl):
-    """Resample (z, r) uniformly in arclength when the spacings ds call for it.
+def target_spacing(A2, h0, refine_target, periodic):
+    """Graded target spacing of each segment between consecutive nodes.
 
-    ds and max_A2 come from a StepOperator.  The curve is refined when its mean
-    spacing exceeds 1.25 times the resolution target refine_target/sqrt(max_A2),
-    and respaced at its node count when max/min spacing exceeds resample_ratio;
-    otherwise (z, r) is returned as given.
+    delta = min(h0, refine_target / |A|), with |A| the larger of the segment's
+    end values (A2 holds |A|² per node; a periodic profile's last segment wraps
+    to node 0), then limited so that neighbouring targets differ by at most
+    GRADING_FACTOR: two cumulative-minimum sweeps in log spacing, over three
+    copies of a periodic profile so the limit also holds across the wrap.
     """
+    if refine_target * refine_target >= h0 * h0 * A2.max():  # the cap h0 binds on every segment
+        return np.full(A2.size if periodic else A2.size - 1, h0)
+    A2_seg = np.maximum(A2, np.roll(A2, -1)) if periodic else np.maximum(A2[:-1], A2[1:])
+    with np.errstate(divide="ignore"):
+        log_delta = np.minimum(np.log(h0), np.log(refine_target) - 0.5 * np.log(A2_seg))
+    m = log_delta.size
+    if periodic:
+        log_delta = np.tile(log_delta, 3)
+    ramp = np.log(GRADING_FACTOR) * np.arange(log_delta.size)
+    log_delta = np.minimum.accumulate(log_delta - ramp) + ramp
+    log_delta = (np.minimum.accumulate((log_delta + ramp)[::-1]) - ramp[::-1])[::-1]
+    if periodic:
+        log_delta = log_delta[m:2 * m]
+    return np.exp(log_delta)
+
+
+def _respace(z, r, n, topology, period, op: StepOperator, h0, ctl: StepControl):
+    """Resample (z, r) in arclength, graded by curvature, when the spacings call for it.
+
+    op is the StepOperator of (z, r) and h0 the mean spacing of the run's
+    initial curve.  With refinement on, each segment's target spacing delta
+    comes from ``target_spacing``; when some segment is longer than 1.25 delta
+    the curve is resampled to ceil(sum(ds/delta)) + 1 nodes (never fewer than
+    N, at most max_nodes), so every new segment is at most its delta long.
+    Otherwise it is respaced at its node count when max/min of ds/delta
+    exceeds resample_ratio.  New nodes are spaced in proportion to delta.
+    Without refinement only the second test runs, on ds, and the respacing is
+    uniform.  If neither test fires (z, r) is returned as given.
+    """
+    ds = op.ds
+    delta = target_spacing(op.A2, h0, ctl.refine_target, topology != CLOSED) if ctl.refine else None
+    fill = ds if delta is None else ds / delta
+    top = fill.max()
     num = None
-    if ctl.refine and max_A2 > 0.0:
-        target = ctl.refine_target / np.sqrt(max_A2)
-        if ds.mean() > 1.25 * target:
-            num = max(min(int(np.ceil(ds.sum() / target)) + 1, ctl.max_nodes), z.size)
-    if num is None and ds.max() <= ctl.resample_ratio * ds.min():
+    if delta is not None and top > 1.25:
+        num = max(min(int(np.ceil(fill.sum())) + 1, ctl.max_nodes), z.size)
+    elif top <= ctl.resample_ratio * fill.min():
         return z, r
-    fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num)
+    fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num,
+                               density=None if delta is None else 1.0 / delta)
     return fresh.z, fresh.r
 
 
@@ -258,8 +299,19 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
     curve.validate()
     n, closed, period = curve.n, curve.topology == CLOSED, curve.period
     topology = curve.topology
-    op = _step_operator(curve.z, curve.r, n, closed, period)
-    z, r = _respace(curve.z, curve.r, n, topology, period, op.max_A2, op.ds, ctl)
+    h0 = curve.mean_spacing
+    counts = {"steps": 0, "respaces": 0, "refinements": 0}
+
+    def settle(z, r):
+        """(z, r) after the spacing test on its own |A|², and the StepOperator of the result."""
+        op = _step_operator(z, r, n, closed, period)
+        z_new, r_new = _respace(z, r, n, topology, period, op, h0, ctl)
+        if z_new is z:
+            return z, r, op
+        counts["refinements" if z_new.size > z.size else "respaces"] += 1
+        return z_new, r_new, _step_operator(z_new, r_new, n, closed, period)
+
+    z, r, op = settle(curve.z, curve.r)
     t = initial.t
     schedule = sorted(tt for tt in record_times if tt > t)
 
@@ -275,7 +327,6 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
     last_recorded_t = t
 
     while True:
-        op = _step_operator(z, r, n, closed, period)
         maxA2, ds = op.max_A2, op.ds
         hist_t.append(t)
         hist_A2.append(maxA2)
@@ -341,11 +392,9 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
             break
         if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(r_new))):
             raise NumericalBlowupError("NaN/overflow during integration")
-        z, r = z_new, r_new
         t += dt
-
-        # the spacing test uses the curve the step started from
-        z, r = _respace(z, r, n, topology, period, maxA2, ds, ctl)
+        counts["steps"] += 1
+        z, r, op = settle(z_new, r_new)
 
         if hit_schedule:
             schedule.pop(0)
@@ -374,7 +423,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
     traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason,
                       singular_estimate=est,
                       step_times=np.array(hist_t), step_maxA2=np.array(hist_A2),
-                      underflow=underflow)
+                      underflow=underflow, stats=counts)
     if stop_reason == STOP_UNDERFLOW and est is None:
         raise InconclusiveRunError(
             "time step underflowed before any singularity indicator", trajectory=traj)
@@ -385,8 +434,8 @@ def verify_mean_convexity(traj: Trajectory, tol_factor: float = 10.0) -> dict:
     """Check that min H stays positive along a mean-convex run.
 
     Returns the min-H time series; ``scheme_failure`` is set if some snapshot
-    dips below -tol_factor * h^2 (a discretization failure, not a violation of
-    the continuum statement).
+    dips below -tol_factor * h^2, h the ``node_spacing`` at its min-H node (a
+    discretization failure, not a violation of the continuum statement).
     """
     first = traj.snapshots[0]
     curv0 = first.curvature
@@ -397,10 +446,11 @@ def verify_mean_convexity(traj: Trajectory, tol_factor: float = 10.0) -> dict:
     scheme_failure = False
     for snap in traj.snapshots:
         c = snap.curvature
-        m = float(np.min(c.H[c.interior])) if np.any(c.interior) else float(np.min(c.H))
+        j = int(np.argmin(np.where(c.interior, c.H, np.inf) if np.any(c.interior) else c.H))
+        m = float(c.H[j])
         times.append(snap.t)
         min_H.append(m)
-        h = snap.surface.mean_spacing
+        h = snap.surface.node_spacing()[j]
         if snap.t > first.t and m < -tol_factor * h * h:
             scheme_failure = True
     positive = all(m > 0.0 for m, t in zip(min_H[1:], times[1:]))

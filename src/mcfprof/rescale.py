@@ -18,6 +18,9 @@ from .errors import EmptyWindowError, FitFailureError, InsufficientDataError
 from .flow import Trajectory
 from .geometry import FlowSnapshot, ProfileCurve
 
+# relative |A|^2 gap below which max-curvature nodes count as tied
+TIE_RTOL = 1e-9
+
 
 @dataclass
 class DilationParams:
@@ -95,7 +98,9 @@ def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
     """Spacetime points on the flow for a normalized blow-up sequence.
 
     'neck': waist nodes (nearest the singular-point estimate) of the last
-    ``count`` snapshots; 'max-curvature': the max-|A| nodes.
+    ``count`` snapshots; 'max-curvature': the max-|A| nodes, taking the
+    lowest index among nodes within TIE_RTOL of the max |A|^2, so roundoff
+    does not choose between the mirror nodes of a symmetric profile.
     """
     snaps = traj.snapshots[-count:]
     z_sing = traj.singular_estimate.z if traj.singular_estimate else None
@@ -104,7 +109,8 @@ def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
         if rule == "neck":
             j = waist_node(snap, z_sing)
         elif rule == "max-curvature":
-            j = int(np.argmax(snap.curvature.A2))
+            A2 = snap.curvature.A2
+            j = int(np.argmax(A2 >= (1.0 - TIE_RTOL) * A2.max()))
         else:
             raise ValueError(f"unknown points rule {rule!r}")
         points.append((float(snap.surface.z[j]), float(snap.surface.r[j]), snap.t))
@@ -116,8 +122,9 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
     """Blow-up sequence with a_k = H(x_k, t_k) at each requested spacetime point.
 
     Each point is snapped to the nearest node of the nearest recorded
-    snapshot; the rescaled mean curvature at the origin must come out 1
-    within discretization tolerance (5h by default).
+    snapshot, at most 3h away; the rescaled mean curvature at the origin must
+    come out 1 within discretization tolerance (5h by default).  h is the
+    ``node_spacing`` at the snapped node.
     """
     times = traj.times
     terms = []
@@ -126,7 +133,7 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
         snap = traj.snapshots[k]
         curve = snap.surface
         j = _nearest_node(curve, z, rho)
-        h = curve.mean_spacing
+        h = curve.node_spacing()[j]
         snap_dist = float(np.hypot(curve.z[j] - z, curve.r[j] - rho))
         if snap_dist > 3.0 * h:
             raise EmptyWindowError(
@@ -138,7 +145,7 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
         center = parabolic_dilate(snap, d)
         j2 = _nearest_node(center.surface, 0.0, d.a * d.rho0)
         H_origin = float(center.curvature.H[j2])
-        tol = origin_H_tol if origin_H_tol is not None else 5.0 * center.surface.mean_spacing
+        tol = origin_H_tol if origin_H_tol is not None else 5.0 * center.surface.node_spacing()[j2]
         if abs(H_origin - 1.0) > tol:
             raise ValueError(
                 f"rescaled H at the origin is {H_origin:.6g}, outside 1 +- {tol:.3g}")

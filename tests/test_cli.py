@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK,
-                         _dump_json, _jsonable, _snapshot_from_obj, _snapshot_obj, main,
-                         models_check, validate_config)
+                         _dump_json, _harnack_report, _jsonable, _snapshot_from_obj,
+                         _snapshot_obj, main, models_check, validate_config)
 from mcfprof.errors import ConfigError
+from mcfprof.flow import Trajectory
 from mcfprof.geometry import FlowSnapshot, GraphPatch
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, perturb_profile, sphere_profile
 
@@ -166,6 +167,30 @@ def test_run_writes_artifacts(tmp_path):
     assert code == EXIT_OK
     T = json.loads((out / "manifest.json").read_text())["T_sing"]
     assert abs(T - 0.25) < 0.25 * 0.01
+
+
+def test_manifest_run_stats(tmp_path):
+    code, out = run_scenario(tmp_path, BASE_CFG, "stats")
+    assert code == EXIT_OK
+    stats = json.loads((out / "manifest.json").read_text())["run_stats"]
+    assert stats["steps"] > 0
+    assert stats["respaces"] == stats["refinements"] == 0  # a round sphere keeps its mesh
+    stored = [len(json.loads(path.read_text())["z"])
+              for path in sorted((out / "snapshots").iterdir())]
+    assert stats["snapshot_nodes"] == stored
+    assert stats["snapshot_nodes_total"] == sum(stored)
+
+
+def test_harnack_report_records_skipped_points():
+    # shrinking spheres recorded from t = 0: with R = 1 the cube of each later
+    # point reaches back before t = 0, so every point is skipped with a reason
+    snaps = [FlowSnapshot(sphere_profile(np.sqrt(1.0 - 4.0 * t), 2, 100), t)
+             for t in (0.0, 0.05, 0.1)]
+    rep = _harnack_report(Trajectory(snaps, "t-end", None), {"R": 1.0, "H_threshold": 1.0})
+    assert rep["points"] == [] and "min_delta" not in rep
+    assert [s["t"] for s in rep["skipped"]] == [0.05, 0.1]
+    assert all(s["reason"].startswith("WindowError: parabolic cube reaches")
+               for s in rep["skipped"])
 
 
 def test_run_byte_determinism(tmp_path):

@@ -131,8 +131,7 @@ def bisection_inscribed_radii(snapshot, nodes=None):
     tree = diagnostics._surface_tree(curve)
     normal = snapshot.curvature.normal[nodes]
     pts = np.column_stack((curve.z[nodes], curve.r[nodes]))
-    h = curve.mean_spacing
-    tol = h / 10.0
+    tol = curve.node_spacing()[nodes] / 10.0  # the production per-node tol
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
     else:
@@ -140,7 +139,7 @@ def bisection_inscribed_radii(snapshot, nodes=None):
     lo = np.zeros(nodes.size)
     hi = np.full(nodes.size, diam)
     for _ in range(64):
-        if float(np.max(hi - lo)) <= tol:
+        if np.all(hi - lo <= tol):
             break
         mid = 0.5 * (lo + hi)
         centers = pts + mid[:, None] * normal

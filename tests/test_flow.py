@@ -6,13 +6,14 @@ from scipy.linalg import solve_banded
 
 from mcfprof import flow
 from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
-from mcfprof.flow import (CASCADE_FACTOR, LANDING_FACTOR, STOP_CURVATURE,
-                          STOP_EXTINCTION, STOP_T_END,
+from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
+                          STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END,
                           StepControl, _implicit_step, _pinched,
                           _solve_tridiagonal, _step_operator, run_until,
-                          verify_mean_convexity)
+                          target_spacing, verify_mean_convexity)
 from mcfprof.geometry import (FlowSnapshot, GraphPatch, ProfileCurve, CLOSED,
-                              curvature_axisymmetric, profile_derivatives)
+                              curvature_axisymmetric, profile_derivatives,
+                              resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                             perturb_profile, sphere_profile)
 
@@ -99,7 +100,7 @@ def test_monotone_containment(dumbbell_run):
         pl = np.column_stack((later.surface.z, later.surface.r))
         idx = np.argmin(((pl[:, None, :] - pe[None, :, :]) ** 2).sum(-1), axis=1)
         signed = np.einsum("ij,ij->i", pl - pe[idx], ce.normal[idx])
-        h = earlier.surface.mean_spacing
+        h = earlier.surface.spacings().min()
         assert signed.min() > -10.0 * h**2
 
 
@@ -332,3 +333,63 @@ def test_two_stencil_passes_per_step(monkeypatch):
     monkeypatch.setattr(flow, "profile_derivatives", counted)
     traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
     assert len(calls) <= 2 * len(traj.step_times)
+
+
+# ---------------------------------------------------------------------------
+# curvature-graded respacing
+# ---------------------------------------------------------------------------
+
+def _dumbbell_targets(traj):
+    """Each snapshot's spacings and graded targets (h0: the fixture's initial mean spacing)."""
+    h0 = dumbbell_profile(1.0, 0.35, 8.0, 2, 800).mean_spacing
+    for snap in traj.snapshots:
+        yield snap.surface.spacings(), target_spacing(snap.curvature.A2, h0, 0.15, False)
+
+
+def test_graded_mesh_meets_local_target(dumbbell_run):
+    for ds, delta in _dumbbell_targets(dumbbell_run["traj"]):
+        assert np.all(ds <= 1.25 * delta * (1.0 + 1e-12))
+
+
+def test_graded_mesh_neighbour_ratio(dumbbell_run):
+    # targets of neighbouring segments differ by at most GRADING_FACTOR; the
+    # spacings may drift 5% further while the flow moves between respacings
+    for ds, delta in _dumbbell_targets(dumbbell_run["traj"]):
+        assert np.all(delta[1:] / delta[:-1] <= GRADING_FACTOR * (1.0 + 1e-12))
+        assert np.all(delta[:-1] / delta[1:] <= GRADING_FACTOR * (1.0 + 1e-12))
+        ratio = ds[1:] / ds[:-1]
+        assert max(ratio.max(), 1.0 / ratio.min()) <= 1.05 * GRADING_FACTOR
+
+
+def test_graded_mesh_node_total(dumbbell_run):
+    # uniform refinement to the neck's spacing stored 53,630 nodes here
+    snaps = dumbbell_run["traj"].snapshots
+    assert sum(snap.surface.num_nodes for snap in snaps) <= 25000
+    assert snaps[-1].surface.num_nodes > snaps[0].surface.num_nodes
+
+
+def test_run_stats_match_trajectory(dumbbell_run):
+    traj = dumbbell_run["traj"]
+    stats = traj.stats
+    assert stats["steps"] == len(traj.step_times) - 1
+    nodes = np.array([snap.surface.num_nodes for snap in traj.snapshots])
+    assert np.all(np.diff(nodes) >= 0)  # N never falls
+    # each rise of the node count between snapshots needs a refinement
+    assert np.count_nonzero(np.diff(nodes)) <= stats["refinements"]
+    assert stats["respaces"] >= 1
+    assert stats["respaces"] + stats["refinements"] <= stats["steps"] + 1
+
+
+def test_round_sphere_never_respaces(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return resample_arclength(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "resample_arclength", counted)
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0),
+                     StepControl(A2_stop=2.0 / 0.03**2))
+    assert traj.stop_reason == STOP_CURVATURE
+    assert calls == []
+    assert traj.stats["respaces"] == traj.stats["refinements"] == 0

@@ -171,6 +171,27 @@ def test_resample_preserves_shape():
     assert dense_hausdorff(db, out) < h**2
 
 
+@pytest.mark.parametrize("curve", [
+    dumbbell_profile(1.0, 0.35, 8.0, 2, 400),
+    perturb_profile(cylinder_profile(1.0, np.pi, 2, 200), 0.05, 3, 2),
+], ids=["closed", "periodic"])
+def test_resample_constant_density_is_uniform(curve):
+    density = np.full(curve.spacings().size, 3.7)
+    for num in (None, 2 * curve.num_nodes):
+        uniform = resample_arclength(curve, num=num)
+        graded = resample_arclength(curve, num=num, density=density)
+        assert np.abs(graded.z - uniform.z).max() < 1e-12
+        assert np.abs(graded.r - uniform.r).max() < 1e-12
+
+
+def test_resample_density_grades_spacing():
+    # twice the density on the upper half of a circle halves its spacing there
+    curve = sphere_profile(1.0, 2, 401)
+    density = np.where(curve.z[:-1] < 0.0, 1.0, 2.0)
+    ds = resample_arclength(curve, density=density).spacings()
+    assert abs(ds[10] / ds[-10] - 2.0) < 1e-3
+
+
 def test_resample_periodic_roundtrip():
     curve = cylinder_profile(0.7, 2.0, 2, 64)
     out = resample_arclength(curve, num=128)

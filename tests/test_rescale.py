@@ -10,7 +10,8 @@ from mcfprof.rescale import (BlowupSequence, DilationParams, blowup_convergence_
                              classify_tangent_flow, dilation_covariance_error,
                              fit_model, normalized_blowup, parabolic_dilate,
                              select_blowup_points, waist_node)
-from mcfprof.shapes import cylinder_profile, dumbbell_profile, sphere_profile
+from mcfprof.flow import Trajectory
+from mcfprof.shapes import cylinder_profile, dumbbell_profile, ovaloid_profile, sphere_profile
 
 
 def test_identity_dilation():
@@ -141,6 +142,22 @@ def test_neck_blowup_classifies_cylinder(dumbbell_run):
     assert fits["best"] == "cylinder"
     assert fits["cylinder"]["rms_over_R"] < 0.05
     assert fits["sphere"]["rms"] > 0.2  # > 20% of the ~unit fitted radius
+
+
+def test_max_curvature_pick_ignores_roundoff():
+    # the poles of an up-down symmetric ovaloid tie in |A|^2; the last bits of
+    # the cached curvature must not choose between them
+    snap = FlowSnapshot(ovaloid_profile(1.0, 0.6, 2, 400), 0.0)
+    traj = Trajectory([snap], "t-end", None)
+    A2 = snap.curvature.A2
+    N = A2.size
+    picked = select_blowup_points(traj, "max-curvature", 1)
+    assert picked[0][0] == snap.surface.z[0]
+    for node in (0, N - 1):
+        nudged = A2.copy()
+        nudged[node] *= 1.0 + 1e-15  # a few ulps
+        snap.curvature.A2 = nudged
+        assert select_blowup_points(traj, "max-curvature", 1) == picked
 
 
 def test_waist_node_finds_neck():
