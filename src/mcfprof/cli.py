@@ -25,7 +25,7 @@ from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
                      InconclusiveRunError, McfError, NumericalBlowupError,
                      ResolutionError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
-from .geometry import PERIODIC, FlowSnapshot, GraphPatch, ProfileCurve
+from .geometry import PERIODIC, FlowSnapshot, ProfileCurve
 from .models import (CYLINDER, SPHERE, ModelSolution,
                      bowl_soliton_profile, grim_reaper_patch, model_snapshot,
                      shrinker_radius, translator_residual)
@@ -318,19 +318,11 @@ def _sha256(path: str) -> str:
 
 def _snapshot_obj(snap: FlowSnapshot, index: int) -> dict:
     surf = snap.surface
-    if isinstance(surf, ProfileCurve):
-        return {"index": index, "t": snap.t, "n": surf.n, "topology": surf.topology,
-                "period": surf.period, "z": surf.z, "r": surf.r}
-    return {"index": index, "t": snap.t, "n": surf.n, "topology": "graph",
-            "h": surf.h, "x0": list(surf.x0), "orientation": surf.orientation,
-            "u": surf.u}
+    return {"index": index, "t": snap.t, "n": surf.n, "topology": surf.topology,
+            "period": surf.period, "z": surf.z, "r": surf.r}
 
 
 def _snapshot_from_obj(obj: dict) -> FlowSnapshot:
-    if obj["topology"] == "graph":
-        u = np.asarray(obj["u"], dtype=float)
-        return FlowSnapshot(GraphPatch(u, obj["h"], tuple(obj["x0"]), obj["orientation"]),
-                            obj["t"])
     curve = ProfileCurve(np.asarray(obj["z"], dtype=float), np.asarray(obj["r"], dtype=float),
                          obj["n"], obj["topology"], obj.get("period"))
     return FlowSnapshot(curve, obj["t"])
@@ -364,18 +356,17 @@ def write_timeseries(path: str, traj: Trajectory, diags: dict):
     t_prev = None
     for snap in traj.snapshots:
         c = snap.curvature
-        m = c.interior
-        H = c.H[m]
+        H = c.H
         row = {"t": snap.t, "max_H": float(H.max()), "min_H": float(H.min()),
-               "max_A2": float(c.A2[m].max()),
+               "max_A2": float(c.A2.max()),
                "neck_radius": _neck_radius(snap),
                "dt": 0.0 if t_prev is None else snap.t - t_prev}
         pos = H > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             if diags.get("ratioA2H2"):
-                row["max_A2_over_H2"] = float(np.max(c.A2[m][pos] / H[pos] ** 2)) if pos.any() else float("nan")
+                row["max_A2_over_H2"] = float(np.max(c.A2[pos] / H[pos] ** 2)) if pos.any() else float("nan")
             if diags.get("pinching"):
-                row["min_lambda1_over_H"] = float(np.min(c.lam[m, 0][pos] / H[pos])) if pos.any() else float("nan")
+                row["min_lambda1_over_H"] = float(np.min(c.lam[pos, 0] / H[pos])) if pos.any() else float("nan")
         if diags.get("noncollapse"):
             try:
                 row["kappa_min"] = dg.noncollapsing_ratio(snap).kappa_min
@@ -395,7 +386,7 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
     for snap in traj.snapshots[1:]:
         try:
             j = rs.waist_node(snap)
-        except (EmptyWindowError, TypeError):
+        except EmptyWindowError:
             c = snap.curvature
             j = int(np.argmax(c.A2))
         H_p = float(snap.curvature.H[j])

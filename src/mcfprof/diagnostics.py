@@ -89,8 +89,6 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
     result equals that of querying at every step.
     """
     curve = snapshot.surface
-    if not isinstance(curve, ProfileCurve):
-        raise TypeError("inscribed radius is defined for closed/periodic surfaces")
     if curve.is_self_intersecting():
         raise TopologyError("inscribed radius needs an embedded surface")
     if nodes is None:
@@ -162,7 +160,7 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> NoncollapseRecord:
     """
     if snapshot._noncollapse is None:
         curv = snapshot.curvature
-        if float(np.min(curv.H[curv.interior])) <= 0.0:
+        if float(np.min(curv.H)) <= 0.0:
             raise DomainError("noncollapsing ratio requires H > 0 at every node")
         r_field = _inscribed_radii(snapshot)
         r_field.flags.writeable = False
@@ -195,9 +193,8 @@ def pinching_profile(traj: Trajectory, decades: int = 4):
     H_all, lam1_all = [], []
     for snap in traj.snapshots:
         c = snap.curvature
-        m = c.interior
-        H = c.H[m]
-        lam1 = c.lam[m, 0]
+        H = c.H
+        lam1 = c.lam[:, 0]
         if float(H.min()) <= 0.0:
             raise DomainError("pinching profile requires a mean-convex trajectory")
         records.append(PinchingRecord(t=snap.t,
@@ -285,14 +282,13 @@ def ratio_A2_H2(traj: Trajectory, tol_rate: float = 10.0) -> dict:
     times, ratios, hs = [], [], []
     for snap in traj.snapshots:
         c = snap.curvature
-        m = c.interior
-        if float(np.min(c.H[m])) <= 0.0:
+        if float(np.min(c.H)) <= 0.0:
             raise DomainError("|A|^2/H^2 check requires H > 0 throughout")
-        ratio = c.A2[m] / c.H[m] ** 2
+        ratio = c.A2 / c.H ** 2
         k = int(np.argmax(ratio))
         ratios.append(float(ratio[k]))
         times.append(snap.t)
-        hs.append(float(snap.surface.node_spacing()[m][k]))
+        hs.append(float(snap.surface.node_spacing()[k]))
     worst = 0.0
     ok = True
     for k in range(1, len(ratios)):
@@ -357,8 +353,6 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
     index = max(1, min(index, len(traj.snapshots) - 2))
     prev_s, mid_s, next_s = traj.snapshots[index - 1:index + 2]
     curve = mid_s.surface
-    if not isinstance(curve, ProfileCurve):
-        raise TypeError("H-evolution residual is implemented for profile curves")
     c = mid_s.curvature
     H = c.H
     # Lap H from the integrator's frozen Δ = ∂ss + (n-1)(r_s/r)∂s at the middle
@@ -398,9 +392,8 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def convexity_check(snapshot: FlowSnapshot, tol: float):
-    """(passed, min lambda_1) over interior nodes; pass iff min >= -tol."""
-    c = snapshot.curvature
-    min_lam1 = float(np.min(c.lam[c.interior, 0]))
+    """(passed, min lambda_1) over all nodes; pass iff min >= -tol."""
+    min_lam1 = float(np.min(snapshot.curvature.lam[:, 0]))
     return min_lam1 >= -tol, min_lam1
 
 

@@ -438,15 +438,13 @@ def verify_mean_convexity(traj: Trajectory, tol_factor: float = 10.0) -> dict:
     discretization failure, not a violation of the continuum statement).
     """
     first = traj.snapshots[0]
-    curv0 = first.curvature
-    interior0 = curv0.interior
-    if float(np.min(curv0.H[interior0])) < 0.0:
+    if float(np.min(first.curvature.H)) < 0.0:
         raise ValueError("initial data is not mean-convex (min H < 0 at t = 0)")
     times, min_H = [], []
     scheme_failure = False
     for snap in traj.snapshots:
         c = snap.curvature
-        j = int(np.argmin(np.where(c.interior, c.H, np.inf) if np.any(c.interior) else c.H))
+        j = int(np.argmin(c.H))
         m = float(c.H[j])
         times.append(snap.t)
         min_H.append(m)

@@ -1,8 +1,9 @@
-"""Discrete hypersurfaces of revolution and graph patches, with curvature operators.
+"""Discrete hypersurfaces of revolution, with their curvature operator.
 
-Two carriers are supported: ``ProfileCurve`` (arclength-sampled generating
-curve of a rotationally symmetric hypersurface in R^(n+1)) and ``GraphPatch``
-(uniform-grid scalar height function, n in {1, 2}).  Profiles have one
+``ProfileCurve`` (arclength-sampled generating curve of a rotationally
+symmetric hypersurface in R^(n+1)) is the only surface that is flowed or
+analyzed.  ``GraphPatch`` (a height function on a uniform grid, n in {1, 2})
+only carries the translator models to their residual check.  Profiles have one
 derivative kernel, ``profile_derivatives`` (3-point stencils on chord
 segments), and one curvature formula, ``principal_curvatures``, which
 ``curvature_axisymmetric`` and the integrator's step operator share.  The sign
@@ -110,17 +111,10 @@ class ProfileCurve:
 
 @dataclass
 class GraphPatch:
-    """Height function u over a uniform grid; n = u.ndim in {1, 2}.
-
-    ``orientation`` picks the normal: +1 for the upward normal e_{n+1}
-    component positive (grim-reaper convention), -1 for downward (the inward
-    normal of a cap like a hemisphere).
-    """
+    """Height function u over a uniform grid of spacing h; n = u.ndim in {1, 2}."""
 
     u: np.ndarray
     h: float
-    x0: tuple = (0.0,)
-    orientation: int = 1
 
     def __post_init__(self):
         self.u = np.ascontiguousarray(self.u, dtype=float)
@@ -128,8 +122,6 @@ class GraphPatch:
             raise ValueError("GraphPatch supports n in {1, 2}")
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
-        if len(self.x0) != self.u.ndim:
-            self.x0 = tuple(self.x0) + (0.0,) * (self.u.ndim - len(self.x0))
 
     @property
     def n(self) -> int:
@@ -140,12 +132,6 @@ class GraphPatch:
             raise DegenerateSurfaceError("non-finite height values")
         if min(self.u.shape) < 8:
             raise ResolutionError("need at least 8 grid nodes per axis")
-
-    def axes(self):
-        return tuple(self.x0[d] + self.h * np.arange(self.u.shape[d]) for d in range(self.u.ndim))
-
-    def copy(self) -> "GraphPatch":
-        return GraphPatch(self.u.copy(), self.h, self.x0, self.orientation)
 
 
 @dataclass
@@ -160,13 +146,8 @@ class CurvatureField:
     H: np.ndarray
     A2: np.ndarray
     normal: np.ndarray
-    boundary: np.ndarray
     lam_axial: Optional[np.ndarray] = None
     lam_rot: Optional[np.ndarray] = None
-
-    @property
-    def interior(self) -> np.ndarray:
-        return ~self.boundary
 
 
 @dataclass
@@ -177,7 +158,7 @@ class FlowSnapshot:
     ``noncollapsing_ratio`` computes, as ``_curv`` caches the curvature.
     """
 
-    surface: object  # ProfileCurve | GraphPatch
+    surface: ProfileCurve
     t: float
     _curv: Optional[CurvatureField] = field(default=None, repr=False)
     _noncollapse: Optional[object] = field(default=None, repr=False)
@@ -185,10 +166,7 @@ class FlowSnapshot:
     @property
     def curvature(self) -> CurvatureField:
         if self._curv is None:
-            if isinstance(self.surface, ProfileCurve):
-                self._curv = curvature_axisymmetric(self.surface)
-            else:
-                self._curv = curvature_graph(self.surface)
+            self._curv = curvature_axisymmetric(self.surface)
         return self._curv
 
     def copy(self) -> "FlowSnapshot":
@@ -269,9 +247,7 @@ def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
     lam.sort(axis=1)
     H = lam.sum(axis=1)
     normal = np.column_stack((r_s / w, -z_s / w))
-    boundary = np.zeros(curve.num_nodes, dtype=bool)
-    return CurvatureField(lam, H, A2, normal, boundary,
-                          lam_axial=lam_axial, lam_rot=lam_rot)
+    return CurvatureField(lam, H, A2, normal, lam_axial=lam_axial, lam_rot=lam_rot)
 
 
 def _grad_1d(f, h):
@@ -301,66 +277,6 @@ def graph_gradients(patch: GraphPatch):
     uyy = np.apply_along_axis(_second_1d, 1, u, h)
     uxy = np.apply_along_axis(_grad_1d, 1, ux, h)
     return (ux, uy), ((uxx, uxy), (uxy, uyy))
-
-
-def _boundary_mask(shape):
-    mask = np.zeros(shape, dtype=bool)
-    if len(shape) == 1:
-        mask[0] = mask[-1] = True
-    else:
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-    return mask
-
-
-def curvature_graph(patch: GraphPatch) -> CurvatureField:
-    """Principal curvatures of a graph x_{n+1} = u(x').
-
-    For n = 2 the lambdas are the eigenvalues of the shape operator
-    g^{-1} h with g = I + Du Du^T and h_ij = orientation * u_ij / W; their sum
-    equals the divergence-form mean curvature of the graph equation.
-    Boundary nodes use one-sided stencils and are flagged.
-    """
-    patch.validate()
-    sgn = float(patch.orientation)
-    (grads, seconds) = graph_gradients(patch)
-    N = patch.u.size
-    if patch.n == 1:
-        up = grads[0]
-        upp = seconds[0][0]
-        W = np.sqrt(1.0 + up**2)
-        kappa = sgn * upp / W**3
-        lam = kappa.reshape(-1, 1)
-        normal = np.column_stack((-up.ravel(), np.ones(N))) / W.reshape(-1, 1)
-        normal *= sgn
-        boundary = _boundary_mask(patch.u.shape).ravel()
-        H = lam.sum(axis=1)
-        return CurvatureField(lam, H, lam.ravel() ** 2, normal, boundary)
-
-    ux, uy = grads
-    (uxx, uxy), (_, uyy) = seconds
-    W2 = 1.0 + ux**2 + uy**2
-    W = np.sqrt(W2)
-    g11 = 1.0 + ux**2
-    g22 = 1.0 + uy**2
-    g12 = ux * uy
-    h11 = sgn * uxx / W
-    h12 = sgn * uxy / W
-    h22 = sgn * uyy / W
-    # det(h - lam g) = 0  ->  a lam^2 - b lam + c = 0
-    a = W2  # det g
-    b = g11 * h22 + g22 * h11 - 2.0 * g12 * h12
-    c = h11 * h22 - h12**2
-    disc = np.sqrt(np.maximum(b**2 - 4.0 * a * c, 0.0))
-    lam1 = (b - disc) / (2.0 * a)
-    lam2 = (b + disc) / (2.0 * a)
-    lam = np.column_stack((lam1.ravel(), lam2.ravel()))
-    H = lam.sum(axis=1)
-    A2 = (lam**2).sum(axis=1)
-    normal = np.column_stack((-ux.ravel(), -uy.ravel(), np.ones(N))) / W.reshape(-1, 1)
-    normal *= sgn
-    boundary = _boundary_mask(patch.u.shape).ravel()
-    return CurvatureField(lam, H, A2, normal, boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exact and ODE-computed reference solutions: shrinkers, grim reaper, bowl soliton.
 
-These serve as regression oracles for the integrator and as fit targets for
-tangent-flow classification.
+The shrinking sphere and cylinder are profile snapshots with an exact radius
+law, the integrator's regression oracles.  The translators (grim reaper, bowl)
+are graph patches and serve only as residual oracles for ``translator_residual``
+and ``mcfprof models``: they are neither fit targets of the tangent-flow
+classification nor initial data for the integrator.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def grim_reaper_patch(h: float = 1e-3, half_width: float = 1.2, t: float = 0.0) 
     """1-D graph patch sampling the grim reaper on |x1| <= half_width."""
     m = int(round(half_width / h))
     x = -m * h + h * np.arange(2 * m + 1)
-    return GraphPatch(grim_reaper_eval(x, t), h, (x[0],))
+    return GraphPatch(grim_reaper_eval(x, t), h)
 
 
 @dataclass
@@ -150,7 +153,7 @@ def bowl_patch(n: int, half_width: float, h: float) -> GraphPatch:
     x = -m * h + h * np.arange(2 * m + 1)
     X, Y = np.meshgrid(x, x, indexing="ij")
     U = spline(np.hypot(X, Y))
-    return GraphPatch(U, h, (x[0], x[0]))
+    return GraphPatch(U, h)
 
 
 def translator_residual(patch: GraphPatch) -> float:
@@ -176,15 +179,8 @@ def translator_residual(patch: GraphPatch) -> float:
 
 
 def model_snapshot(model: ModelSolution, t: float, nodes: int = 400) -> FlowSnapshot:
-    """Discrete snapshot of a model solution at time t."""
+    """Discrete profile snapshot of a shrinker at time t; a translator raises DomainError."""
+    R = shrinker_radius(model, t)
     if model.kind == SPHERE:
-        R = shrinker_radius(model, t)
         return FlowSnapshot(sphere_profile(R, model.n, nodes), t)
-    if model.kind == CYLINDER:
-        R = shrinker_radius(model, t)
-        return FlowSnapshot(cylinder_profile(R, model.period, model.n, nodes), t)
-    if model.kind == GRIM_REAPER:
-        return FlowSnapshot(grim_reaper_patch(h=2.4 / (nodes - 1), t=t), t)
-    if model.kind == BOWL:
-        return FlowSnapshot(bowl_patch(model.n, half_width=1.0, h=2.0 / (nodes - 1)), t)
-    raise DomainError(f"unknown model kind {model.kind!r}")
+    return FlowSnapshot(cylinder_profile(R, model.period, model.n, nodes), t)

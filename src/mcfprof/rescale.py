@@ -72,8 +72,7 @@ def dilation_covariance_error(snapshot: FlowSnapshot, d: DilationParams) -> floa
     H_re = scaled.curvature.H
     H_an = snapshot.curvature.H / d.a
     denom = np.maximum(np.abs(H_an), 1e-300)
-    mask = scaled.curvature.interior
-    return float(np.max(np.abs(H_re - H_an)[mask] / denom[mask]))
+    return float(np.max(np.abs(H_re - H_an) / denom))
 
 
 def _nearest_node(curve: ProfileCurve, z: float, rho: float) -> int:
@@ -180,8 +179,6 @@ def fit_model(snapshot: FlowSnapshot, family: str,
     nodes.
     """
     curve = snapshot.surface
-    if not isinstance(curve, ProfileCurve):
-        raise TypeError("fit_model expects an axisymmetric snapshot")
     mask = _window_mask(curve, origin, window)
     z, r = curve.z[mask], curve.r[mask]
 

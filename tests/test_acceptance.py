@@ -148,8 +148,7 @@ def test_criterion_06_round_point(ovaloid_run):
     traj = ovaloid_run["traj"]
     points = rs.select_blowup_points(traj, "max-curvature", 3)
     seq = rs.normalized_blowup(traj, points)
-    c = seq.terms[-1].center.curvature
-    lam = c.lam[c.interior]
+    lam = seq.terms[-1].center.curvature.lam
     sphericity = float(lam[:, -1].max() / lam[:, 0].min())
     ok = 1.0 / 1.05 <= sphericity <= 1.05
     verdict(6, "round point sphericity", ok)

@@ -11,7 +11,7 @@ from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK
                          _snapshot_obj, main, models_check, validate_config)
 from mcfprof.errors import ConfigError
 from mcfprof.flow import Trajectory
-from mcfprof.geometry import FlowSnapshot, GraphPatch
+from mcfprof.geometry import FlowSnapshot
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, perturb_profile, sphere_profile
 
 BASE_CFG = {
@@ -100,13 +100,6 @@ def test_snapshot_roundtrip_profile():
     assert back.surface.period == snap.surface.period and back.t == 0.3
 
 
-def test_snapshot_roundtrip_graph():
-    snap = FlowSnapshot(GraphPatch(np.arange(12.0).reshape(3, 4), 0.1, (1.0, -2.0)), 0.5)
-    back = _snapshot_from_obj(json.loads(json.dumps(_jsonable(_snapshot_obj(snap, 1)))))
-    assert np.array_equal(back.surface.u, snap.surface.u)
-    assert back.surface.h == 0.1 and back.surface.x0 == (1.0, -2.0)
-
-
 NAN, INF = float("nan"), float("inf")
 ENCODER_CASES = {
     "empty": [{}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}],
@@ -123,8 +116,6 @@ ENCODER_CASES = {
              "t": (None, (3, 4.0)), "big": 10**30},
     "dumbbell-snapshot": _snapshot_obj(FlowSnapshot(
         perturb_profile(dumbbell_profile(1.0, 0.35, 8.0, 2, 200), 0.005, 3, 1), 0.125), 0),
-    "graph-snapshot": _snapshot_obj(FlowSnapshot(GraphPatch(
-        np.linspace(-1.0, 1.0, 30).reshape(5, 6) ** 3, 0.1, (1.0, -2.0)), 0.5), 1),
 }
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mcfprof.errors import DegenerateSurfaceError, ResolutionError
-from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, GraphPatch,
-                              ProfileCurve, curvature_axisymmetric,
-                              curvature_graph, meridian_point_distance,
+from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve,
+                              curvature_axisymmetric, meridian_point_distance,
                               resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
                             ovaloid_profile, perturb_profile, sphere_profile)
@@ -101,41 +100,6 @@ def test_convex_surfaces_have_positive_H():
     for curve in (sphere_profile(0.7, 3, 200), ovaloid_profile(1.0, 0.6, 2, 300)):
         c = curvature_axisymmetric(curve)
         assert np.all(c.H > 0.0)
-
-
-# ---------------------------------------------------------------------------
-# graph curvature
-# ---------------------------------------------------------------------------
-
-def test_graph_constant_is_flat():
-    for u in (np.full(32, 3.0), np.full((16, 16), -1.5)):
-        c = curvature_graph(GraphPatch(u, 0.1))
-        assert np.abs(c.H).max() == 0.0
-        assert np.abs(c.lam).max() == 0.0
-
-
-def test_grim_reaper_curvature():
-    h = 1e-3
-    m = int(round(1.2 / h))
-    x = -m * h + h * np.arange(2 * m + 1)
-    c = curvature_graph(GraphPatch(-np.log(np.cos(x)), h, (x[0],)))
-    kappa = c.lam[:, 0]
-    err = np.abs(kappa - np.cos(x))[~c.boundary].max()
-    assert err < 10.0 * h**2
-
-
-def test_hemisphere_patch_H():
-    h = 0.01
-    m = int(round(0.5 / h))
-    x = -m * h + h * np.arange(2 * m + 1)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    u = np.sqrt(1.0 - X**2 - Y**2)
-    # downward normal is the inward normal of the cap
-    c = curvature_graph(GraphPatch(u, h, (x[0], x[0]), orientation=-1))
-    H = c.H[~c.boundary]
-    assert np.abs(H - 2.0).max() < 50.0 * h**2
-    lam = c.lam[~c.boundary]
-    assert np.abs(lam - 1.0).max() < 50.0 * h**2
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 
 from mcfprof.errors import DomainError, ExtinctError
 from mcfprof.flow import _implicit_step
-from mcfprof.geometry import curvature_graph
-from mcfprof.models import (BOWL, CYLINDER, GRIM_REAPER, SPHERE, ModelSolution,
+from mcfprof.models import (CYLINDER, SPHERE, ModelSolution,
                             bowl_patch, bowl_soliton_profile, grim_reaper_eval,
                             grim_reaper_patch, model_snapshot, shrinker_radius,
                             translator_residual)
@@ -74,10 +73,6 @@ def test_model_snapshot_values():
     assert np.abs(sphere.curvature.H - 2.0).max() < 2e-3
     cyl = model_snapshot(ModelSolution(kind=CYLINDER, n=2, R0=1.0, m=1), 0.25, nodes=64)
     assert np.abs(cyl.surface.r - np.sqrt(0.5)).max() < 1e-14
-    gr = model_snapshot(ModelSolution(kind=GRIM_REAPER, n=2), 0.0, nodes=801)
-    c = curvature_graph(gr.surface)
-    x = gr.surface.axes()[0]
-    assert np.abs(c.lam[~c.boundary, 0] - np.cos(x[~c.boundary.reshape(x.shape)])).max() < 1e-3
     with pytest.raises(ExtinctError):
         model_snapshot(ModelSolution(kind=SPHERE, n=2, R0=1.0), 0.3)
 
