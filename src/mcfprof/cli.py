@@ -25,7 +25,8 @@ from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
                      InconclusiveRunError, McfError, NumericalBlowupError,
                      ResolutionError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
-from .geometry import PERIODIC, FlowSnapshot, ProfileCurve
+from .geometry import (PERIODIC, FlowSnapshot, ProfileCurve, curvature_axisymmetric,
+                       max_curvature_node)
 from .models import (CYLINDER, SPHERE, ModelSolution,
                      bowl_soliton_profile, grim_reaper_patch, model_snapshot,
                      shrinker_radius, translator_residual)
@@ -41,8 +42,8 @@ FLOAT_CHUNK = 1024  # floats per written piece of a JSON float array
 
 DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
              "Hevolution", "blowup", "distance-scaling")
-STEP_KEYS = ("cfl", "dt_min", "A2_stop", "t_end", "refine", "refine_target",
-             "max_nodes", "resample_ratio")
+MAX_N = 100  # the largest dimension n: per-node arrays hold n curvatures
+MAX_PERTURB_MODES = 64
 INITIAL_TAGS = {
     "sphere": ("R0",),
     "cylinder": ("R0", "period"),
@@ -92,8 +93,12 @@ def _is_positive(val) -> bool:
     return _is_number(val) and val > 0
 
 
-# options of the diagnostics that take an object: option -> (check, requirement)
+# options of the step and of the diagnostics that take an object:
+# option -> (check, requirement)
 POSITIVE = (_is_positive, "must be a positive finite number")
+STEP_OPTIONS = {"dt_min": POSITIVE, "A2_stop": POSITIVE, "t_end": POSITIVE,
+                "refine_target": POSITIVE,
+                "max_nodes": (lambda v: _is_int(v) and v >= 8, "must be an integer >= 8")}
 DIAG_OPTIONS = {
     "blowup": {"points-rule": (lambda v: v in ("neck", "max-curvature"),
                                "must be 'neck' or 'max-curvature'"),
@@ -103,13 +108,22 @@ DIAG_OPTIONS = {
 }
 
 
+def _check_options(spec: dict, options: dict, path: str):
+    """Each key of spec must name an entry of options and pass its check."""
+    for opt, val in spec.items():
+        where = f"{path}.{opt}"
+        _require(opt in options, f"unknown {path} option {opt!r}", where)
+        check, need = options[opt]
+        _require(check(val), f"{opt} {need}", where)
+
+
 def validate_config(raw: dict) -> dict:
     """Normalize and validate a scenario config dict; raises ConfigError."""
     _require(isinstance(raw, dict), "config must be a JSON object", "")
     cfg = dict(raw)
     _require(isinstance(cfg.get("name"), str) and cfg["name"], "name must be a nonempty string", "name")
     n = cfg.get("n", 2)
-    _require(isinstance(n, int) and n >= 2, "n must be an integer >= 2", "n")
+    _require(_is_int(n) and 2 <= n <= MAX_N, f"n must be an integer in [2, {MAX_N}]", "n")
     cfg["n"] = n
     initial = cfg.get("initial")
     _require(isinstance(initial, dict) and len([k for k in initial if k != "perturb"]) == 1,
@@ -127,25 +141,24 @@ def validate_config(raw: dict) -> dict:
             continue
         _require(_is_positive(val), f"{key} must be a positive finite number",
                  f"initial.{tag}.{key}")
+        body[key] = float(val)  # an integer past int64 would reach numpy as an object
     if tag == "dumbbell":
         _require(body["neck_r"] < body["bulb_R"], "dumbbell requires neck_r < bulb_R",
                  "initial.dumbbell.neck_r")
     if "perturb" in initial:
         p = initial["perturb"]
+        modes = p.get("modes", 3) if isinstance(p, dict) else None
         _require(isinstance(p, dict) and _is_number(p.get("amplitude", 0))
-                 and p.get("amplitude", 0) >= 0 and _is_int(p.get("modes", 1)),
-                 "perturb needs {amplitude >= 0, modes: int}", "initial.perturb")
+                 and p.get("amplitude", 0) >= 0
+                 and _is_int(modes) and 0 <= modes <= MAX_PERTURB_MODES,
+                 f"perturb needs {{amplitude >= 0, modes: int in [0, {MAX_PERTURB_MODES}]}}",
+                 "initial.perturb")
     nodes = cfg.get("nodes", 400)
     _require(isinstance(nodes, int) and nodes >= 8, "nodes must be an integer >= 8", "nodes")
     cfg["nodes"] = nodes
     step = cfg.get("step", {})
     _require(isinstance(step, dict), "step must be an object", "step")
-    for key in step:
-        _require(key in STEP_KEYS, f"unknown step field {key!r}", f"step.{key}")
-    try:
-        StepControl(**step)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field="step")
+    _check_options(step, STEP_OPTIONS, "step")
     cfg["step"] = step
     diags = cfg.get("diagnostics", {})
     if isinstance(diags, list):
@@ -154,14 +167,10 @@ def validate_config(raw: dict) -> dict:
     for key, spec in diags.items():
         _require(key in DIAG_KEYS, f"unknown diagnostic {key!r}", f"diagnostics.{key}")
         if key in DIAG_OPTIONS and isinstance(spec, dict):
-            for opt, val in spec.items():
-                where = f"diagnostics.{key}.{opt}"
-                _require(opt in DIAG_OPTIONS[key], f"unknown {key} option {opt!r}", where)
-                check, need = DIAG_OPTIONS[key][opt]
-                _require(check(val), f"{opt} {need}", where)
+            _check_options(spec, DIAG_OPTIONS[key], f"diagnostics.{key}")
     cfg["diagnostics"] = diags
     seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer", "seed")
+    _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0", "seed")
     cfg["seed"] = seed
     return cfg
 
@@ -180,6 +189,9 @@ def load_config(path: str) -> dict:
 def _valid_datum(curve: ProfileCurve, tag: str) -> ProfileCurve:
     try:
         curve.validate()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(curvature_axisymmetric(curve).A2)):
+                raise DegenerateSurfaceError("non-finite curvature (a cusp or coincident nodes)")
     except (ResolutionError, DegenerateSurfaceError) as exc:
         raise ConfigError(f"invalid initial datum: {exc}", field=f"initial.{tag}")
     return curve
@@ -190,25 +202,15 @@ def build_initial(cfg: dict) -> FlowSnapshot:
     tag = next(k for k in initial if k != "perturb")
     body = initial[tag]
     n, nodes = cfg["n"], cfg["nodes"]
-    if tag == "sphere":
-        curve = sphere_profile(body["R0"], n, nodes)
-    elif tag == "cylinder":
-        curve = cylinder_profile(body["R0"], body["period"], n, nodes)
-    elif tag == "dumbbell":
-        curve = dumbbell_profile(body["bulb_R"], body["neck_r"], body["length"], n, nodes)
-    elif tag == "ovaloid":
-        curve = ovaloid_profile(body["a"], body["b"], n, nodes)
-    elif tag == "model":
+    if tag == "model":
         try:
             model = ModelSolution(kind=body["kind"], n=n, **body["params"])
-            if model.kind not in (SPHERE, CYLINDER):  # translators have no first singular time
-                raise ValueError(f"{model.kind} is a translator, not a shrinker")
-            snap = model_snapshot(model, t=0.0, nodes=nodes)
-        except (TypeError, ValueError) as exc:
+            snap = model_snapshot(model, t=0.0, nodes=nodes)  # a translator raises DomainError
+        except (TypeError, ValueError, McfError) as exc:
             raise ConfigError(f"bad model: {exc}", field="initial.model")
         _valid_datum(snap.surface, tag)
         return snap
-    else:  # profile-file
+    if tag == "profile-file":
         try:
             with open(body["path"]) as fh:
                 data = json.load(fh)
@@ -216,12 +218,28 @@ def build_initial(cfg: dict) -> FlowSnapshot:
                                  data.get("n", n), data["topology"], data.get("period"))
         except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad profile file: {exc}", field="initial.profile-file.path")
-        _require(_is_int(curve.n) and curve.n >= 2, "n must be an integer >= 2", "initial.profile-file")
+        _require(_is_int(curve.n) and 2 <= curve.n <= MAX_N,
+                 f"n must be an integer in [2, {MAX_N}]", "initial.profile-file")
         # the perturbation respaces with splines, which need a valid curve
         _valid_datum(curve, tag)
+    else:
+        try:
+            if tag == "sphere":
+                curve = sphere_profile(body["R0"], n, nodes)
+            elif tag == "cylinder":
+                curve = cylinder_profile(body["R0"], body["period"], n, nodes)
+            elif tag == "dumbbell":
+                curve = dumbbell_profile(body["bulb_R"], body["neck_r"], body["length"], n, nodes)
+            else:
+                curve = ovaloid_profile(body["a"], body["b"], n, nodes)
+        except (ValueError, OverflowError) as exc:  # an overflowing datum
+            raise ConfigError(f"bad initial datum: {exc}", field=f"initial.{tag}")
     if "perturb" in initial:
         p = initial["perturb"]
-        curve = perturb_profile(curve, p["amplitude"], p.get("modes", 3), cfg["seed"])
+        try:
+            curve = perturb_profile(curve, p.get("amplitude", 0.0), p.get("modes", 3), cfg["seed"])
+        except ValueError as exc:  # the respacing spline of an overflowing perturbation
+            raise ConfigError(f"bad perturbation: {exc}", field="initial.perturb")
     return FlowSnapshot(_valid_datum(curve, tag), 0.0)
 
 
@@ -387,8 +405,7 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
         try:
             j = rs.waist_node(snap)
         except EmptyWindowError:
-            c = snap.curvature
-            j = int(np.argmax(c.A2))
+            j = max_curvature_node(snap.curvature.A2)
         H_p = float(snap.curvature.H[j])
         if H_p < threshold * H0max:
             continue
@@ -557,27 +574,35 @@ def cmd_run(args) -> int:
 
 
 def _load_run_dir(run_dir: str):
+    """(config, trajectory) of a run directory; a malformed one raises ConfigError."""
     manifest_path = os.path.join(run_dir, "manifest.json")
     snap_dir = os.path.join(run_dir, "snapshots")
     if not os.path.isfile(manifest_path):
         raise ConfigError(f"{run_dir} has no manifest.json (not a run directory?)", field="")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     names = sorted(n for n in os.listdir(snap_dir)) if os.path.isdir(snap_dir) else []
     if not names:
         raise ConfigError(
             f"{snap_dir} is empty: re-run the scenario so the snapshot cascade is stored", field="")
-    snaps = []
-    for name in names:
-        with open(os.path.join(snap_dir, name)) as fh:
-            snaps.append(_snapshot_from_obj(json.load(fh)))
-    est = None
-    if manifest.get("T_sing") is not None:
-        sp = manifest.get("singular_point") or {"z": float("nan"), "rho": float("nan")}
-        est = SingularEstimate(z=sp["z"], rho=sp["rho"], T=manifest["T_sing"])
+    path = manifest_path
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        cfg = validate_config(manifest["config"])
+        snaps = []
+        for name in names:
+            path = os.path.join(snap_dir, name)
+            with open(path) as fh:
+                snaps.append(_snapshot_from_obj(json.load(fh)))
+        est = None
+        if manifest.get("T_sing") is not None:
+            sp = manifest.get("singular_point") or {"z": float("nan"), "rho": float("nan")}
+            est = SingularEstimate(z=sp["z"], rho=sp["rho"], T=manifest["T_sing"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed run directory: {path}: {type(exc).__name__}: {exc}",
+                          field="")
     traj = Trajectory(snapshots=snaps, stop_reason=manifest.get("stop_reason"),
                       singular_estimate=est)
-    return manifest, traj
+    return cfg, traj
 
 
 def _parse_point(text: str) -> dict:
@@ -599,8 +624,7 @@ def _parse_point(text: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    manifest, traj = _load_run_dir(args.run_dir)
-    cfg = manifest["config"]
+    cfg, traj = _load_run_dir(args.run_dir)
     if args.blowup_at is None:
         # identity re-analysis: rebuild report.json from the stored snapshots
         report = build_report(traj, cfg)

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
-from .geometry import (CLOSED, FlowSnapshot, ProfileCurve, principal_curvatures,
-                       profile_derivatives, resample_arclength)
+from .geometry import (CLOSED, FlowSnapshot, ProfileCurve, max_curvature_node,
+                       principal_curvatures, profile_derivatives, resample_arclength)
 
 STOP_CURVATURE = "curvature-threshold"
 STOP_EXTINCTION = "extinction"
@@ -30,10 +30,11 @@ STOP_UNDERFLOW = "step-underflow"
 CASCADE_FACTOR = np.sqrt(2.0)
 MAX_CASCADE_SNAPSHOTS = 240
 
-# profile step: dt = cfl * min(h_min / sqrt(max|A|^2), STEP_K / max|A|^2).  The
+# profile step: dt = CFL * min(h_min / sqrt(max|A|^2), STEP_K / max|A|^2).  The
 # h-term keeps dt proportional to h, so the scheme converges at second order in
 # h; the curvature term stops refined meshes from taking steps so large that
 # the cascade skips rungs.
+CFL = 0.8
 STEP_K = 0.05
 # a step that would carry max|A|^2 past the next rung (or A2_stop) is shortened
 # to end at this multiple of it, so every run records its rungs and its final
@@ -42,27 +43,19 @@ LANDING_FACTOR = 1.02
 # graded respacing: the target spacings of neighbouring segments differ by at
 # most this factor, so the neck's fine spacing blends into the coarse bulbs
 GRADING_FACTOR = 1.1
+RESAMPLE_RATIO = 2.0  # respace at the node count past this max/min of spacing/target
 
 
 @dataclass
 class StepControl:
-    """Adaptive step-size and stopping parameters."""
+    """Stopping parameters and the resolution of the graded mesh."""
 
-    cfl: float = 0.8
     dt_min: float = 1e-13
     A2_stop: float = 1e4
     t_end: Optional[float] = None
-    refine: bool = True
     # keep the spacing <= refine_target / |A| locally, never coarser than the initial curve
     refine_target: float = 0.15
     max_nodes: int = 20000
-    resample_ratio: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
-        if self.dt_min <= 0.0:
-            raise ValueError("dt_min must be positive")
 
 
 @dataclass
@@ -185,7 +178,10 @@ def _step_operator(z, r, n, closed, period) -> StepOperator:
         diag[-1], lower[-1] = -c_last, c_last
         f_z[0] = n * z_ss[0]
         f_z[-1] = n * z_ss[-1]
-    return StepOperator(lower, diag, upper, q, f_z, f_r, float(A2.max()), ds, A2)
+    max_A2 = float(A2.max())
+    if not np.isfinite(max_A2):  # no step, respacing or cascade rung follows from it
+        raise NumericalBlowupError("non-finite curvature")
+    return StepOperator(lower, diag, upper, q, f_z, f_r, max_A2, ds, A2)
 
 
 def _implicit_euler(z, r, op, closed, dt):
@@ -261,26 +257,24 @@ def _respace(z, r, n, topology, period, op: StepOperator, h0, ctl: StepControl):
     """Resample (z, r) in arclength, graded by curvature, when the spacings call for it.
 
     op is the StepOperator of (z, r) and h0 the mean spacing of the run's
-    initial curve.  With refinement on, each segment's target spacing delta
-    comes from ``target_spacing``; when some segment is longer than 1.25 delta
-    the curve is resampled to ceil(sum(ds/delta)) + 1 nodes (never fewer than
-    N, at most max_nodes), so every new segment is at most its delta long.
-    Otherwise it is respaced at its node count when max/min of ds/delta
-    exceeds resample_ratio.  New nodes are spaced in proportion to delta.
-    Without refinement only the second test runs, on ds, and the respacing is
-    uniform.  If neither test fires (z, r) is returned as given.
+    initial curve.  Each segment's target spacing delta comes from
+    ``target_spacing``; when some segment is longer than 1.25 delta the curve
+    is resampled to ceil(sum(ds/delta)) + 1 nodes (never fewer than N, at most
+    max_nodes), so every new segment is at most its delta long.  Otherwise it
+    is respaced at its node count when max/min of ds/delta exceeds
+    RESAMPLE_RATIO.  New nodes are spaced in proportion to delta.  If neither
+    test fires (z, r) is returned as given.
     """
-    ds = op.ds
-    delta = target_spacing(op.A2, h0, ctl.refine_target, topology != CLOSED) if ctl.refine else None
-    fill = ds if delta is None else ds / delta
+    delta = target_spacing(op.A2, h0, ctl.refine_target, topology != CLOSED)
+    fill = op.ds / delta
     top = fill.max()
     num = None
-    if delta is not None and top > 1.25:
+    if top > 1.25:
         num = max(min(int(np.ceil(fill.sum())) + 1, ctl.max_nodes), z.size)
-    elif top <= ctl.resample_ratio * fill.min():
+    elif top <= RESAMPLE_RATIO * fill.min():
         return z, r
     fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num,
-                               density=None if delta is None else 1.0 / delta)
+                               density=1.0 / delta)
     return fresh.z, fresh.r
 
 
@@ -352,7 +346,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
             stop_reason = STOP_EXTINCTION
             break
 
-        dt = (ctl.cfl * min(ds.min() / np.sqrt(maxA2), STEP_K / maxA2)
+        dt = (CFL * min(ds.min() / np.sqrt(maxA2), STEP_K / maxA2)
               if maxA2 > 0.0 else np.inf)
         # 1/max|A|^2 is nearly affine in t under the type-I law: its secant
         # over the last step predicts when the next level is crossed
@@ -363,7 +357,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
                 if cascade_count < MAX_CASCADE_SNAPSHOTS:
                     level = min(level, cascade_level)
                 dt = min(dt, (1.0 / maxA2 - 1.0 / (LANDING_FACTOR * level)) / rate)
-        if dt < ctl.dt_min:
+        if dt < ctl.dt_min or t + dt == t:  # t + dt == t: dt is below the resolution of t
             underflow = True
             stop_reason = STOP_UNDERFLOW
             break
@@ -384,7 +378,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
                 pass
             dt *= 0.5
             hit_schedule = False
-            if dt <= ctl.dt_min:
+            if dt <= ctl.dt_min or t + dt == t:
                 break
         if not ok:
             underflow = True
@@ -408,8 +402,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
     T = _fit_singular_time(hist_t, hist_A2)
     if T is not None:
         final = snapshots[-1]
-        curv = final.curvature
-        i = int(np.argmax(curv.A2))
+        i = max_curvature_node(final.curvature.A2)
         z_final = final.surface.z
         # axisymmetric first singular points lie on the axis; when the
         # curvature peaks at a pole the closed profile shrinks to a round

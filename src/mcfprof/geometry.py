@@ -22,6 +22,8 @@ from .errors import DegenerateSurfaceError, ResolutionError, TopologyError
 
 CLOSED = "closed-through-axis"
 PERIODIC = "periodic-in-z"
+# relative |A|^2 gap below which max-curvature nodes count as tied
+TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -248,6 +250,15 @@ def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
     H = lam.sum(axis=1)
     normal = np.column_stack((r_s / w, -z_s / w))
     return CurvatureField(lam, H, A2, normal, lam_axial=lam_axial, lam_rot=lam_rot)
+
+
+def max_curvature_node(A2: np.ndarray) -> int:
+    """The max-|A| node: the lowest index among nodes within TIE_RTOL of the max |A|^2.
+
+    Roundoff then does not choose between the mirror nodes (or the two poles)
+    of a symmetric profile.
+    """
+    return int(np.argmax(A2 >= (1.0 - TIE_RTOL) * A2.max()))
 
 
 def _grad_1d(f, h):

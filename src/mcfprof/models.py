@@ -9,7 +9,7 @@ classification nor initial data for the integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,7 +63,7 @@ class ModelSolution:
 def shrinker_radius(model: ModelSolution, t: float) -> float:
     """Radius law R(t) = sqrt(R0^2 - 2*m_eff*t) of a shrinking sphere/cylinder."""
     if model.kind not in (SPHERE, CYLINDER):
-        raise DomainError(f"{model.kind} is not a shrinker")
+        raise DomainError(f"{model.kind} is a translator, not a shrinker")
     T = model.extinction_time
     if t >= T:
         raise ExtinctError(f"t = {t} at/past extinction time {T}")
@@ -95,7 +95,6 @@ class BowlProfile:
     u: np.ndarray
     up: np.ndarray
     max_residual: float
-    _dense: object = field(default=None, repr=False)
 
 
 def _bowl_rhs(n):
@@ -140,7 +139,7 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
         max_res = float(np.abs(res).max())
     else:
         max_res = np.nan
-    return BowlProfile(n, r, u, up, max_res, _dense=sol.sol)
+    return BowlProfile(n, r, u, up, max_res)
 
 
 def bowl_patch(n: int, half_width: float, h: float) -> GraphPatch:

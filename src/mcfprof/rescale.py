@@ -14,12 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import EmptyWindowError, FitFailureError, InsufficientDataError
+from .errors import (DegenerateSurfaceError, DomainError, EmptyWindowError, FitFailureError,
+                     InsufficientDataError, ResolutionError)
 from .flow import Trajectory
-from .geometry import FlowSnapshot, ProfileCurve
-
-# relative |A|^2 gap below which max-curvature nodes count as tied
-TIE_RTOL = 1e-9
+from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node
 
 
 @dataclass
@@ -63,6 +61,8 @@ def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
     z = d.a * (surf.z - d.z0)
     r = d.a * surf.r
     period = None if surf.period is None else d.a * surf.period
+    if period == 0.0:
+        raise DegenerateSurfaceError("the dilated period underflows to 0")
     return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
 
 
@@ -97,9 +97,7 @@ def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
     """Spacetime points on the flow for a normalized blow-up sequence.
 
     'neck': waist nodes (nearest the singular-point estimate) of the last
-    ``count`` snapshots; 'max-curvature': the max-|A| nodes, taking the
-    lowest index among nodes within TIE_RTOL of the max |A|^2, so roundoff
-    does not choose between the mirror nodes of a symmetric profile.
+    ``count`` snapshots; 'max-curvature': their ``max_curvature_node``.
     """
     snaps = traj.snapshots[-count:]
     z_sing = traj.singular_estimate.z if traj.singular_estimate else None
@@ -108,8 +106,7 @@ def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
         if rule == "neck":
             j = waist_node(snap, z_sing)
         elif rule == "max-curvature":
-            A2 = snap.curvature.A2
-            j = int(np.argmax(A2 >= (1.0 - TIE_RTOL) * A2.max()))
+            j = max_curvature_node(snap.curvature.A2)
         else:
             raise ValueError(f"unknown points rule {rule!r}")
         points.append((float(snap.surface.z[j]), float(snap.surface.r[j]), snap.t))
@@ -139,14 +136,14 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
                 f"point ({z:.4g}, {rho:.4g}, t={t:.4g}) is {snap_dist:.3g} away from the flow")
         H = float(snap.curvature.H[j])
         if H <= 0.0:
-            raise ValueError("normalized blow-up requires H > 0 at the center point")
+            raise DomainError("normalized blow-up requires H > 0 at the center point")
         d = DilationParams(a=H, z0=float(curve.z[j]), rho0=float(curve.r[j]), t0=snap.t)
         center = parabolic_dilate(snap, d)
         j2 = _nearest_node(center.surface, 0.0, d.a * d.rho0)
         H_origin = float(center.curvature.H[j2])
         tol = origin_H_tol if origin_H_tol is not None else 5.0 * center.surface.node_spacing()[j2]
         if abs(H_origin - 1.0) > tol:
-            raise ValueError(
+            raise ResolutionError(
                 f"rescaled H at the origin is {H_origin:.6g}, outside 1 +- {tol:.3g}")
         terms.append(BlowupTerm(d, center, d.a * d.rho0, H_origin))
     scales = [t.params.a for t in terms]
@@ -226,6 +223,8 @@ def classify_tangent_flow(term: BlowupTerm, window: Optional[float] = None) -> d
             params, rms = exc.best
             out[family] = {"params": params, "rms": rms, "converged": False}
     cyl_R = out["cylinder"]["params"]["R"]
+    if cyl_R <= 0.0:
+        raise EmptyWindowError("the fit window holds only nodes on the axis")
     out["cylinder"]["rms_over_R"] = out["cylinder"]["rms"] / cyl_R
     # a normalized blow-up has H = 1 at the origin, which rules the plane out;
     # the meridian-line fit is reported but not ranked

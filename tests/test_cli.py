@@ -70,6 +70,23 @@ def test_validate_defaults():
       "diagnostics": {"harnack": {"H_threshold": float("inf")}}}, "diagnostics.harnack.H_threshold"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}},
       "diagnostics": {"harnack": {"radius": 1.0}}}, "diagnostics.harnack.radius"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"A2_stop": "big"}}, "step.A2_stop"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"t_end": None}}, "step.t_end"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"dt_min": 0.0}}, "step.dt_min"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"refine_target": -0.1}},
+     "step.refine_target"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 4}}, "step.max_nodes"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 100.0}},
+     "step.max_nodes"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"cfl": 0.5}}, "step.cfl"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"refine": False}}, "step.refine"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"resample_ratio": 2.0}},
+     "step.resample_ratio"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "n": 10**20}, "n"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "n": True}, "n"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "seed": -1}, "seed"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}, "perturb": {"modes": 10**9}}},
+     "initial.perturb"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:
@@ -317,6 +334,9 @@ PROFILE_FILE = '{"profile-file": {"path": "profile.json"}}'
     ('{"sphere": {"R0": true}}', None),
     ('{"sphere": {"R0": 1%s}}' % ("0" * 400), None),
     ('{"sphere": {"R0": 1.0}, "perturb": {"amplitude": 1%s, "modes": 3}}' % ("0" * 400), None),
+    ('{"sphere": {"R0": 1.0}, "perturb": {"amplitude": 1e300, "modes": 3}}', None),
+    ('{"sphere": {"R0": 1.0}, "perturb": {"amplitude": 10.0, "modes": 3}}', None),
+    ('{"sphere": {"R0": 1e-300}}', None),
     ('{"model": {"kind": "nope", "params": {}}}', None),
     ('{"model": {"kind": "cylinder", "params": {"m": 5}}}', None),
     ('{"model": {"kind": "sphere", "params": [1.0]}}', None),
@@ -328,6 +348,7 @@ PROFILE_FILE = '{"profile-file": {"path": "profile.json"}}'
     (PROFILE_FILE, {"r": [0.0] + [0.5] * 8 + [0.0]}),
     (PROFILE_FILE, {"n": 1}),
 ], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
+         "amplitude-1e300", "amplitude-cusps", "R0-tiny",
          "model-kind", "cylinder-m", "model-params-list", "model-grim-reaper", "model-bowl",
          "profile-3-nodes", "profile-nan", "profile-off-axis", "profile-length-mismatch",
          "profile-n1"])
@@ -365,6 +386,24 @@ def test_analyze_rejects_non_run_dir(tmp_path):
     assert main(["analyze", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("manifest_text, snapshot", [
+    (None, {"t": 0.0, "topology": "graph"}),
+    ("{not json", None),
+    (None, {"t": 0.0, "n": 2, "topology": "weird", "z": [0.0] * 8, "r": [1.0] * 8}),
+], ids=["graph-snapshot", "manifest-not-json", "unknown-topology"])
+def test_analyze_malformed_run_dir(tmp_path, capsys, manifest_text, snapshot):
+    code, out = run_scenario(tmp_path, BASE_CFG, "run")
+    assert code == EXIT_OK
+    if manifest_text is not None:
+        (out / "manifest.json").write_text(manifest_text)
+    if snapshot is not None:
+        (out / "snapshots" / "t_00000.json").write_text(json.dumps(snapshot))
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
 def test_models_table_in_tolerance(capsys):
     assert models_check() == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
@@ -383,3 +422,82 @@ def test_exit_code_singular_step_system(tmp_path, monkeypatch, capsys):
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code property: a mutated config exits 0/2/3/4 and raises nothing
+# ---------------------------------------------------------------------------
+
+# values a mutation writes into a field; node counts and n only take values
+# that are small or rejected, so no accepted run allocates large arrays
+ANY_VALUES = [None, True, "x", [], {}, -1, 0, 0.0, 2, 2.5, -1e300, float("nan"), float("inf")]
+EXTREME_VALUES = [1e-300, 1e-12, 1e-3, 1e3, 1e12, 1e300, 10**20]
+SIZE_VALUES = [None, True, "x", [], -1, 0, 7, 8, 12.0, 1e300, float("nan")]
+SIZE_FIELDS = {"nodes", "max_nodes", "modes", "count"}
+
+
+def _tiny_config(rng):
+    """A valid config of at most 64 nodes that stops by a short t_end."""
+    initial = [{"sphere": {"R0": rng.uniform(0.5, 2.0)}},
+               {"cylinder": {"R0": rng.uniform(0.5, 1.0), "period": rng.uniform(2.0, 4.0)}},
+               {"dumbbell": {"bulb_R": 1.0, "neck_r": rng.uniform(0.3, 0.6), "length": 6.0}},
+               {"ovaloid": {"a": rng.uniform(1.0, 2.0), "b": rng.uniform(0.5, 1.0)}},
+               {"model": {"kind": "cylinder", "params": {"m": 1}}}][rng.integers(5)]
+    if rng.random() < 0.5:
+        initial["perturb"] = {"amplitude": rng.uniform(0.0, 0.02), "modes": int(rng.integers(4))}
+    return {"name": "prop", "n": int(rng.integers(2, 5)), "initial": initial,
+            "nodes": int(rng.integers(16, 65)),
+            "step": {"t_end": rng.uniform(1e-4, 2e-2), "max_nodes": 64,
+                     "refine_target": rng.uniform(0.1, 1.0)},
+            "diagnostics": {"noncollapse": True, "pinching": True, "ratioA2H2": True,
+                            "harnack": {"R": 1.0, "H_threshold": 1.0},
+                            "blowup": {"points-rule": "max-curvature", "count": 2},
+                            "distance-scaling": True, "Hevolution": True},
+            "seed": int(rng.integers(100))}
+
+
+def _mutate(cfg, rng):
+    """Replace, delete or add one field anywhere in the config tree."""
+    paths, stack = [], [((), cfg)]
+    while stack:
+        path, node = stack.pop()
+        for key in sorted(node):
+            paths.append(path + (key,))
+            if isinstance(node[key], dict):
+                stack.append((path + (key,), node[key]))
+    path = paths[rng.integers(len(paths))]
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = rng.integers(3)
+    if action == 0:
+        del parent[key]
+    elif action == 1:
+        parent["extra"] = ANY_VALUES[rng.integers(len(ANY_VALUES))]
+    else:
+        pool = (SIZE_VALUES if key in SIZE_FIELDS
+                else EXTREME_VALUES if rng.random() < 0.5 else ANY_VALUES)
+        parent[key] = pool[rng.integers(len(pool))]
+    if key in ("step", "t_end") and not isinstance(cfg.get("step"), dict):
+        return cfg
+    if isinstance(cfg.get("step"), dict):  # every accepted run stays short and small
+        cfg["step"].setdefault("t_end", 1e-3)
+        cfg["step"].setdefault("max_nodes", 64)
+    return cfg
+
+
+def _mutated_config(seed):
+    rng = np.random.default_rng(seed)
+    cfg = _tiny_config(rng)
+    for _ in range(int(rng.integers(1, 4))):
+        cfg = _mutate(cfg, rng)
+    return cfg
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_exit_code_property(tmp_path, capsys, seed):
+    cfg = _mutated_config(seed)
+    code = main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INCONCLUSIVE)
+    assert "Traceback" not in capsys.readouterr().err

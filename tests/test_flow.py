@@ -105,10 +105,10 @@ def test_monotone_containment(dumbbell_run):
 
 
 def test_extinction_stop():
-    # a collapsing cylinder keeps its z-spacing, so the radius crosses the
-    # extinction floor before the curvature threshold fires
+    # a collapsing cylinder held at its 100 nodes keeps its z-spacing, so the
+    # radius crosses the extinction floor before the curvature threshold fires
     traj = run_until(FlowSnapshot(cylinder_profile(1.0, np.pi, 2, 100), 0.0),
-                     StepControl(A2_stop=1e30, refine=False))
+                     StepControl(A2_stop=1e30, max_nodes=100))
     assert traj.stop_reason == STOP_EXTINCTION
     assert traj.snapshots[-1].surface.r.max() < 0.1
 
