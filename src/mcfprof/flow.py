@@ -270,7 +270,7 @@ def _respace(z, r, n, topology, period, op: StepOperator, h0, ctl: StepControl):
     top = fill.max()
     num = None
     if top > 1.25:
-        num = max(min(int(np.ceil(fill.sum())) + 1, ctl.max_nodes), z.size)
+        num = max(int(min(np.ceil(fill.sum()) + 1, ctl.max_nodes)), z.size)  # sum may be inf
     elif top <= RESAMPLE_RATIO * fill.min():
         return z, r
     fresh = resample_arclength(ProfileCurve(z, r, n, topology, period), num=num,

@@ -1,18 +1,21 @@
 """Command-line runner: config validation, artifacts, determinism, exit codes."""
 
+import copy
 import json
 import os
 
 import numpy as np
 import pytest
 
+from mcfprof import diagnostics as dg
 from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK,
                          _dump_json, _harnack_report, _jsonable, _snapshot_from_obj,
                          _snapshot_obj, main, models_check, validate_config)
-from mcfprof.errors import ConfigError
+from mcfprof.errors import ConfigError, WindowError
 from mcfprof.flow import Trajectory
 from mcfprof.geometry import FlowSnapshot
-from mcfprof.shapes import cylinder_profile, dumbbell_profile, perturb_profile, sphere_profile
+from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile, perturb_profile,
+                            sphere_profile)
 
 BASE_CFG = {
     "name": "small-sphere",
@@ -199,6 +202,22 @@ def test_harnack_report_records_skipped_points():
     assert [s["t"] for s in rep["skipped"]] == [0.05, 0.1]
     assert all(s["reason"].startswith("WindowError: parabolic cube reaches")
                for s in rep["skipped"])
+
+
+def test_harnack_fallback_picks_lowest_tied_pole(monkeypatch):
+    # a convex ovaloid has no waist, and its poles tie in |A|^2 up to roundoff:
+    # pole N-1 a few ulps above pole 0 must not move the Harnack point
+    snaps = [FlowSnapshot(ovaloid_profile(1.0, 0.6, 2, 400), t) for t in (0.0, 0.01)]
+    snaps[1].curvature.A2[-1] *= 1.0 + 1e-15
+    seen = []
+
+    def record(traj, p, R):
+        seen.append(p)
+        raise WindowError("not evaluated")
+
+    monkeypatch.setattr(dg, "harnack_check", record)
+    _harnack_report(Trajectory(snaps, "t-end", None), {"H_threshold": 1e-3})
+    assert seen == [(snaps[1].surface.z[0], 0.0, 0.01)]
 
 
 def test_run_byte_determinism(tmp_path):
@@ -474,14 +493,14 @@ def _mutate(cfg, rng):
     if action == 0:
         del parent[key]
     elif action == 1:
-        parent["extra"] = ANY_VALUES[rng.integers(len(ANY_VALUES))]
+        parent["extra"] = copy.deepcopy(ANY_VALUES[rng.integers(len(ANY_VALUES))])
     else:
         pool = (SIZE_VALUES if key in SIZE_FIELDS
                 else EXTREME_VALUES if rng.random() < 0.5 else ANY_VALUES)
-        parent[key] = pool[rng.integers(len(pool))]
-    if key in ("step", "t_end") and not isinstance(cfg.get("step"), dict):
-        return cfg
-    if isinstance(cfg.get("step"), dict):  # every accepted run stays short and small
+        parent[key] = copy.deepcopy(pool[rng.integers(len(pool))])
+    # a deleted size or stop field falls back to a small one, not to the defaults
+    cfg.setdefault("nodes", 64)
+    if isinstance(cfg.setdefault("step", {}), dict):
         cfg["step"].setdefault("t_end", 1e-3)
         cfg["step"].setdefault("max_nodes", 64)
     return cfg

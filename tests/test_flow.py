@@ -113,6 +113,15 @@ def test_extinction_stop():
     assert traj.snapshots[-1].surface.r.max() < 0.1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_node_demand_past_float_range_is_numerical_failure():
+    # refine_target 1e-308 asks for ~1e307 nodes on each of 32 segments: the
+    # demand sums to inf, and the run reports a numerical failure, not an OverflowError
+    with pytest.raises(NumericalBlowupError):
+        run_until(FlowSnapshot(cylinder_profile(1.0, np.pi, 2, 32), 0.0),
+                  StepControl(refine_target=1e-308, max_nodes=64, t_end=1e-4))
+
+
 def test_radius_law_convergence_order():
     errs = []
     for N in (100, 200):
