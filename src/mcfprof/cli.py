@@ -44,6 +44,7 @@ DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
              "Hevolution", "blowup", "distance-scaling")
 MAX_N = 100  # the largest dimension n: per-node arrays hold n curvatures
 MAX_PERTURB_MODES = 64
+MAX_NODES = 10**6  # the largest nodes and step.max_nodes: bounds the memory a config can ask for
 INITIAL_TAGS = {
     "sphere": ("R0",),
     "cylinder": ("R0", "period"),
@@ -98,7 +99,8 @@ def _is_positive(val) -> bool:
 POSITIVE = (_is_positive, "must be a positive finite number")
 STEP_OPTIONS = {"dt_min": POSITIVE, "A2_stop": POSITIVE, "t_end": POSITIVE,
                 "refine_target": POSITIVE,
-                "max_nodes": (lambda v: _is_int(v) and v >= 8, "must be an integer >= 8")}
+                "max_nodes": (lambda v: _is_int(v) and 8 <= v <= MAX_NODES,
+                              f"must be an integer in [8, {MAX_NODES}]")}
 DIAG_OPTIONS = {
     "blowup": {"points-rule": (lambda v: v in ("neck", "max-curvature"),
                                "must be 'neck' or 'max-curvature'"),
@@ -154,7 +156,8 @@ def validate_config(raw: dict) -> dict:
                  f"perturb needs {{amplitude >= 0, modes: int in [0, {MAX_PERTURB_MODES}]}}",
                  "initial.perturb")
     nodes = cfg.get("nodes", 400)
-    _require(isinstance(nodes, int) and nodes >= 8, "nodes must be an integer >= 8", "nodes")
+    _require(isinstance(nodes, int) and 8 <= nodes <= MAX_NODES,
+             f"nodes must be an integer in [8, {MAX_NODES}]", "nodes")
     cfg["nodes"] = nodes
     step = cfg.get("step", {})
     _require(isinstance(step, dict), "step must be an object", "step")
@@ -232,13 +235,13 @@ def build_initial(cfg: dict) -> FlowSnapshot:
                 curve = dumbbell_profile(body["bulb_R"], body["neck_r"], body["length"], n, nodes)
             else:
                 curve = ovaloid_profile(body["a"], body["b"], n, nodes)
-        except (ValueError, OverflowError) as exc:  # an overflowing datum
+        except (ValueError, OverflowError, NumericalBlowupError) as exc:  # an overflowing datum
             raise ConfigError(f"bad initial datum: {exc}", field=f"initial.{tag}")
     if "perturb" in initial:
         p = initial["perturb"]
         try:
             curve = perturb_profile(curve, p.get("amplitude", 0.0), p.get("modes", 3), cfg["seed"])
-        except ValueError as exc:  # the respacing spline of an overflowing perturbation
+        except (ValueError, NumericalBlowupError) as exc:  # the respacing spline overflows
             raise ConfigError(f"bad perturbation: {exc}", field="initial.perturb")
     return FlowSnapshot(_valid_datum(curve, tag), 0.0)
 

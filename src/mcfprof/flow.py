@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
-from .geometry import (CLOSED, FlowSnapshot, ProfileCurve, max_curvature_node,
-                       principal_curvatures, profile_derivatives, resample_arclength)
+from .geometry import (CLOSED, FlowSnapshot, ProfileCurve, _solve_tridiagonal,
+                       max_curvature_node, principal_curvatures, profile_derivatives,
+                       resample_arclength)
 
 STOP_CURVATURE = "curvature-threshold"
 STOP_EXTINCTION = "extinction"
@@ -103,36 +103,6 @@ def _fit_singular_time(times, maxA2) -> Optional[float]:
     if beta >= 0.0:
         return None
     return float(-alpha / beta)
-
-
-def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
-    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
-
-    Without ``cyclic`` lower[0] and upper[-1] are ignored.  With it they couple
-    the last and first unknowns (indices mod N), and the system is reduced to a
-    tridiagonal one by Sherman-Morrison.  A singular system or a non-finite
-    solution raises NumericalBlowupError.
-    """
-    if cyclic:
-        gamma = -diag[0]
-        diag = diag.copy()
-        diag[0] -= gamma
-        diag[-1] -= lower[0] * upper[-1] / gamma
-        u = np.zeros_like(rhs)
-        u[0] = gamma
-        u[-1] = upper[-1]
-        rhs = np.column_stack((rhs, u))
-    # LAPACK gtsv; its inputs are copied, since the z and r solves share lower/upper
-    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
-    if info > 0:
-        raise NumericalBlowupError(f"singular implicit step system: zero pivot in row {info}")
-    if cyclic:
-        y, w = x.T
-        v_last = lower[0] / gamma
-        x = y - (y[0] + v_last * y[-1]) / (1.0 + w[0] + v_last * w[-1]) * w
-    if not np.all(np.isfinite(x)):
-        raise NumericalBlowupError("non-finite solution of the implicit step system")
-    return x
 
 
 class StepOperator(NamedTuple):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
-from .errors import DegenerateSurfaceError, ResolutionError, TopologyError
+from .errors import DegenerateSurfaceError, NumericalBlowupError, ResolutionError, TopologyError
 
 CLOSED = "closed-through-axis"
 PERIODIC = "periodic-in-z"
@@ -306,6 +306,69 @@ def _node_positions(s, num, density, endpoint):
     return np.interp(np.linspace(0.0, phi[-1], num, endpoint=endpoint), phi, s)
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
+    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
+
+    Without ``cyclic`` lower[0] and upper[-1] are ignored.  With it they couple
+    the last and first unknowns (indices mod N), and the system is reduced to a
+    tridiagonal one by Sherman-Morrison.  A singular system or a non-finite
+    solution raises NumericalBlowupError.
+    """
+    if cyclic:
+        gamma = -diag[0]
+        diag = diag.copy()
+        diag[0] -= gamma
+        diag[-1] -= lower[0] * upper[-1] / gamma
+        u = np.zeros_like(rhs)
+        u[0] = gamma
+        u[-1] = upper[-1]
+        rhs = np.column_stack((rhs, u))
+    # LAPACK gtsv; its inputs are copied, since callers reuse lower/upper
+    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info > 0:
+        raise NumericalBlowupError(f"singular tridiagonal system: zero pivot in row {info}")
+    if cyclic:
+        y, w = x.T
+        v_last = lower[0] / gamma
+        x = y - (y[0] + v_last * y[-1]) / (1.0 + w[0] + v_last * w[-1]) * w
+    if not np.all(np.isfinite(x)):
+        raise NumericalBlowupError("non-finite solution of a tridiagonal system")
+    return x
+
+
+def cubic_spline(x, y, x_new, periodic=False):
+    """Values at ``x_new`` of the cubic spline through (x, y), not-a-knot or periodic ends.
+
+    Periodic ends need y[-1] == y[0]; the knot slopes solve one (cyclic) tridiagonal
+    system.  Knots that are not finite and strictly increasing raise ValueError.
+    """
+    h = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(h > 0.0)):
+        raise ValueError("spline knots must be finite and strictly increasing")
+    slope = np.diff(y) / h
+    lower, diag, upper, rhs = np.empty((4, x.size))
+    lower[1:-1] = h[1:]
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    upper[1:-1] = h[:-1]
+    rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    if periodic:  # slope m[-1] = m[0], so row 0 wraps to the knot before the last
+        lower[0], diag[0], upper[0] = h[0], 2.0 * (h[-1] + h[0]), h[-1]
+        rhs[0] = 3.0 * (h[0] * slope[-1] + h[-1] * slope[0])
+        m = _solve_tridiagonal(lower[:-1], diag[:-1], upper[:-1], rhs[:-1], cyclic=True)
+        m = np.append(m, m[0])
+    else:  # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag[0], upper[0] = h[1], d0
+        rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+        lower[-1], diag[-1] = d1, h[-2]
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+        m = _solve_tridiagonal(lower, diag, upper, rhs)
+    i = np.clip(np.searchsorted(x, x_new, side="right") - 1, 0, x.size - 2)
+    t = x_new - x[i]
+    c = (m[:-1] + m[1:] - 2.0 * slope) / h
+    return ((c[i] / h[i] * t + (slope[i] - m[i]) / h[i] - c[i]) * t + m[i]) * t + y[i]
+
+
 def resample_arclength(curve: ProfileCurve, num: Optional[int] = None,
                        density: Optional[np.ndarray] = None) -> ProfileCurve:
     """Redistribute nodes in arclength with cubic-spline interpolation.
@@ -321,13 +384,10 @@ def resample_arclength(curve: ProfileCurve, num: Optional[int] = None,
         num = curve.num_nodes
     if curve.topology == CLOSED:
         s = curve.arclength
-        sz = CubicSpline(s, curve.z)
-        sr = CubicSpline(s, curve.r)
         s_new = _node_positions(s, num, density, True)
-        z_new = sz(s_new)
-        r_new = sr(s_new)
-        r_new[0] = 0.0
-        r_new[-1] = 0.0
+        z_new = cubic_spline(s, curve.z, s_new)
+        r_new = cubic_spline(s, curve.r, s_new)
+        r_new[[0, -1]] = 0.0
         r_new[1:-1] = np.maximum(r_new[1:-1], 1e-300)
         return ProfileCurve(z_new, r_new, curve.n, CLOSED)
     # periodic: close the loop with a z-shift of one period, spline periodically
@@ -336,14 +396,11 @@ def resample_arclength(curve: ProfileCurve, num: Optional[int] = None,
     ds = np.hypot(np.diff(z), np.diff(r))
     s = np.concatenate(([0.0], np.cumsum(ds)))
     total = s[-1]
-    lin = curve.period * s / total
-    zeta = z - lin  # periodic residual of z
+    zeta = z - curve.period * s / total  # periodic residual of z
     zeta[-1] = zeta[0]
-    sz = CubicSpline(s, zeta, bc_type="periodic")
-    sr = CubicSpline(s, r, bc_type="periodic")
     s_new = _node_positions(s, num, density, False)
-    z_new = sz(s_new) + curve.period * s_new / total
-    r_new = sr(s_new)
+    z_new = cubic_spline(s, zeta, s_new, periodic=True) + curve.period * s_new / total
+    r_new = cubic_spline(s, r, s_new, periodic=True)
     return ProfileCurve(z_new, r_new, curve.n, PERIODIC, curve.period)
 
 

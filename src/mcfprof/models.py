@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ExtinctError
-from .geometry import FlowSnapshot, GraphPatch, graph_gradients
+from .geometry import FlowSnapshot, GraphPatch, cubic_spline, graph_gradients
 from .shapes import cylinder_profile, sphere_profile
 
 SPHERE = "sphere"
@@ -112,6 +110,7 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
     the dense solver output with a 5-point stencil (independent of the ODE
     right-hand side).
     """
+    from scipy.integrate import solve_ivp  # only the translator oracles need an ODE solver
     if n < 2:
         raise DomainError("bowl soliton requires n >= 2")
     r0 = min(h, 1e-3)
@@ -147,11 +146,10 @@ def bowl_patch(n: int, half_width: float, h: float) -> GraphPatch:
     prof = bowl_soliton_profile(n, half_width * 2.0, min(h / 4, 2e-3))
     rr = np.concatenate(([0.0], prof.r))
     uu = np.concatenate(([0.0], prof.u))
-    spline = CubicSpline(rr, uu)
     m = int(round(half_width / h))
     x = -m * h + h * np.arange(2 * m + 1)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    U = spline(np.hypot(X, Y))
+    U = cubic_spline(rr, uu, np.hypot(X, Y))
     return GraphPatch(U, h)
 
 

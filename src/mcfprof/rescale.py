@@ -8,16 +8,19 @@ agrees with the literal spacetime map up to a rigid radial translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (DegenerateSurfaceError, DomainError, EmptyWindowError, FitFailureError,
                      InsufficientDataError, ResolutionError)
 from .flow import Trajectory
 from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node
+
+SPHERE_FIT_RTOL = 1e-14  # the sphere fit stops at a step this small relative to (zc, R)
+SPHERE_FIT_MAX_ITER = 100  # and fails after this many Gauss-Newton steps
 
 
 @dataclass
@@ -184,16 +187,24 @@ def fit_model(snapshot: FlowSnapshot, family: str,
         rms = float(np.sqrt(np.mean((r - R) ** 2)))
         return {"R": R, "m": curve.n - 1}, rms
     if family == "sphere":
-        def residual(p):
-            zc, R = p
-            return np.hypot(z - zc, r) - R
-        guess = np.array([float(np.mean(z)), float(np.mean(np.hypot(z - np.mean(z), r)))])
-        sol = least_squares(residual, guess, max_nfev=200)
-        rms = float(np.sqrt(np.mean(sol.fun**2)))
-        params = {"zc": float(sol.x[0]), "R": float(sol.x[1])}
-        if not sol.success:
-            raise FitFailureError("sphere fit did not converge", best=(params, rms))
-        return params, rms
+        # Gauss-Newton on f = |(z - zc, r)| - R, Jacobian -(u, 1): 2x2 normal equations
+        zc = float(np.mean(z))
+        R = float(np.mean(np.hypot(z - zc, r)))
+        converged = False
+        for _ in range(SPHERE_FIT_MAX_ITER):
+            d = np.hypot(z - zc, r)
+            u, f = (z - zc) / d, d - R
+            uu, us, uf, fs = u @ u, u.sum(), u @ f, f.sum()
+            det = uu * z.size - us * us
+            dzc, dR = (z.size * uf - us * fs) / det, (uu * fs - us * uf) / det
+            zc, R = zc + float(dzc), R + float(dR)
+            converged = math.hypot(dzc, dR) <= SPHERE_FIT_RTOL * math.hypot(zc, R)
+            if converged:
+                break
+        rms = float(np.sqrt(np.mean((np.hypot(z - zc, r) - R) ** 2)))
+        if not converged:
+            raise FitFailureError("sphere fit did not converge", best=({"zc": zc, "R": R}, rms))
+        return {"zc": zc, "R": R}, rms
     if family == "plane":
         # total least squares line through the windowed meridian nodes
         pts = np.column_stack((z, r))
@@ -219,7 +230,7 @@ def classify_tangent_flow(term: BlowupTerm, window: Optional[float] = None) -> d
         try:
             params, rms = fit_model(snap, family, origin=origin, window=window)
             out[family] = {"params": params, "rms": rms}
-        except FitFailureError as exc:  # pragma: no cover
+        except FitFailureError as exc:
             params, rms = exc.best
             out[family] = {"params": params, "rms": rms, "converged": False}
     cyl_R = out["cylinder"]["params"]["R"]

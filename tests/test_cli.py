@@ -3,6 +3,9 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +84,9 @@ def test_validate_defaults():
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 4}}, "step.max_nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 100.0}},
      "step.max_nodes"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 10**6 + 1}},
+     "step.max_nodes"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "nodes": 10**6 + 1}, "nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"cfl": 0.5}}, "step.cfl"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"refine": False}}, "step.refine"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"resample_ratio": 2.0}},
@@ -430,13 +436,46 @@ def test_models_table_in_tolerance(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+# runs each config given on the command line, then prints the exit codes and
+# every loaded module of the scipy subpackages that `run` must not need
+RUN_IMPORTS = """
+import json, sys
+from mcfprof.cli import main
+codes = [main(["run", "--config", path, "--out", path + ".out"]) for path in sys.argv[1:]]
+unused = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.startswith(unused))}))
+"""
+
+
+def test_run_loads_no_interpolate_optimize_integrate(tmp_path):
+    neck = {"name": "neck", "initial": {"dumbbell": {"bulb_R": 1.0, "neck_r": 0.35, "length": 8.0},
+                                        "perturb": {"amplitude": 0.005, "modes": 3}},
+            "nodes": 200, "step": {"A2_stop": 2e3},
+            "diagnostics": {"blowup": {"points-rule": "neck", "count": 3}}, "seed": 1}
+    cyl = {"name": "cyl", "initial": {"cylinder": {"R0": 1.0},
+                                      "perturb": {"amplitude": 0.02, "modes": 3}},
+           "nodes": 64, "step": {"t_end": 0.01}, "seed": 1}
+    paths = [write_cfg(tmp_path, neck, "neck.json"), write_cfg(tmp_path, cyl, "cyl.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", RUN_IMPORTS, *paths], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
+    # the dumbbell's blow-up term was fitted by the sphere
+    report = json.loads((tmp_path / "neck.json.out" / "report.json").read_text())
+    assert report["diagnostics"]["blowup"]["fits"]["sphere"]["rms"] > 0.0
+    assert main(["models"]) == EXIT_OK
+
+
 def test_exit_code_singular_step_system(tmp_path, monkeypatch, capsys):
-    from mcfprof import flow
+    from mcfprof import geometry
 
     def singular(dl, d, du, b, *args, **kwargs):
         return dl, d, du, b, 1  # LAPACK info > 0: zero pivot in row 1
 
-    monkeypatch.setattr(flow, "dgtsv", singular)
+    monkeypatch.setattr(geometry, "dgtsv", singular)
     code, _ = run_scenario(tmp_path, BASE_CFG, "sing")
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err

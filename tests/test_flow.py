@@ -8,12 +8,11 @@ from mcfprof import flow
 from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
 from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
                           STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END,
-                          StepControl, _implicit_step, _pinched,
-                          _solve_tridiagonal, _step_operator, run_until,
-                          target_spacing, verify_mean_convexity)
+                          StepControl, _implicit_step, _pinched, _step_operator,
+                          run_until, target_spacing, verify_mean_convexity)
 from mcfprof.geometry import (FlowSnapshot, GraphPatch, ProfileCurve, CLOSED,
-                              curvature_axisymmetric, profile_derivatives,
-                              resample_arclength)
+                              _solve_tridiagonal, curvature_axisymmetric,
+                              profile_derivatives, resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                             perturb_profile, sphere_profile)
 

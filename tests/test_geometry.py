@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from mcfprof.errors import DegenerateSurfaceError, ResolutionError
-from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve,
+from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, cubic_spline,
                               curvature_axisymmetric, meridian_point_distance,
                               resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
@@ -161,6 +162,27 @@ def test_resample_periodic_roundtrip():
     out = resample_arclength(curve, num=128)
     assert out.topology == PERIODIC
     assert np.abs(out.r - 0.7).max() < 1e-10
+
+
+@pytest.mark.parametrize("bc_type", ["not-a-knot", "periodic"])
+def test_cubic_spline_matches_scipy(bc_type):
+    # nonuniform knots (spacing ratio up to 30); values at and between the knots
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.05, 1.5, 40))
+    y = np.sin(x) + rng.normal(0.0, 0.3, x.size)
+    if bc_type == "periodic":
+        y[-1] = y[0]
+    x_new = np.concatenate((x, np.linspace(x[0], x[-1], 997)))
+    ref = CubicSpline(x, y, bc_type=bc_type)(x_new)
+    ours = cubic_spline(x, y, x_new, periodic=bc_type == "periodic")
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_cubic_spline_rejects_bad_knots():
+    x = np.arange(8.0)
+    for bad in (np.where(x == 3.0, 2.0, x), np.where(x == 7.0, np.inf, x)):
+        with pytest.raises(ValueError):
+            cubic_spline(bad, np.sin(x), x)
 
 
 # ---------------------------------------------------------------------------

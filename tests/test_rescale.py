@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mcfprof.errors import InsufficientDataError
-from mcfprof.geometry import FlowSnapshot
+from mcfprof import rescale
+from mcfprof.errors import FitFailureError, InsufficientDataError
+from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import SPHERE, ModelSolution, model_snapshot, shrinker_radius
 from mcfprof.rescale import (BlowupSequence, DilationParams, blowup_convergence_metric,
                              classify_tangent_flow, dilation_covariance_error,
@@ -142,6 +143,48 @@ def test_neck_blowup_classifies_cylinder(dumbbell_run):
     assert fits["best"] == "cylinder"
     assert fits["cylinder"]["rms_over_R"] < 0.05
     assert fits["sphere"]["rms"] > 0.2  # > 20% of the ~unit fitted radius
+
+
+def _neck_term(dumbbell_run):
+    traj = dumbbell_run["traj"]
+    return normalized_blowup(traj, select_blowup_points(traj, "neck", 5)).terms[-1]
+
+
+def test_sphere_fit_reproducible_on_neck_blowup(dumbbell_run):
+    # the sphere is a poor model of a neck (rms/R ~ 0.27) and its cost is flat
+    # in zc; the window is moved off the waist so zc is not 0 by symmetry
+    term = _neck_term(dumbbell_run)
+    s = term.center.surface
+    z0, rho0, window = 0.5, term.origin_rho, 2.0
+    params, _ = fit_model(term.center, "sphere", origin=(z0, rho0), window=window)
+    eps = 1e-14
+    moved = FlowSnapshot(ProfileCurve(s.z * (1 + eps), s.r * (1 + eps), s.n, s.topology), 0.0)
+    params2, _ = fit_model(moved, "sphere", origin=(z0 * (1 + eps), rho0 * (1 + eps)),
+                           window=window * (1 + eps))
+    for key in ("zc", "R"):
+        assert abs(params2[key] - params[key]) < 1e-10 * abs(params[key])
+    # the gradient of sum f^2 / 2, f = |(z - zc, r)| - R, is at roundoff
+    mask = np.hypot(s.z - z0, s.r - rho0) <= window
+    z, r = s.z[mask], s.r[mask]
+    d = np.hypot(z - params["zc"], r)
+    f = d - params["R"]
+    u = (z - params["zc"]) / d
+    assert abs(u @ f) < 1e-13 * np.abs(u * f).sum()
+    assert abs(f.sum()) < 1e-13 * np.abs(f).sum()
+
+
+def test_sphere_fit_failure_reports_best(dumbbell_run, monkeypatch):
+    term = _neck_term(dumbbell_run)
+    monkeypatch.setattr(rescale, "SPHERE_FIT_MAX_ITER", 1)
+    with pytest.raises(FitFailureError) as info:
+        fit_model(term.center, "sphere", origin=(0.5, term.origin_rho), window=2.0)
+    params, rms = info.value.best
+    assert np.isfinite([params["zc"], params["R"], rms]).all()
+    # on the waist-centred window one step already converges
+    monkeypatch.setattr(rescale, "SPHERE_FIT_MAX_ITER", 0)
+    fits = classify_tangent_flow(term)
+    assert fits["sphere"]["converged"] is False
+    assert fits["best"] == "cylinder"
 
 
 def test_max_curvature_pick_ignores_roundoff():
