@@ -84,9 +84,6 @@ def test_validate_defaults():
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 4}}, "step.max_nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 100.0}},
      "step.max_nodes"),
-    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 10**6 + 1}},
-     "step.max_nodes"),
-    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "nodes": 10**6 + 1}, "nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"cfl": 0.5}}, "step.cfl"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"refine": False}}, "step.refine"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"resample_ratio": 2.0}},
@@ -96,6 +93,9 @@ def test_validate_defaults():
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "seed": -1}, "seed"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}, "perturb": {"modes": 10**9}}},
      "initial.perturb"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 10**6 + 1}},
+     "step.max_nodes"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "nodes": 10**6 + 1}, "nodes"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:
