@@ -26,16 +26,14 @@ class NoncollapseRecord:
 
     t: float
     kappa_min: float
-    argmin_node: int
     r_field: np.ndarray
 
 
 @dataclass
 class PinchingRecord:
-    """Per-snapshot (H, lambda_1) node samples and the worst lambda_1/H ratio."""
+    """Per-snapshot worst lambda_1/H ratio."""
 
     t: float
-    samples: np.ndarray  # shape (N, 2): columns H, lambda_1
     worst_ratio: float
 
 
@@ -64,52 +62,36 @@ def _surface_tree(curve: ProfileCurve) -> cKDTree:
     return cKDTree(pts, leafsize=64)
 
 
-def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
-    """Tangent-constrained inscribed radius at the given nodes (all by default).
+def _inscribed_radii(snapshot: FlowSnapshot) -> np.ndarray:
+    """Tangent-constrained inscribed radius at every node.
 
     r(x) = sup{rho : the ball of radius rho centered at x + rho*nu(x) stays
-    inside the enclosed region}, found by bisection over rho in [0, diam] to
-    width tol = h/10, h the node's ``ProfileCurve.node_spacing`` (so a graded
-    mesh is resolved at its local spacing).  The inside test at rho is "every
-    node is at distance >= rho - tol from the center", with centers taken as
-    meridian points (z_c, r_c) at ambient radial coordinate |r_c|, so a
-    center that crosses the axis is measured correctly.
+    inside the enclosed region}, with the inside test at rho "every node is at
+    distance >= rho - tol from the center", tol = h/10 and h the node's
+    ``ProfileCurve.node_spacing`` (so a graded mesh is resolved at its local
+    spacing).  Centers are meridian points (z_c, r_c) at ambient radial
+    coordinate |r_c|, so a center that crosses the axis is measured correctly.
 
     The test has a closed form (Andrews' two-point function
     k(x, y) = 2<y - x, nu>/|y - x|^2 with tol folded in): a point y -- a node,
     its axis mirror (z, -r) or a periodic copy -- with a = <y - x, nu> > tol
     fails it exactly when rho > g(y) = (|y - x|^2 - tol^2) / (2 (a - tol)),
-    and no other point ever fails it.  So the test holds iff
-    rho <= rho_max = min_y g(y).  rho_max is found by following violators:
-    start from min(diam, g(mirror of x)), query the nearest node to the
-    center at that radius and, while it violates with a smaller g, move to
-    its g.  The bisection is then replayed with the test decided by
-    mid <= rho_max; only where mid lies within 1e-9*diam of rho_max, where
-    rounding could decide either way, is the nearest-node query made, so the
-    result equals that of querying at every step.
+    and no other point ever fails it.  So r(x) = min(diam, min_y g(y)), found
+    by following violators: start from min(diam, g(mirror of x)), query the
+    nearest node to the center at that radius and, while it violates with a
+    smaller g, move to its g.
     """
     curve = snapshot.surface
     if curve.is_self_intersecting():
         raise TopologyError("inscribed radius needs an embedded surface")
-    if nodes is None:
-        nodes = np.arange(curve.num_nodes)
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
     tree = _surface_tree(curve)
-    normal = snapshot.curvature.normal[nodes]
-    pts = np.column_stack((curve.z[nodes], curve.r[nodes]))
-    tol = curve.node_spacing()[nodes] / 10.0
+    normal = snapshot.curvature.normal
+    pts = np.column_stack((curve.z, curve.r))
+    tol = curve.node_spacing() / 10.0
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
     else:
         diam = float(np.hypot(curve.period, 2.0 * curve.r.max()))
-
-    def nearest(idx, rho):
-        """Distance and meridian point (mirrored when r_c < 0) nearest each center."""
-        centers = pts[idx] + rho[:, None] * normal[idx]
-        d, j = tree.query(np.column_stack((centers[:, 0], np.abs(centers[:, 1]))))
-        y = tree.data[j]
-        y[:, 1] = np.copysign(y[:, 1], centers[:, 1])
-        return d, y
 
     def bound(idx, y):
         """g(y) for each node of idx against its point y; inf where a <= tol."""
@@ -120,40 +102,24 @@ def _inscribed_radii(snapshot: FlowSnapshot, nodes=None) -> np.ndarray:
             g = (np.einsum("ij,ij->i", dy, dy) - eps * eps) / (2.0 * (a - eps))
         return np.where(a > eps, g, np.inf)
 
-    every = np.arange(nodes.size)
-    rho_max = np.minimum(diam, bound(every, pts * np.array([1.0, -1.0])))
-    active = every
+    active = np.arange(curve.num_nodes)
+    rho_max = np.minimum(diam, bound(active, pts * np.array([1.0, -1.0])))
     while active.size:
         rho = rho_max[active]
-        d, y = nearest(active, rho)
+        # the meridian point nearest each center, mirrored when r_c < 0
+        centers = pts[active] + rho[:, None] * normal[active]
+        d, j = tree.query(np.column_stack((centers[:, 0], np.abs(centers[:, 1]))))
+        y = tree.data[j]
+        y[:, 1] = np.copysign(y[:, 1], centers[:, 1])
         g = bound(active, y)
         shrink = (d < rho - tol[active]) & (g < rho)
         active = active[shrink]
         rho_max[active] = g[shrink]
-
-    lo = np.zeros(nodes.size)
-    hi = np.full(nodes.size, diam)
-    for _ in range(64):
-        if np.all(hi - lo <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        inside = mid <= rho_max
-        close = np.flatnonzero(np.abs(mid - rho_max) <= 1e-9 * diam)
-        if close.size:
-            d, _ = nearest(close, mid[close])
-            inside[close] = d >= mid[close] - tol[close]
-        lo[inside] = mid[inside]
-        hi[~inside] = mid[~inside]
-    return 0.5 * (lo + hi)
-
-
-def inscribed_radius(snapshot: FlowSnapshot, node: int) -> float:
-    """Inscribed-ball radius at one node (tangent ball along the inward normal)."""
-    return float(_inscribed_radii(snapshot, [node])[0])
+    return rho_max
 
 
 def noncollapsing_ratio(snapshot: FlowSnapshot) -> NoncollapseRecord:
-    """Per-node r*H with the minimum and its node; requires min H > 0.
+    """Per-node inscribed radius and the minimum of r*H; requires min H > 0.
 
     The record is computed once per snapshot and cached on it; its
     ``r_field`` is read-only because every caller shares it.
@@ -164,10 +130,9 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> NoncollapseRecord:
             raise DomainError("noncollapsing ratio requires H > 0 at every node")
         r_field = _inscribed_radii(snapshot)
         r_field.flags.writeable = False
-        kappa = r_field * curv.H
-        j = int(np.argmin(kappa))
-        snapshot._noncollapse = NoncollapseRecord(t=snapshot.t, kappa_min=float(kappa[j]),
-                                                  argmin_node=j, r_field=r_field)
+        kappa_min = float(np.min(r_field * curv.H))
+        snapshot._noncollapse = NoncollapseRecord(t=snapshot.t, kappa_min=kappa_min,
+                                                  r_field=r_field)
     return snapshot._noncollapse
 
 
@@ -197,9 +162,7 @@ def pinching_profile(traj: Trajectory, decades: int = 4):
         lam1 = c.lam[:, 0]
         if float(H.min()) <= 0.0:
             raise DomainError("pinching profile requires a mean-convex trajectory")
-        records.append(PinchingRecord(t=snap.t,
-                                      samples=np.column_stack((H, lam1)),
-                                      worst_ratio=float(np.min(lam1 / H))))
+        records.append(PinchingRecord(t=snap.t, worst_ratio=float(np.min(lam1 / H))))
         H_all.append(H)
         lam1_all.append(lam1)
     H_all = np.concatenate(H_all)

@@ -391,29 +391,3 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
         raise InconclusiveRunError(
             "time step underflowed before any singularity indicator", trajectory=traj)
     return traj
-
-
-def verify_mean_convexity(traj: Trajectory, tol_factor: float = 10.0) -> dict:
-    """Check that min H stays positive along a mean-convex run.
-
-    Returns the min-H time series; ``scheme_failure`` is set if some snapshot
-    dips below -tol_factor * h^2, h the ``node_spacing`` at its min-H node (a
-    discretization failure, not a violation of the continuum statement).
-    """
-    first = traj.snapshots[0]
-    if float(np.min(first.curvature.H)) < 0.0:
-        raise ValueError("initial data is not mean-convex (min H < 0 at t = 0)")
-    times, min_H = [], []
-    scheme_failure = False
-    for snap in traj.snapshots:
-        c = snap.curvature
-        j = int(np.argmin(c.H))
-        m = float(c.H[j])
-        times.append(snap.t)
-        min_H.append(m)
-        h = snap.surface.node_spacing()[j]
-        if snap.t > first.t and m < -tol_factor * h * h:
-            scheme_failure = True
-    positive = all(m > 0.0 for m, t in zip(min_H[1:], times[1:]))
-    return {"t": times, "min_H": min_H, "all_positive": positive,
-            "scheme_failure": scheme_failure}

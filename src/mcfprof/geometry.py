@@ -2,8 +2,8 @@
 
 ``ProfileCurve`` (arclength-sampled generating curve of a rotationally
 symmetric hypersurface in R^(n+1)) is the only surface that is flowed or
-analyzed.  ``GraphPatch`` (a height function on a uniform grid, n in {1, 2})
-only carries the translator models to their residual check.  Profiles have one
+analyzed.  ``GraphPatch`` (a height function of one variable on a uniform grid)
+only carries the grim reaper to its translator residual check.  Profiles have one
 derivative kernel, ``profile_derivatives`` (3-point stencils on chord
 segments), and one curvature formula, ``principal_curvatures``, which
 ``curvature_axisymmetric`` and the integrator's step operator share.  The sign
@@ -113,27 +113,23 @@ class ProfileCurve:
 
 @dataclass
 class GraphPatch:
-    """Height function u over a uniform grid of spacing h; n = u.ndim in {1, 2}."""
+    """Height function u(x1) over a uniform 1-D grid of spacing h."""
 
     u: np.ndarray
     h: float
 
     def __post_init__(self):
         self.u = np.ascontiguousarray(self.u, dtype=float)
-        if self.u.ndim not in (1, 2):
-            raise ValueError("GraphPatch supports n in {1, 2}")
+        if self.u.ndim != 1:
+            raise ValueError("GraphPatch supports n = 1 only")
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.u.ndim
 
     def validate(self):
         if not np.all(np.isfinite(self.u)):
             raise DegenerateSurfaceError("non-finite height values")
-        if min(self.u.shape) < 8:
-            raise ResolutionError("need at least 8 grid nodes per axis")
+        if self.u.size < 8:
+            raise ResolutionError("need at least 8 grid nodes")
 
 
 @dataclass
@@ -261,33 +257,18 @@ def max_curvature_node(A2: np.ndarray) -> int:
     return int(np.argmax(A2 >= (1.0 - TIE_RTOL) * A2.max()))
 
 
-def _grad_1d(f, h):
-    d = np.empty_like(f)
-    d[1:-1] = (f[2:] - f[:-2]) / (2 * h)
-    d[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-    d[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    return d
-
-
-def _second_1d(f, h):
-    d = np.empty_like(f)
-    d[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / h**2
-    d[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h**2
-    d[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h**2
-    return d
-
-
 def graph_gradients(patch: GraphPatch):
-    """First and second difference fields of u; axis 0 is x1."""
+    """(u', u'') of the patch: central differences, second-order one-sided at the ends."""
     u, h = patch.u, patch.h
-    if patch.n == 1:
-        return (_grad_1d(u, h),), ((_second_1d(u, h),),)
-    ux = np.apply_along_axis(_grad_1d, 0, u, h)
-    uy = np.apply_along_axis(_grad_1d, 1, u, h)
-    uxx = np.apply_along_axis(_second_1d, 0, u, h)
-    uyy = np.apply_along_axis(_second_1d, 1, u, h)
-    uxy = np.apply_along_axis(_grad_1d, 1, ux, h)
-    return (ux, uy), ((uxx, uxy), (uxy, uyy))
+    d1 = np.empty_like(u)
+    d1[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    d1[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+    d1[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+    d2 = np.empty_like(u)
+    d2[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+    d2[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
+    d2[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
+    return d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +383,3 @@ def resample_arclength(curve: ProfileCurve, num: Optional[int] = None,
     z_new = cubic_spline(s, zeta, s_new, periodic=True) + curve.period * s_new / total
     r_new = cubic_spline(s, r, s_new, periodic=True)
     return ProfileCurve(z_new, r_new, curve.n, PERIODIC, curve.period)
-
-
-# ---------------------------------------------------------------------------
-# distances in the meridian plane
-# ---------------------------------------------------------------------------
-
-def meridian_point_distance(curve: ProfileCurve, z0: float, rho0: float) -> float:
-    """Distance from the ambient point at (z0, cylindrical radius rho0) to the surface.
-
-    For surfaces of revolution the nearest point lies on the aligned meridian,
-    so the 3D distance reduces to the 2D distance in the (z, r) half-plane.
-    A local parabolic refinement over the node index gives sub-h accuracy.
-    """
-    d2 = (curve.z - z0) ** 2 + (curve.r - abs(rho0)) ** 2
-    if curve.topology == PERIODIC:
-        for shift in (-curve.period, curve.period):
-            d2 = np.minimum(d2, (curve.z + shift - z0) ** 2 + (curve.r - abs(rho0)) ** 2)
-    i = int(np.argmin(d2))
-    if 0 < i < d2.size - 1:
-        dm, d0, dp = np.sqrt(d2[i - 1]), np.sqrt(d2[i]), np.sqrt(d2[i + 1])
-        denom = dm - 2 * d0 + dp
-        if denom > 0:
-            delta = 0.5 * (dm - dp) / denom
-            if abs(delta) <= 1.0:
-                return float(d0 - 0.25 * (dm - dp) * delta)
-    return float(np.sqrt(d2[i]))

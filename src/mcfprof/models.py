@@ -1,9 +1,10 @@
 """Exact and ODE-computed reference solutions: shrinkers, grim reaper, bowl soliton.
 
 The shrinking sphere and cylinder are profile snapshots with an exact radius
-law, the integrator's regression oracles.  The translators (grim reaper, bowl)
-are graph patches and serve only as residual oracles for ``translator_residual``
-and ``mcfprof models``: they are neither fit targets of the tangent-flow
+law, the integrator's regression oracles.  The translators serve only as
+residual oracles for ``mcfprof models``: the grim reaper as a 1-D graph patch
+checked by ``translator_residual``, the bowl as the radial profile of its ODE
+with its own residual.  They are neither fit targets of the tangent-flow
 classification nor initial data for the integrator.
 """
 
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ExtinctError
-from .geometry import FlowSnapshot, GraphPatch, cubic_spline, graph_gradients
+from .geometry import FlowSnapshot, GraphPatch, graph_gradients
 from .shapes import cylinder_profile, sphere_profile
 
 SPHERE = "sphere"
@@ -141,38 +142,17 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
     return BowlProfile(n, r, u, up, max_res)
 
 
-def bowl_patch(n: int, half_width: float, h: float) -> GraphPatch:
-    """2-D graph patch of the bowl soliton (n = 2 cross-section) on a square."""
-    prof = bowl_soliton_profile(n, half_width * 2.0, min(h / 4, 2e-3))
-    rr = np.concatenate(([0.0], prof.r))
-    uu = np.concatenate(([0.0], prof.u))
-    m = int(round(half_width / h))
-    x = -m * h + h * np.arange(2 * m + 1)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    U = cubic_spline(rr, uu, np.hypot(X, Y))
-    return GraphPatch(U, h)
-
-
 def translator_residual(patch: GraphPatch) -> float:
     """Max interior deviation from the unit-speed translator equation.
 
-    A vertical translator of speed 1 satisfies div(Du/W) = 1/W with
-    W = sqrt(1+|Du|^2); returns max |div(Du/W) - 1/W| over interior nodes.
+    A vertical translator of speed 1 satisfies (u'/W)' = 1/W with
+    W = sqrt(1 + u'^2); returns max |u''/W^3 - 1/W| over interior nodes.
     """
     patch.validate()
-    grads, seconds = graph_gradients(patch)
-    if patch.n == 1:
-        up = grads[0]
-        upp = seconds[0][0]
-        W2 = 1.0 + up**2
-        res = upp / W2**1.5 - 1.0 / np.sqrt(W2)
-        return float(np.abs(res[2:-2]).max())
-    ux, uy = grads
-    (uxx, uxy), (_, uyy) = seconds
-    W2 = 1.0 + ux**2 + uy**2
-    div = ((1.0 + uy**2) * uxx - 2.0 * ux * uy * uxy + (1.0 + ux**2) * uyy) / W2**1.5
-    res = div - 1.0 / np.sqrt(W2)
-    return float(np.abs(res[2:-2, 2:-2]).max())
+    up, upp = graph_gradients(patch)
+    W2 = 1.0 + up**2
+    res = upp / W2**1.5 - 1.0 / np.sqrt(W2)
+    return float(np.abs(res[2:-2]).max())
 
 
 def model_snapshot(model: ModelSolution, t: float, nodes: int = 400) -> FlowSnapshot:

@@ -69,15 +69,6 @@ def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
     return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
 
 
-def dilation_covariance_error(snapshot: FlowSnapshot, d: DilationParams) -> float:
-    """Max relative deviation between recomputed and analytically scaled H."""
-    scaled = parabolic_dilate(snapshot, d)
-    H_re = scaled.curvature.H
-    H_an = snapshot.curvature.H / d.a
-    denom = np.maximum(np.abs(H_an), 1e-300)
-    return float(np.max(np.abs(H_re - H_an) / denom))
-
-
 def _nearest_node(curve: ProfileCurve, z: float, rho: float) -> int:
     d2 = (curve.z - z) ** 2 + (curve.r - rho) ** 2
     return int(np.argmin(d2))
@@ -116,13 +107,12 @@ def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
     return points
 
 
-def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
-                      origin_H_tol: Optional[float] = None) -> BlowupSequence:
+def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequence:
     """Blow-up sequence with a_k = H(x_k, t_k) at each requested spacetime point.
 
     Each point is snapped to the nearest node of the nearest recorded
     snapshot, at most 3h away; the rescaled mean curvature at the origin must
-    come out 1 within discretization tolerance (5h by default).  h is the
+    come out 1 within discretization tolerance 5h.  h is the
     ``node_spacing`` at the snapped node.
     """
     times = traj.times
@@ -144,7 +134,7 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple],
         center = parabolic_dilate(snap, d)
         j2 = _nearest_node(center.surface, 0.0, d.a * d.rho0)
         H_origin = float(center.curvature.H[j2])
-        tol = origin_H_tol if origin_H_tol is not None else 5.0 * center.surface.node_spacing()[j2]
+        tol = 5.0 * center.surface.node_spacing()[j2]
         if abs(H_origin - 1.0) > tol:
             raise ResolutionError(
                 f"rescaled H at the origin is {H_origin:.6g}, outside 1 +- {tol:.3g}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcfprof.diagnostics import (convexity_check, harnack_check,
-                                 inscribed_radius, noncollapsing_ratio,
+                                 noncollapsing_ratio,
                                  pinching_profile, ratio_A2_H2,
                                  singular_distance_scaling, verify_H_evolution)
 from mcfprof.errors import DomainError, InsufficientDataError, WindowError
@@ -47,22 +47,22 @@ def brute_force_inscribed_radius(snapshot, node, samples=4000):
 def test_inscribed_radius_sphere():
     snap = FlowSnapshot(sphere_profile(1.0, 2, 300), 0.0)
     for node in (10, 100, 150):
-        assert abs(inscribed_radius(snap, node) - 1.0) < 2e-3
+        assert abs(noncollapsing_ratio(snap).r_field[node] - 1.0) < 2e-3
 
 
 def test_inscribed_radius_cylinder():
     snap = FlowSnapshot(cylinder_profile(0.5, np.pi, 2, 300), 0.0)
-    assert abs(inscribed_radius(snap, 120) - 0.5) < 2e-3
+    assert abs(noncollapsing_ratio(snap).r_field[120] - 0.5) < 2e-3
 
 
 def test_inscribed_radius_dumbbell_against_brute_force():
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.2, 8.0, 2, 600), 0.0)
     h = snap.surface.mean_spacing
     waist = waist_node(snap, 0.0)
-    r_w = inscribed_radius(snap, waist)
+    r_w = noncollapsing_ratio(snap).r_field[waist]
     assert abs(r_w - snap.surface.r[waist]) < 2.0 * h  # limited by the waist circle
     for node in (10, 30, 60, 90):  # cap and bulb shoulder of the left bulb
-        r_p = inscribed_radius(snap, node)
+        r_p = noncollapsing_ratio(snap).r_field[node]
         oracle = brute_force_inscribed_radius(snap, node)
         assert abs(r_p - oracle) < 2.0 * h
 
@@ -116,39 +116,31 @@ def test_inscribed_radius_continuity():
     r[0] = r[-1] = 0.0
     snap2 = FlowSnapshot(ProfileCurve(z, r, 2, CLOSED), 0.0)
     for node in (20, 60, 100, 140, 180):
-        r1 = inscribed_radius(snap, node)
-        r2 = inscribed_radius(snap2, node)
+        r1 = noncollapsing_ratio(snap).r_field[node]
+        r2 = noncollapsing_ratio(snap2).r_field[node]
         assert abs(r1 - r2) <= 10.0 * eps + h / 10.0
 
 
 
-def bisection_inscribed_radii(snapshot, nodes=None):
-    """Reference: the inscribed-radius bisection with a nearest-node query at every step."""
+def two_point_inscribed_radii(snapshot):
+    """Oracle: min(diam, min_y g(y)) over every node, axis mirror and periodic copy y, densely."""
     curve = snapshot.surface
-    if nodes is None:
-        nodes = np.arange(curve.num_nodes)
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-    tree = diagnostics._surface_tree(curve)
-    normal = snapshot.curvature.normal[nodes]
-    pts = np.column_stack((curve.z[nodes], curve.r[nodes]))
-    tol = curve.node_spacing()[nodes] / 10.0  # the production per-node tol
+    normal = snapshot.curvature.normal
+    pts = np.column_stack((curve.z, curve.r))
+    tol = curve.node_spacing() / 10.0
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
+        ys = pts
     else:
         diam = float(np.hypot(curve.period, 2.0 * curve.r.max()))
-    lo = np.zeros(nodes.size)
-    hi = np.full(nodes.size, diam)
-    for _ in range(64):
-        if np.all(hi - lo <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        centers = pts + mid[:, None] * normal
-        centers = np.column_stack((centers[:, 0], np.abs(centers[:, 1])))
-        d, _ = tree.query(centers)
-        inside = d >= mid - tol
-        lo[inside] = mid[inside]
-        hi[~inside] = mid[~inside]
-    return 0.5 * (lo + hi)
+        ys = np.vstack([pts + [shift, 0.0] for shift in (-curve.period, 0.0, curve.period)])
+    ys = np.vstack((ys, ys * [1.0, -1.0]))
+    dy = ys[None, :, :] - pts[:, None, :]
+    a = np.einsum("ijk,ik->ij", dy, normal)
+    eps = tol[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(a > eps, ((dy * dy).sum(axis=2) - eps * eps) / (2.0 * (a - eps)), np.inf)
+    return np.minimum(diam, g.min(axis=1))
 
 
 RADIUS_SHAPES = {
@@ -166,16 +158,12 @@ RADIUS_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(RADIUS_SHAPES))
 def test_inscribed_radii_equal_bisection_reference(shape):
+    # the radii are exact: they equal the dense two-point minimum, the value
+    # a bisection over rho converges to, at every node (the poles of a closed
+    # profile and a dumbbell waist whose ray crosses the axis included)
     snap = FlowSnapshot(RADIUS_SHAPES[shape](), 0.0)
-    N = snap.surface.num_nodes
-    assert np.array_equal(diagnostics._inscribed_radii(snap),
-                          bisection_inscribed_radii(snap))
-    # both ends (the poles of a closed profile) and the waist, whose ray
-    # crosses the axis on a dumbbell
-    waist = N // 4 + int(np.argmin(snap.surface.r[N // 4:3 * N // 4]))
-    subset = [0, N - 1, waist, N // 3, 1]
-    assert np.array_equal(diagnostics._inscribed_radii(snap, subset),
-                          bisection_inscribed_radii(snap, subset))
+    np.testing.assert_allclose(diagnostics._inscribed_radii(snap),
+                               two_point_inscribed_radii(snap), rtol=1e-12, atol=0.0)
 
 
 class CountingTree(cKDTree):
@@ -201,17 +189,6 @@ def test_inscribed_radii_query_budget(counted_queries):
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0)
     diagnostics._inscribed_radii(snap)
     assert 0 < counted_queries.rows <= 4 * snap.surface.num_nodes
-
-
-def test_inscribed_radii_query_where_bound_meets_bisection(counted_queries):
-    # a wide periodic cylinder whose radius bound R + tol/2 equals diam/2, the
-    # first bisection midpoint: the test there is decided by a query
-    N, period = 8, 1.0
-    R = 2.5 * N * period * (1.0 - 1.0 / (100.0 * N * N))
-    snap = FlowSnapshot(cylinder_profile(R, period, 2, N), 0.0)
-    r = diagnostics._inscribed_radii(snap)
-    assert counted_queries.rows > N
-    assert np.array_equal(r, bisection_inscribed_radii(snap))
 
 
 def test_noncollapsing_record_cached_per_snapshot(counted_queries):

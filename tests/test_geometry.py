@@ -6,8 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from mcfprof.errors import DegenerateSurfaceError, ResolutionError
 from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, cubic_spline,
-                              curvature_axisymmetric, meridian_point_distance,
-                              resample_arclength)
+                              curvature_axisymmetric, resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
                             ovaloid_profile, perturb_profile, sphere_profile)
 
@@ -212,12 +211,3 @@ def test_snapshot_curvature_cached_and_consistent():
     assert snap.curvature is c1
     c2 = curvature_axisymmetric(snap.surface)
     assert np.array_equal(c1.H, c2.H)
-
-
-def test_meridian_point_distance():
-    curve = sphere_profile(1.0, 2, 400)
-    assert abs(meridian_point_distance(curve, 0.0, 0.0) - 1.0) < 1e-5
-    assert abs(meridian_point_distance(curve, 2.0, 0.0) - 1.0) < 1e-5
-    cyl = cylinder_profile(0.5, np.pi, 2, 200)
-    # periodic wrap: point beyond the sampled z-range still sees the surface
-    assert abs(meridian_point_distance(cyl, -0.1, 0.0) - 0.5) < 1e-6

@@ -6,7 +6,7 @@ import pytest
 from mcfprof.errors import DomainError, ExtinctError
 from mcfprof.flow import _implicit_step
 from mcfprof.models import (CYLINDER, SPHERE, ModelSolution,
-                            bowl_patch, bowl_soliton_profile, grim_reaper_eval,
+                            bowl_soliton_profile, grim_reaper_eval,
                             grim_reaper_patch, model_snapshot, shrinker_radius,
                             translator_residual)
 
@@ -62,10 +62,6 @@ def test_translator_residual_grim_reaper_and_refinement():
     r2 = translator_residual(grim_reaper_patch(5e-4))
     assert r1 < 1e-5
     assert 3.0 <= r1 / r2 <= 5.0  # O(h^2)
-
-
-def test_translator_residual_bowl_patch():
-    assert translator_residual(bowl_patch(2, 1.0, 0.01)) < 1e-4
 
 
 def test_model_snapshot_values():

@@ -1,0 +1,39 @@
+"""Package structure: every library function is reached from the package itself."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcfprof"
+
+# defined and tested, but wired into no command yet: see the ROADMAP item
+# "Wire or delete the library that only tests run"
+NOT_YET_WIRED = {"blowup_convergence_metric"}
+
+
+def unreferenced_definitions(package: Path) -> set:
+    """Top-level functions and classes whose name no package module uses.
+
+    A use is a name or attribute reference anywhere in a module other than
+    ``__init__.py``, outside the definition itself; imports and re-exports
+    do not count.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined = []
+    for tree in trees.values():
+        defined += [node for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    inside = {id(sub): node.name for node in defined for sub in ast.walk(node)}
+    used = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            ref = (node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute) else None)
+            if ref is not None and inside.get(id(node)) != ref:
+                used.add(ref)
+    return {node.name for node in defined} - used
+
+
+def test_every_definition_is_used_by_the_package():
+    assert unreferenced_definitions(PACKAGE) == NOT_YET_WIRED

@@ -8,7 +8,7 @@ from mcfprof.errors import FitFailureError, InsufficientDataError
 from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import SPHERE, ModelSolution, model_snapshot, shrinker_radius
 from mcfprof.rescale import (BlowupSequence, DilationParams, blowup_convergence_metric,
-                             classify_tangent_flow, dilation_covariance_error,
+                             classify_tangent_flow,
                              fit_model, normalized_blowup, parabolic_dilate,
                              select_blowup_points, waist_node)
 from mcfprof.flow import Trajectory
@@ -48,8 +48,10 @@ def test_curvature_covariance():
     for surf in (sphere_profile(1.0, 2, 300), cylinder_profile(0.7, np.pi, 2, 300),
                  dumbbell_profile(1.0, 0.35, 8.0, 2, 300)):
         snap = FlowSnapshot(surf, 0.0)
-        err = dilation_covariance_error(snap, DilationParams(7.3, 0.11, 0.0, 0.0))
-        assert err < 1e-10
+        d = DilationParams(7.3, 0.11, 0.0, 0.0)
+        H_an = snap.curvature.H / d.a
+        H_re = parabolic_dilate(snap, d).curvature.H
+        assert np.max(np.abs(H_re - H_an) / np.abs(H_an)) < 1e-10
 
 
 def test_fixed_point_of_shrinking_sphere():
