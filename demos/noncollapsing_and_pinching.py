@@ -28,9 +28,9 @@ initial = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0)
 traj = run_until(initial, StepControl(A2_stop=2e4, max_nodes=20000))
 
 print(f"{'t':>10} {'kappa_min':>10} {'worst lambda_1/H':>17}")
-records, envelope = dg.pinching_profile(traj)
-for rec, pin in zip(dg.kappa_series(traj), records):
-    print(f"{rec.t:10.5f} {rec.kappa_min:10.4f} {pin.worst_ratio:17.4f}")
+for rec in dg.snapshot_records(traj.snapshots, noncollapse=True):
+    print(f"{rec.t:10.5f} {rec.kappa_min:10.4f} {rec.min_lam1_over_H:17.4f}")
+envelope = dg.pinching_profile(traj)
 
 print("\npinching envelope by H-decade (high H first):")
 print(f"{'H range':>24} {'phi_hat':>10} {'phi_hat/H':>10} {'samples':>8}")

@@ -364,7 +364,8 @@ def _neck_radius(snap: FlowSnapshot) -> float:
 # reporting
 # ---------------------------------------------------------------------------
 
-def write_timeseries(path: str, traj: Trajectory, diags: dict):
+def write_timeseries(path: str, traj: Trajectory, records, diags: dict):
+    """One CSV row per snapshot, rendered from its record; nan where the record has none."""
     cols = ["t", "max_H", "min_H", "max_A2"]
     if diags.get("ratioA2H2"):
         cols.append("max_A2_over_H2")
@@ -375,26 +376,14 @@ def write_timeseries(path: str, traj: Trajectory, diags: dict):
     cols += ["neck_radius", "dt"]
     lines = [",".join(cols)]
     t_prev = None
-    for snap in traj.snapshots:
-        c = snap.curvature
-        H = c.H
-        row = {"t": snap.t, "max_H": float(H.max()), "min_H": float(H.min()),
-               "max_A2": float(c.A2.max()),
+    for snap, rec in zip(traj.snapshots, records):
+        row = {"t": rec.t, "max_H": rec.max_H, "min_H": rec.min_H, "max_A2": rec.max_A2,
+               "max_A2_over_H2": rec.max_ratio, "kappa_min": rec.kappa_min,
+               "min_lambda1_over_H": rec.min_lam1_over_H,
                "neck_radius": _neck_radius(snap),
-               "dt": 0.0 if t_prev is None else snap.t - t_prev}
-        pos = H > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if diags.get("ratioA2H2"):
-                row["max_A2_over_H2"] = float(np.max(c.A2[pos] / H[pos] ** 2)) if pos.any() else float("nan")
-            if diags.get("pinching"):
-                row["min_lambda1_over_H"] = float(np.min(c.lam[pos, 0] / H[pos])) if pos.any() else float("nan")
-        if diags.get("noncollapse"):
-            try:
-                row["kappa_min"] = dg.noncollapsing_ratio(snap).kappa_min
-            except McfError:
-                row["kappa_min"] = float("nan")
+               "dt": 0.0 if t_prev is None else rec.t - t_prev}
         lines.append(",".join(repr(float(row[c])) for c in cols))
-        t_prev = snap.t
+        t_prev = rec.t
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -444,11 +433,16 @@ def _blowup_report(traj: Trajectory, spec: dict) -> dict:
             "fits": fits, "convexity_last_terms": convexity}
 
 
-def build_report(traj: Trajectory, cfg: dict) -> dict:
+def _records(traj: Trajectory, cfg: dict) -> list:
+    return dg.snapshot_records(traj.snapshots, bool(cfg["diagnostics"].get("noncollapse")))
+
+
+def build_report(traj: Trajectory, cfg: dict, records) -> dict:
     """Assemble report.json content from snapshots + run metadata only.
 
-    Depends only on (snapshots, stop_reason, singular_estimate, config) so
-    that ``analyze`` on stored snapshots reproduces it byte-identically.
+    Depends only on (snapshots, stop_reason, singular_estimate, config) and
+    their records so that ``analyze`` on stored snapshots reproduces it
+    byte-identically.  A key missing a snapshot's value lists it under ``skipped``.
     """
     diags = cfg["diagnostics"]
     est = traj.singular_estimate
@@ -461,26 +455,28 @@ def build_report(traj: Trajectory, cfg: dict) -> dict:
         "diagnostics": {},
     }
     out = report["diagnostics"]
+    kappa_skipped = [{"t": r.t, "reason": r.kappa_skipped} for r in records if r.kappa_skipped]
+    skipped = [{"t": r.t, "reason": r.skipped} for r in records if r.skipped]
     for key in sorted(diags):
         if not diags[key]:
             continue
         try:
             if key == "noncollapse":
-                series = [{"t": r.t, "kappa_min": r.kappa_min} for r in dg.kappa_series(traj)]
-                out[key] = {"series": series,
-                            "kappa_min_overall": min(r["kappa_min"] for r in series)}
+                if kappa_skipped:
+                    out[key] = {"error": kappa_skipped[0]["reason"], "skipped": kappa_skipped}
+                else:
+                    out[key] = {"series": [{"t": r.t, "kappa_min": r.kappa_min} for r in records],
+                                "kappa_min_overall": min(r.kappa_min for r in records)}
             elif key == "pinching":
-                records, envelope = dg.pinching_profile(traj)
-                out[key] = {"envelope": envelope,
-                            "worst_ratio_series": [{"t": r.t, "worst_ratio": r.worst_ratio}
+                out[key] = {"envelope": dg.pinching_profile(traj),
+                            "worst_ratio_series": [{"t": r.t, "worst_ratio": r.min_lam1_over_H}
                                                    for r in records]}
             elif key == "harnack":
                 out[key] = _harnack_report(traj, diags[key] if isinstance(diags[key], dict) else {})
             elif key == "ratioA2H2":
-                res = dg.ratio_A2_H2(traj)
-                out[key] = {"t": res["t"], "max_ratio": res["max_ratio"],
-                            "nonincreasing": res["nonincreasing"],
-                            "worst_excess": res["worst_excess"]}
+                out[key] = {"t": np.array([r.t for r in records]),
+                            "max_ratio": np.array([r.max_ratio for r in records]),
+                            **dg.ratio_A2_H2(records)}
             elif key == "Hevolution":
                 res = dg.verify_H_evolution(traj)
                 out[key] = {"t": res["t"], "max_residual": res["max_residual"],
@@ -493,6 +489,8 @@ def build_report(traj: Trajectory, cfg: dict) -> dict:
                             "slope": res["slope"], "ratio": res["ratio"]}
         except McfError as exc:
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
+            if key in ("pinching", "ratioA2H2") and skipped:
+                out[key]["skipped"] = skipped
     return report
 
 
@@ -544,10 +542,11 @@ def cmd_run(args) -> int:
     # report content must be reproducible from the stored snapshots alone
     rep_traj = Trajectory(snapshots=traj.snapshots, stop_reason=traj.stop_reason,
                           singular_estimate=traj.singular_estimate)
-    report = build_report(rep_traj, cfg)
+    records = _records(rep_traj, cfg)
+    report = build_report(rep_traj, cfg, records)
 
     written = ["timeseries.csv", "report.json"]
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, cfg["diagnostics"])
+    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, records, cfg["diagnostics"])
     for k, snap in enumerate(traj.snapshots):
         written.append(os.path.join("snapshots", f"t_{k:05d}.json"))
         _dump_json(os.path.join(out_dir, written[-1]), _snapshot_obj(snap, k))
@@ -630,7 +629,7 @@ def cmd_analyze(args) -> int:
     cfg, traj = _load_run_dir(args.run_dir)
     if args.blowup_at is None:
         # identity re-analysis: rebuild report.json from the stored snapshots
-        report = build_report(traj, cfg)
+        report = build_report(traj, cfg, _records(traj, cfg))
         _dump_json(os.path.join(args.run_dir, "report.json"), report)
         print(f"report.json rebuilt from {len(traj.snapshots)} stored snapshots")
         return EXIT_OK

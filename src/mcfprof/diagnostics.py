@@ -1,9 +1,9 @@
 """Quantitative flow diagnostics on trajectories and snapshots.
 
-Inscribed radius / noncollapsing ratio, curvature pinching envelope, local
-Harnack ratio over parabolic cubes, |A|^2/H^2 monotone-max check, residual of
-the mean-curvature evolution equation, convexity of rescaled snapshots, and
-the sqrt(tau) distance-scaling law at an estimated singular point.
+Per-snapshot scalar records, inscribed radius / noncollapsing ratio, curvature
+pinching envelope, local Harnack ratio over parabolic cubes, |A|^2/H^2
+monotone-max check, residual of the mean-curvature evolution equation,
+convexity of rescaled snapshots, and the sqrt(tau) distance-scaling law.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (DomainError, InsufficientDataError, TopologyError,
-                     WindowError)
+from .errors import (DomainError, InsufficientDataError, McfError,
+                     TopologyError, WindowError)
 from .flow import Trajectory, _step_operator
 from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve
 
@@ -24,17 +24,58 @@ from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve
 class NoncollapseRecord:
     """Per-snapshot noncollapsing summary: kappa_min = min r_node * H_node."""
 
-    t: float
     kappa_min: float
     r_field: np.ndarray
 
 
 @dataclass
-class PinchingRecord:
-    """Per-snapshot worst lambda_1/H ratio."""
+class SnapshotRecord:
+    """Per-snapshot scalars that timeseries.csv and report.json both render.
+
+    H-normalized values are nan where H <= 0 at some node, and ``skipped``
+    says why; ``kappa_min`` is nan when not asked for or when it failed
+    (``kappa_skipped``).  ``spacing``: ``node_spacing`` at the max ratio node.
+    """
 
     t: float
-    worst_ratio: float
+    max_H: float
+    min_H: float
+    max_A2: float
+    max_ratio: float = float("nan")
+    spacing: float = float("nan")
+    min_lam1_over_H: float = float("nan")
+    kappa_min: float = float("nan")
+    skipped: Optional[str] = None
+    kappa_skipped: Optional[str] = None
+
+
+def snapshot_records(snapshots: Sequence[FlowSnapshot],
+                     noncollapse: bool) -> list[SnapshotRecord]:
+    """One ``SnapshotRecord`` per snapshot; kappa only when ``noncollapse``.
+
+    |A|^2/H^2 and lambda_1/H are defined only where H > 0 at every node.
+    """
+    records = []
+    for snap in snapshots:
+        c = snap.curvature
+        H = c.H
+        rec = SnapshotRecord(t=snap.t, max_H=float(H.max()), min_H=float(H.min()),
+                             max_A2=float(c.A2.max()))
+        if rec.min_H > 0.0:
+            ratio = c.A2 / H ** 2
+            k = int(np.argmax(ratio))
+            rec.max_ratio = float(ratio[k])
+            rec.spacing = float(snap.surface.node_spacing()[k])
+            rec.min_lam1_over_H = float(np.min(c.lam[:, 0] / H))
+        else:
+            rec.skipped = f"DomainError: min H = {rec.min_H!r} <= 0"
+        if noncollapse:
+            try:
+                rec.kappa_min = noncollapsing_ratio(snap).kappa_min
+            except McfError as exc:
+                rec.kappa_skipped = f"{type(exc).__name__}: {exc}"
+        records.append(rec)
+    return records
 
 
 @dataclass
@@ -119,57 +160,34 @@ def _inscribed_radii(snapshot: FlowSnapshot) -> np.ndarray:
 
 
 def noncollapsing_ratio(snapshot: FlowSnapshot) -> NoncollapseRecord:
-    """Per-node inscribed radius and the minimum of r*H; requires min H > 0.
-
-    The record is computed once per snapshot and cached on it; its
-    ``r_field`` is read-only because every caller shares it.
-    """
-    if snapshot._noncollapse is None:
-        curv = snapshot.curvature
-        if float(np.min(curv.H)) <= 0.0:
-            raise DomainError("noncollapsing ratio requires H > 0 at every node")
-        r_field = _inscribed_radii(snapshot)
-        r_field.flags.writeable = False
-        kappa_min = float(np.min(r_field * curv.H))
-        snapshot._noncollapse = NoncollapseRecord(t=snapshot.t, kappa_min=kappa_min,
-                                                  r_field=r_field)
-    return snapshot._noncollapse
-
-
-def kappa_series(traj: Trajectory):
-    """noncollapsing_ratio over every snapshot of a mean-convex trajectory."""
-    return [noncollapsing_ratio(s) for s in traj.snapshots]
+    """Per-node inscribed radius and the minimum of r*H; requires min H > 0."""
+    curv = snapshot.curvature
+    if float(np.min(curv.H)) <= 0.0:
+        raise DomainError("noncollapsing ratio requires H > 0 at every node")
+    r_field = _inscribed_radii(snapshot)
+    return NoncollapseRecord(kappa_min=float(np.min(r_field * curv.H)), r_field=r_field)
 
 
 # ---------------------------------------------------------------------------
 # pinching profile
 # ---------------------------------------------------------------------------
 
-def pinching_profile(traj: Trajectory, decades: int = 4):
-    """(records, envelope) for the pinching inequality lambda_1 >= -phi(H).
+def pinching_profile(traj: Trajectory) -> list:
+    """Envelope for the pinching inequality lambda_1 >= -phi(H).
 
-    The envelope bins pooled (H, lambda_1) samples by decades of H downward
-    from the overall max and reports phi_hat = max(0, -min lambda_1) per bin
-    together with the ratio phi_hat / H at the bin's geometric midpoint; the
-    ratio should trend down with H on a mean-convex flow approaching a
-    singularity.
+    The envelope bins pooled (H, lambda_1) samples by four decades of H
+    downward from the overall max and reports phi_hat = max(0, -min lambda_1)
+    per bin together with the ratio phi_hat / H at the bin's geometric
+    midpoint; the ratio should trend down with H on a mean-convex flow
+    approaching a singularity.
     """
-    records = []
-    H_all, lam1_all = [], []
-    for snap in traj.snapshots:
-        c = snap.curvature
-        H = c.H
-        lam1 = c.lam[:, 0]
-        if float(H.min()) <= 0.0:
-            raise DomainError("pinching profile requires a mean-convex trajectory")
-        records.append(PinchingRecord(t=snap.t, worst_ratio=float(np.min(lam1 / H))))
-        H_all.append(H)
-        lam1_all.append(lam1)
-    H_all = np.concatenate(H_all)
-    lam1_all = np.concatenate(lam1_all)
+    H_all = np.concatenate([snap.curvature.H for snap in traj.snapshots])
+    if float(H_all.min()) <= 0.0:
+        raise DomainError("pinching profile requires a mean-convex trajectory")
+    lam1_all = np.concatenate([snap.curvature.lam[:, 0] for snap in traj.snapshots])
     Hmax = float(H_all.max())
     envelope = []
-    for d in range(decades):
+    for d in range(4):
         hi = Hmax / 10.0**d
         lo = hi / 10.0
         m = (H_all >= lo) & (H_all <= hi)
@@ -178,7 +196,7 @@ def pinching_profile(traj: Trajectory, decades: int = 4):
         phi = max(0.0, -float(np.min(lam1_all[m])))
         envelope.append({"H_lo": lo, "H_hi": hi, "phi_hat": phi,
                          "ratio": phi / np.sqrt(lo * hi), "count": int(m.sum())})
-    return records, envelope
+    return envelope
 
 
 # ---------------------------------------------------------------------------
@@ -235,33 +253,20 @@ def harnack_check(traj: Trajectory, p, R: float) -> HarnackRecord:
 # |A|^2 / H^2 monotone max
 # ---------------------------------------------------------------------------
 
-def ratio_A2_H2(traj: Trajectory, tol_rate: float = 10.0) -> dict:
-    """Per-snapshot max of |A|^2/H^2; checks the max is nonincreasing in time.
+def ratio_A2_H2(records: Sequence[SnapshotRecord]) -> dict:
+    """Checks that the per-snapshot max of |A|^2/H^2 is nonincreasing in time.
 
-    The allowed slack between consecutive snapshots is tol_rate * h^2 per unit
-    time (discretization error of the maximum principle), h the
-    ``node_spacing`` of the later snapshot at its maximizing node.
+    The allowed slack between consecutive records is 10 h^2 per unit time
+    (discretization error of the maximum principle), h the ``spacing`` of the
+    later record.
     """
-    times, ratios, hs = [], [], []
-    for snap in traj.snapshots:
-        c = snap.curvature
-        if float(np.min(c.H)) <= 0.0:
-            raise DomainError("|A|^2/H^2 check requires H > 0 throughout")
-        ratio = c.A2 / c.H ** 2
-        k = int(np.argmax(ratio))
-        ratios.append(float(ratio[k]))
-        times.append(snap.t)
-        hs.append(float(snap.surface.node_spacing()[k]))
+    if any(rec.skipped for rec in records):
+        raise DomainError("|A|^2/H^2 check requires H > 0 throughout")
     worst = 0.0
-    ok = True
-    for k in range(1, len(ratios)):
-        slack = tol_rate * hs[k] ** 2 * max(times[k] - times[k - 1], 0.0)
-        excess = ratios[k] - ratios[k - 1] - slack
-        worst = max(worst, excess)
-        if excess > 0.0:
-            ok = False
-    return {"t": np.array(times), "max_ratio": np.array(ratios),
-            "nonincreasing": ok, "worst_excess": worst}
+    for prev, rec in zip(records, records[1:]):
+        slack = 10.0 * rec.spacing ** 2 * max(rec.t - prev.t, 0.0)
+        worst = max(worst, rec.max_ratio - prev.max_ratio - slack)
+    return {"nonincreasing": worst <= 0.0, "worst_excess": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +304,14 @@ def _interp_H_at_projection(curve: ProfileCurve, H: np.ndarray, z0, r0):
     return val, ok
 
 
-def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
-                       samples: Optional[Sequence[int]] = None) -> dict:
+def verify_H_evolution(traj: Trajectory, index: Optional[int] = None) -> dict:
     """Residual of dH/dt = Lap H + H |A|^2 at the middle of a snapshot triple.
 
     ``index`` picks the middle snapshot (default: the midpoint of the
     trajectory).  Node correspondence across the triple is by nearest-point
     projection of the middle nodes onto the neighbors; nodes where the
     projection is ambiguous (or within a few spacings of a pole, where the
-    rotational term degenerates) are skipped and flagged.
+    rotational term degenerates) are skipped and counted.
     """
     if len(traj.snapshots) < 3:
         raise InsufficientDataError("need at least three recorded snapshots")
@@ -338,15 +342,10 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None,
         ds = curve.spacings()
         local = np.maximum(np.concatenate(([ds[0]], ds)), np.concatenate((ds, [ds[-1]])))
         valid &= curve.r > 4.0 * np.maximum(local, ds.mean())
-    if samples is not None:
-        pick = np.zeros(curve.num_nodes, dtype=bool)
-        pick[np.asarray(samples, dtype=int)] = True
-        valid &= pick
     if not np.any(valid):
         raise InsufficientDataError("no unambiguous sample nodes for the residual")
     residual = dHdt - (lap + H * c.A2)
-    return {"residual": residual, "valid": valid,
-            "max_residual": float(np.max(np.abs(residual[valid]))),
+    return {"max_residual": float(np.max(np.abs(residual[valid]))),
             "t": mid_s.t, "skipped": int(np.count_nonzero(~valid))}
 
 
@@ -360,12 +359,12 @@ def convexity_check(snapshot: FlowSnapshot, tol: float):
     return min_lam1 >= -tol, min_lam1
 
 
-def singular_distance_scaling(traj: Trajectory, tau_max: Optional[float] = None,
-                              num: int = 14, factor: float = 2.0) -> dict:
+def singular_distance_scaling(traj: Trajectory) -> dict:
     """Fit of r_tau = dist(singular point, flow at T - tau) against sqrt(tau).
 
-    Uses a geometric tau ladder tau_j = tau_max * factor^(-j) mapped to the
-    nearest recorded snapshots; returns the log-log slope and the ratio band
+    Uses a geometric tau ladder tau_j = tau_max * 2^(-j), j < 14, mapped to
+    the nearest recorded snapshots, with tau_max half the gap from T back to
+    the first snapshot after t0; returns the log-log slope and the ratio band
     r_tau / sqrt(tau).
     """
     if traj.singular_estimate is None:
@@ -373,13 +372,12 @@ def singular_distance_scaling(traj: Trajectory, tau_max: Optional[float] = None,
     est = traj.singular_estimate
     times = traj.times
     T = est.T
-    if tau_max is None:
-        later = times[times > times[0]]
-        tau_max = 0.5 * float(T - later[0]) if later.size else 0.1 * T
+    later = times[times > times[0]]
+    tau_max = 0.5 * float(T - later[0]) if later.size else 0.1 * T
     taus, rtaus = [], []
     seen = set()
-    for j in range(num):
-        tau = tau_max * factor**(-j)
+    for j in range(14):
+        tau = tau_max * 2.0**(-j)
         k = int(np.argmin(np.abs(times - (T - tau))))
         if k in seen:
             continue
@@ -401,6 +399,6 @@ def singular_distance_scaling(traj: Trajectory, tau_max: Optional[float] = None,
             f"singular-point estimate lies on the flow at tau = {taus[rtaus <= 0.0].max():.6g}")
     order = np.argsort(taus)
     taus, rtaus = taus[order], rtaus[order]
-    slope, intercept = np.polyfit(np.log(taus), np.log(rtaus), 1)
+    slope = np.polyfit(np.log(taus), np.log(rtaus), 1)[0]
     return {"tau": taus, "r_tau": rtaus, "slope": float(slope),
-            "intercept": float(intercept), "ratio": rtaus / np.sqrt(taus)}
+            "ratio": rtaus / np.sqrt(taus)}

@@ -87,17 +87,17 @@ class Trajectory:
 
 
 def _fit_singular_time(times, maxA2) -> Optional[float]:
-    """Least-squares affine fit of 1/max|A|^2 vs t over the final decade; root is T."""
+    """Least-squares affine fit of 1/max|A|^2 vs t over the final decade; root is T.
+
+    The decade is the trailing run (>= 4 steps) within a factor 10 of the last max|A|^2."""
     times = np.asarray(times)
     maxA2 = np.asarray(maxA2)
     if times.size < 8 or maxA2[-1] <= 0:
         return None
-    mask = maxA2 >= maxA2[-1] / 10.0
-    if mask.sum() < 4:
-        mask = np.zeros_like(mask)
-        mask[-4:] = True
-    tt = times[mask]
-    yy = 1.0 / maxA2[mask]
+    below = np.flatnonzero(maxA2 < maxA2[-1] / 10.0)
+    start = min(below[-1] + 1 if below.size else 0, times.size - 4)
+    tt = times[start:]
+    yy = 1.0 / maxA2[start:]
     A = np.column_stack((np.ones_like(tt), tt))
     (alpha, beta), *_ = np.linalg.lstsq(A, yy, rcond=None)
     if beta >= 0.0:

@@ -107,9 +107,6 @@ class ProfileCurve:
             return False
         return not LineString(np.column_stack((self.z, self.r))).is_simple
 
-    def copy(self) -> "ProfileCurve":
-        return ProfileCurve(self.z.copy(), self.r.copy(), self.n, self.topology, self.period)
-
 
 @dataclass
 class GraphPatch:
@@ -150,25 +147,17 @@ class CurvatureField:
 
 @dataclass
 class FlowSnapshot:
-    """A surface at one instant, with lazily computed cached curvature.
-
-    ``_noncollapse`` caches the ``diagnostics.NoncollapseRecord`` that
-    ``noncollapsing_ratio`` computes, as ``_curv`` caches the curvature.
-    """
+    """A surface at one instant, with lazily computed cached curvature."""
 
     surface: ProfileCurve
     t: float
     _curv: Optional[CurvatureField] = field(default=None, repr=False)
-    _noncollapse: Optional[object] = field(default=None, repr=False)
 
     @property
     def curvature(self) -> CurvatureField:
         if self._curv is None:
             self._curv = curvature_axisymmetric(self.surface)
         return self._curv
-
-    def copy(self) -> "FlowSnapshot":
-        return FlowSnapshot(self.surface.copy(), self.t)
 
 
 # ---------------------------------------------------------------------------

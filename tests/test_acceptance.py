@@ -89,7 +89,8 @@ def test_criterion_03_noncollapsing(sphere_run, cylinder_run, dumbbell_run, oval
     ok &= bool(np.abs(kappa - 1.0).max() < 2.0 * curve.mean_spacing)
     # kappa <= n + 5h on every snapshot of every run, h its smallest spacing
     for run in (sphere_run, cylinder_run, dumbbell_run, ovaloid_run):
-        for rec, snap in zip(dg.kappa_series(run["traj"]), run["traj"].snapshots):
+        snaps = run["traj"].snapshots
+        for rec, snap in zip(dg.snapshot_records(snaps, noncollapse=True), snaps):
             ok &= rec.kappa_min <= snap.surface.n + 5.0 * snap.surface.spacings().min()
     # dilation invariance of kappa
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
@@ -160,10 +161,13 @@ def test_criterion_06_round_point(ovaloid_run):
 
 def test_criterion_07_monotone_ratio(sphere_run, cylinder_run, dumbbell_run, ovaloid_run):
     ok = True
-    for run in (sphere_run, cylinder_run, dumbbell_run, ovaloid_run):
-        ok &= dg.ratio_A2_H2(run["traj"])["nonincreasing"]
-    ok &= bool(np.abs(dg.ratio_A2_H2(sphere_run["traj"])["max_ratio"] - 0.5).max() < 1e-6)
-    ok &= bool(np.abs(dg.ratio_A2_H2(cylinder_run["traj"])["max_ratio"] - 1.0).max() < 1e-6)
+    records = {}
+    for name, run in (("sphere", sphere_run), ("cylinder", cylinder_run),
+                      ("dumbbell", dumbbell_run), ("ovaloid", ovaloid_run)):
+        records[name] = dg.snapshot_records(run["traj"].snapshots, noncollapse=False)
+        ok &= dg.ratio_A2_H2(records[name])["nonincreasing"]
+    ok &= all(abs(r.max_ratio - 0.5) < 1e-6 for r in records["sphere"])
+    ok &= all(abs(r.max_ratio - 1.0) < 1e-6 for r in records["cylinder"])
     verdict(7, "monotone max |A|^2/H^2", ok)
 
 
@@ -215,7 +219,7 @@ def test_criterion_08_H_evolution_order():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_pinching_trend(dumbbell_run):
-    _, env = dg.pinching_profile(dumbbell_run["traj"])
+    env = dg.pinching_profile(dumbbell_run["traj"])
     ok = len(env) >= 2 and env[0]["ratio"] < env[1]["ratio"]
     verdict(9, "pinching trend", ok)
 

@@ -271,6 +271,62 @@ def test_disabled_diagnostics_add_no_columns(tmp_path, monkeypatch):
     assert set(report["diagnostics"]) == {"distance-scaling"}
 
 
+def test_run_computes_kappa_once_per_snapshot(tmp_path, monkeypatch):
+    calls = []
+    radii = dg._inscribed_radii
+
+    def counted(snapshot):
+        calls.append(snapshot.t)
+        return radii(snapshot)
+    monkeypatch.setattr(dg, "_inscribed_radii", counted)
+    code, out = run_scenario(tmp_path, dict(BASE_CFG, diagnostics={"noncollapse": True}), "once")
+    assert code == EXIT_OK
+    assert len(calls) == json.loads((out / "report.json").read_text())["num_snapshots"]
+
+
+def csv_columns(path):
+    lines = path.read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return {name: [row[k] for row in rows] for k, name in enumerate(lines[0].split(","))}
+
+
+def test_timeseries_and_report_render_the_same_values(tmp_path):
+    cfg = dict(BASE_CFG, diagnostics=["noncollapse", "pinching", "ratioA2H2"])
+    code, out = run_scenario(tmp_path, cfg, "same")
+    assert code == EXIT_OK
+    cols = csv_columns(out / "timeseries.csv")
+    diags = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert cols["kappa_min"] == [r["kappa_min"] for r in diags["noncollapse"]["series"]]
+    assert cols["max_A2_over_H2"] == diags["ratioA2H2"]["max_ratio"]
+    assert cols["min_lambda1_over_H"] == [r["worst_ratio"]
+                                          for r in diags["pinching"]["worst_ratio_series"]]
+
+
+THIN_NECK_CFG = {"name": "thin", "n": 2,
+                 "initial": {"dumbbell": {"bulb_R": 1.0, "neck_r": 0.1, "length": 8.0}},
+                 "nodes": 400, "step": {"A2_stop": 2e3},
+                 "diagnostics": ["noncollapse", "pinching", "ratioA2H2"]}
+
+
+def test_snapshot_with_H_below_zero_has_nan_cells_and_skipped_reasons(tmp_path):
+    # the thin neck has H < 0 at t = 0 only: its row holds nan, and each key says why
+    code, out = run_scenario(tmp_path, THIN_NECK_CFG, "thin")
+    assert code == EXIT_OK
+    cols = csv_columns(out / "timeseries.csv")
+    keys = ("max_A2_over_H2", "kappa_min", "min_lambda1_over_H")
+    assert cols["t"][0] == 0.0 and cols["min_H"][0] < 0.0
+    assert all(np.isnan(cols[key][0]) for key in keys)
+    assert all(np.isfinite(cols[key][1:]).all() for key in keys)
+    report_bytes = (out / "report.json").read_bytes()
+    diags = json.loads(report_bytes)["diagnostics"]
+    for key in ("noncollapse", "pinching", "ratioA2H2"):
+        assert diags[key]["error"].startswith("DomainError: ")
+        assert [s["t"] for s in diags[key]["skipped"]] == [0.0]
+        assert diags[key]["skipped"][0]["reason"].startswith("DomainError: ")
+    assert main(["analyze", str(out)]) == EXIT_OK
+    assert (out / "report.json").read_bytes() == report_bytes
+
+
 def test_rerun_into_same_dir_replaces_stale_snapshots(tmp_path):
     long_cfg = dict(BASE_CFG, diagnostics={"noncollapse": True})
     short_cfg = dict(long_cfg, step={"A2_stop": 2.0 / 0.3**2})

@@ -6,7 +6,8 @@ import pytest
 from mcfprof.diagnostics import (convexity_check, harnack_check,
                                  noncollapsing_ratio,
                                  pinching_profile, ratio_A2_H2,
-                                 singular_distance_scaling, verify_H_evolution)
+                                 singular_distance_scaling, snapshot_records,
+                                 verify_H_evolution)
 from mcfprof.errors import DomainError, InsufficientDataError, WindowError
 from mcfprof.flow import StepControl, Trajectory, _implicit_step, run_until
 from mcfprof.geometry import FlowSnapshot, ProfileCurve, resample_arclength
@@ -191,24 +192,6 @@ def test_inscribed_radii_query_budget(counted_queries):
     assert 0 < counted_queries.rows <= 4 * snap.surface.num_nodes
 
 
-def test_noncollapsing_record_cached_per_snapshot(counted_queries):
-    snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
-    rec = noncollapsing_ratio(snap)
-    rows = counted_queries.rows
-    assert noncollapsing_ratio(snap) is rec
-    assert counted_queries.rows == rows
-    assert snap.copy()._noncollapse is None
-    assert parabolic_dilate(snap, DilationParams(2.0, 0.0, 0.0, 0.0))._noncollapse is None
-
-
-def test_noncollapsing_domain_error_not_cached():
-    snap = FlowSnapshot(dumbbell_profile(1.0, 0.05, 8.0, 2, 300), 0.0)
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            noncollapsing_ratio(snap)
-    assert snap._noncollapse is None
-
-
 # ---------------------------------------------------------------------------
 # pinching
 # ---------------------------------------------------------------------------
@@ -216,18 +199,20 @@ def test_noncollapsing_domain_error_not_cached():
 def test_pinching_zero_on_convex_ovaloid():
     snap = FlowSnapshot(ovaloid_profile(1.0, 0.6, 2, 300), 0.0)
     traj = Trajectory([snap], "t-end", None)
-    _, env = pinching_profile(traj)
+    env = pinching_profile(traj)
     assert all(e["phi_hat"] == 0.0 for e in env)
 
 
 def test_pinching_zero_on_cylinder(cylinder_run):
-    _, env = pinching_profile(cylinder_run["traj"])
+    env = pinching_profile(cylinder_run["traj"])
     assert all(e["phi_hat"] < 1e-10 for e in env)
 
 
 def test_pinching_trend_on_dumbbell(dumbbell_run):
-    records, env = pinching_profile(dumbbell_run["traj"])
-    assert records[0].worst_ratio < 0.0  # neck has lambda_1 < 0 at t = 0
+    traj = dumbbell_run["traj"]
+    env = pinching_profile(traj)
+    # neck has lambda_1 < 0 at t = 0
+    assert snapshot_records(traj.snapshots, noncollapse=False)[0].min_lam1_over_H < 0.0
     assert env[0]["phi_hat"] > 0.0
     assert env[0]["ratio"] < env[1]["ratio"]  # phi_hat/H falls with H
 
@@ -271,16 +256,15 @@ def test_harnack_window_error(sphere_run):
 # ---------------------------------------------------------------------------
 
 def test_ratio_exact_on_models(sphere_run, cylinder_run):
-    res = ratio_A2_H2(sphere_run["traj"])
-    assert np.abs(res["max_ratio"] - 0.5).max() < 1e-6
-    res = ratio_A2_H2(cylinder_run["traj"])
-    assert np.abs(res["max_ratio"] - 1.0).max() < 1e-6
+    for run, exact in ((sphere_run, 0.5), (cylinder_run, 1.0)):
+        records = snapshot_records(run["traj"].snapshots, noncollapse=False)
+        assert max(abs(r.max_ratio - exact) for r in records) < 1e-6
 
 
 def test_ratio_monotone_on_dumbbell(dumbbell_run):
-    res = ratio_A2_H2(dumbbell_run["traj"])
-    assert res["max_ratio"][0] > 1.0  # neck anisotropy at t = 0
-    assert res["nonincreasing"]
+    records = snapshot_records(dumbbell_run["traj"].snapshots, noncollapse=False)
+    assert records[0].max_ratio > 1.0  # neck anisotropy at t = 0
+    assert ratio_A2_H2(records)["nonincreasing"]
 
 
 def test_H_evolution_residual_small_on_sphere():

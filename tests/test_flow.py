@@ -103,6 +103,15 @@ def test_extinction_stop():
     assert traj.snapshots[-1].surface.r.max() < 0.1
 
 
+def test_fit_singular_time_ignores_an_earlier_spike():
+    # 1/|A|^2 = 1 - t is exact, so the trailing decade fits T = 1; a spike
+    # inside the last decade's value range must not join the fit
+    t = 1.0 - np.logspace(0.0, -4.0, 200)
+    a = 1.0 / (1.0 - t)
+    a[20:30] = 5e3
+    assert abs(flow._fit_singular_time(t, a) - 1.0) < 1e-9
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_node_demand_past_float_range_is_numerical_failure():
     # refine_target 1e-308 asks for ~1e307 nodes on each of 32 segments: the
