@@ -23,7 +23,7 @@ from . import diagnostics as dg
 from . import rescale as rs
 from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
                      InconclusiveRunError, McfError, NumericalBlowupError,
-                     ResolutionError)
+                     ResolutionError, TopologyError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
 from .geometry import (PERIODIC, FlowSnapshot, ProfileCurve, curvature_axisymmetric,
                        max_curvature_node)
@@ -53,18 +53,6 @@ INITIAL_TAGS = {
     "model": ("kind", "params"),
     "profile-file": ("path",),
 }
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MCFPROF_THREADS")
-    if not cap:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(int(cap))
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +183,7 @@ def _valid_datum(curve: ProfileCurve, tag: str) -> ProfileCurve:
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(curvature_axisymmetric(curve).A2)):
                 raise DegenerateSurfaceError("non-finite curvature (a cusp or coincident nodes)")
-    except (ResolutionError, DegenerateSurfaceError) as exc:
+    except (ResolutionError, DegenerateSurfaceError, TopologyError) as exc:
         raise ConfigError(f"invalid initial datum: {exc}", field=f"initial.{tag}")
     return curve
 
@@ -208,7 +196,7 @@ def build_initial(cfg: dict) -> FlowSnapshot:
     if tag == "model":
         try:
             model = ModelSolution(kind=body["kind"], n=n, **body["params"])
-            snap = model_snapshot(model, t=0.0, nodes=nodes)  # a translator raises DomainError
+            snap = model_snapshot(model, t=0.0, nodes=nodes)
         except (TypeError, ValueError, McfError) as exc:
             raise ConfigError(f"bad model: {exc}", field="initial.model")
         _valid_datum(snap.surface, tag)
@@ -239,9 +227,10 @@ def build_initial(cfg: dict) -> FlowSnapshot:
             raise ConfigError(f"bad initial datum: {exc}", field=f"initial.{tag}")
     if "perturb" in initial:
         p = initial["perturb"]
+        # respacing the perturbed curve can overflow its spline or find that it crosses itself
         try:
             curve = perturb_profile(curve, p.get("amplitude", 0.0), p.get("modes", 3), cfg["seed"])
-        except (ValueError, NumericalBlowupError) as exc:  # the respacing spline overflows
+        except (ValueError, NumericalBlowupError, TopologyError) as exc:
             raise ConfigError(f"bad perturbation: {exc}", field="initial.perturb")
     return FlowSnapshot(_valid_datum(curve, tag), 0.0)
 
@@ -561,7 +550,6 @@ def cmd_run(args) -> int:
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "stop_reason": traj.stop_reason,
-        "underflow": traj.underflow,
         "T_sing": None if est is None else est.T,
         "singular_point": None if est is None else {"z": est.z, "rho": est.rho},
         "files": files,
@@ -652,7 +640,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def models_check(quiet: bool = False) -> int:
+def models_check() -> int:
     """Residual table for the reference solutions; exit 0 iff all in tolerance."""
     rows = []
 
@@ -682,15 +670,9 @@ def models_check(quiet: bool = False) -> int:
         err = abs(R_num - R_exact) / R_exact
         rows.append((f"{kind} radius-law round trip (t={t_end})", err, 1e-3, err < 1e-3))
 
-    ok = all(r[3] for r in rows)
-    if not quiet:
-        for name, value, tol, passed in rows:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:.3e} (tolerance {tol})")
-    return EXIT_OK if ok else EXIT_NUMERICAL
-
-
-def cmd_models(args) -> int:
-    return models_check()
+    for name, value, tol, passed in rows:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {value:.3e} (tolerance {tol})")
+    return EXIT_OK if all(r[3] for r in rows) else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +704,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_mod = sub.add_parser("models", help="reference-solution residual table "
                                           "(exit 0 iff all residuals are in tolerance)")
-    p_mod.set_defaults(func=cmd_models)
+    p_mod.set_defaults(func=lambda args: models_check())
     return parser
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .errors import (DomainError, InsufficientDataError, McfError,
                      TopologyError, WindowError)
 from .flow import Trajectory, _step_operator
-from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve
+from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, nearest_node
 
 
 @dataclass
@@ -211,18 +211,16 @@ def harnack_check(traj: Trajectory, p, R: float) -> HarnackRecord:
     over snapshots with t in (t_p - (R/H(p))^2, t_p].
     """
     z_p, rho_p, t_p = p
-    times = traj.times
-    k = int(np.argmin(np.abs(times - t_p)))
-    snap_p = traj.snapshots[k]
+    snap_p = traj.nearest_snapshot(t_p)
     curve_p = snap_p.surface
-    j = int(np.argmin((curve_p.z - z_p) ** 2 + (curve_p.r - rho_p) ** 2))
+    j = nearest_node(curve_p, z_p, rho_p)
     z_p, rho_p, t_p = float(curve_p.z[j]), float(curve_p.r[j]), snap_p.t
     H_p = float(snap_p.curvature.H[j])
     if H_p <= 0.0:
         raise DomainError("Harnack check requires H(p) > 0")
     rad = R / H_p
     t_lo = t_p - rad * rad
-    earliest = traj.step_times[0] if traj.step_times.size else times[0]
+    earliest = traj.snapshots[0].t
     if t_lo < earliest - 1e-12:
         raise WindowError(
             f"parabolic cube reaches t = {t_lo:.6g}, before the recorded window start {earliest:.6g}")
@@ -374,22 +372,15 @@ def singular_distance_scaling(traj: Trajectory) -> dict:
     T = est.T
     later = times[times > times[0]]
     tau_max = 0.5 * float(T - later[0]) if later.size else 0.1 * T
-    taus, rtaus = [], []
-    seen = set()
+    taus, rtaus, prev = [], [], None
     for j in range(14):
-        tau = tau_max * 2.0**(-j)
-        k = int(np.argmin(np.abs(times - (T - tau))))
-        if k in seen:
+        # the ladder's snapshots are nondecreasing in t: a repeat follows its first use
+        snap = traj.nearest_snapshot(T - tau_max * 2.0**(-j))
+        if snap is prev or T - snap.t <= 0.0:
             continue
-        snap = traj.snapshots[k]
-        tau_actual = T - snap.t
-        if tau_actual <= 0.0:
-            continue
-        seen.add(k)
-        curve = snap.surface
-        d = np.hypot(curve.z - est.z, curve.r - abs(est.rho))
-        taus.append(tau_actual)
-        rtaus.append(float(d.min()))
+        prev = snap
+        taus.append(T - snap.t)
+        rtaus.append(float(np.hypot(snap.surface.z - est.z, snap.surface.r - abs(est.rho)).min()))
     if len(taus) < 4:
         raise InsufficientDataError(f"only {len(taus)} usable ladder points (need 4)")
     taus = np.array(taus)

@@ -74,7 +74,6 @@ class Trajectory:
     singular_estimate: Optional[SingularEstimate]
     step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_maxA2: np.ndarray = field(default_factory=lambda: np.empty(0))
-    underflow: bool = False
     # run counters: steps taken, respacings at the same node count, refinements
     stats: dict = field(default_factory=dict)
 
@@ -285,7 +284,6 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
     snapshots = [make_snapshot()]
     hist_t, hist_A2 = [], []
     stop_reason = None
-    underflow = False
     cascade_level = None
     cascade_count = 0
     last_recorded_t = t
@@ -328,7 +326,6 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
                     level = min(level, cascade_level)
                 dt = min(dt, (1.0 / maxA2 - 1.0 / (LANDING_FACTOR * level)) / rate)
         if dt < ctl.dt_min or t + dt == t:  # t + dt == t: dt is below the resolution of t
-            underflow = True
             stop_reason = STOP_UNDERFLOW
             break
         hit_schedule = False
@@ -338,20 +335,16 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
             dt = schedule[0] - t
             hit_schedule = True
 
-        ok = False
-        while True:
+        z_new = None
+        while z_new is None:
             try:
                 z_new, r_new = _implicit_step(z, r, n, closed, period, dt, op)
-                ok = True
-                break
-            except NeckPinchError:
-                pass
-            dt *= 0.5
-            hit_schedule = False
-            if dt <= ctl.dt_min or t + dt == t:
-                break
-        if not ok:
-            underflow = True
+            except NeckPinchError:  # retry at half the step, down to dt_min
+                dt *= 0.5
+                hit_schedule = False
+                if dt <= ctl.dt_min or t + dt == t:
+                    break
+        if z_new is None:
             stop_reason = STOP_UNDERFLOW
             break
         if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(r_new))):
@@ -386,7 +379,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
     traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason,
                       singular_estimate=est,
                       step_times=np.array(hist_t), step_maxA2=np.array(hist_A2),
-                      underflow=underflow, stats=counts)
+                      stats=counts)
     if stop_reason == STOP_UNDERFLOW and est is None:
         raise InconclusiveRunError(
             "time step underflowed before any singularity indicator", trajectory=traj)

@@ -24,6 +24,9 @@ CLOSED = "closed-through-axis"
 PERIODIC = "periodic-in-z"
 # relative |A|^2 gap below which max-curvature nodes count as tied
 TIE_RTOL = 1e-9
+# the embeddedness sweep sorts segments along this unit vector: aligned with neither
+# axis, so a flat cap or a straight wall does not project to one point
+SWEEP_DIRECTION = np.array([np.cos(1.0), np.sin(1.0)])
 
 
 @dataclass
@@ -99,13 +102,57 @@ class ProfileCurve:
         else:
             if np.any(self.r <= 0.0):
                 raise DegenerateSurfaceError("non-positive r on a periodic profile")
+        if self.is_self_intersecting():
+            raise TopologyError("self-intersecting generating curve")
 
     def is_self_intersecting(self) -> bool:
-        try:
-            from shapely.geometry import LineString
-        except Exception:  # pragma: no cover
+        """Whether two non-adjacent segments of the profile polyline share a point.
+
+        A profile whose z strictly increases (across the wrap too, if periodic)
+        is a graph over the axis and cannot cross itself.  Any other is swept,
+        a periodic one as three copies (shifted by -period, 0, +period) with
+        their wrap segments.
+        """
+        z, r, period = self.z, self.r, self.period
+        if np.all(np.diff(z) > 0.0) and (self.topology == CLOSED or z[-1] < z[0] + period):
             return False
-        return not LineString(np.column_stack((self.z, self.r))).is_simple
+        if self.topology == PERIODIC:
+            z = np.append(np.concatenate((z - period, z, z + period)), z[0] + 2.0 * period)
+            r = np.append(np.tile(r, 3), r[0])
+        return _polyline_crosses(np.column_stack((z, r)))
+
+
+def _polyline_crosses(pts: np.ndarray) -> bool:
+    """Whether segments i and j, |i - j| >= 2, of the polyline through pts share a point.
+
+    Sort and sweep: pass k tests each segment against the k-th next one in the
+    order of their projections on SWEEP_DIRECTION, while the projections
+    overlap.  A pair meets when neither segment has both ends strictly on one
+    side of the other's line and their bounding boxes overlap (so collinear
+    segments meet only where they overlap).
+    """
+    def turn(a, b, c):  # +1 left, -1 right, 0 collinear, per row
+        return np.sign((b - a)[:, 0] * (c - a)[:, 1] - (b - a)[:, 1] * (c - a)[:, 0])
+
+    proj = pts @ SWEEP_DIRECTION
+    lo, hi = np.minimum(proj[:-1], proj[1:]), np.maximum(proj[:-1], proj[1:])
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    active, k = np.arange(order.size), 1
+    while active.size:
+        active = active[active + k < order.size]
+        active = active[lo[active + k] <= hi[active]]
+        i, j = order[active], order[active + k]
+        apart = np.abs(i - j) > 1
+        i, j = i[apart], j[apart]
+        p1, p2, q1, q2 = pts[i], pts[i + 1], pts[j], pts[j + 1]
+        if np.any((turn(p1, p2, q1) * turn(p1, p2, q2) <= 0.0)
+                  & (turn(q1, q2, p1) * turn(q1, q2, p2) <= 0.0)
+                  & np.all(np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
+                           <= np.minimum(np.maximum(p1, p2), np.maximum(q1, q2)), axis=1)):
+            return True
+        k += 1
+    return False
 
 
 @dataclass
@@ -235,6 +282,11 @@ def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
     H = lam.sum(axis=1)
     normal = np.column_stack((r_s / w, -z_s / w))
     return CurvatureField(lam, H, A2, normal, lam_axial=lam_axial, lam_rot=lam_rot)
+
+
+def nearest_node(curve: ProfileCurve, z: float, rho: float) -> int:
+    """The node of ``curve`` nearest the meridian point (z, rho)."""
+    return int(np.argmin((curve.z - z) ** 2 + (curve.r - rho) ** 2))
 
 
 def max_curvature_node(A2: np.ndarray) -> int:

@@ -21,17 +21,11 @@ from .shapes import cylinder_profile, sphere_profile
 
 SPHERE = "sphere"
 CYLINDER = "cylinder"
-GRIM_REAPER = "grim-reaper-product"
-BOWL = "bowl-soliton"
 
 
 @dataclass
 class ModelSolution:
-    """Parametric reference flow.
-
-    For shrinkers the effective dimension is n (sphere) or m (cylinder
-    S^m x R^(n-m)); translators move with unit vertical speed.
-    """
+    """Parametric shrinker of effective dimension n (sphere) or m (cylinder S^m x R^(n-m))."""
 
     kind: str
     n: int
@@ -40,7 +34,7 @@ class ModelSolution:
     period: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in (SPHERE, CYLINDER, GRIM_REAPER, BOWL):
+        if self.kind not in (SPHERE, CYLINDER):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == CYLINDER:
             if self.m is None or not 1 <= self.m <= self.n:
@@ -54,15 +48,11 @@ class ModelSolution:
 
     @property
     def extinction_time(self) -> float:
-        if self.kind not in (SPHERE, CYLINDER):
-            return np.inf
         return self.R0**2 / (2.0 * self.effective_m)
 
 
 def shrinker_radius(model: ModelSolution, t: float) -> float:
     """Radius law R(t) = sqrt(R0^2 - 2*m_eff*t) of a shrinking sphere/cylinder."""
-    if model.kind not in (SPHERE, CYLINDER):
-        raise DomainError(f"{model.kind} is a translator, not a shrinker")
     T = model.extinction_time
     if t >= T:
         raise ExtinctError(f"t = {t} at/past extinction time {T}")
@@ -115,8 +105,6 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
     if n < 2:
         raise DomainError("bowl soliton requires n >= 2")
     r0 = min(h, 1e-3)
-    # series u = r^2/(2n) - (n+2)/(8 n^3 (n+2)) ... next order: u = r^2/(2n) + c4 r^4
-    # substituting u = a2 r^2 + a4 r^4 gives a4 = -a2^3 * 2n/(n+3) ... keep leading term
     u0 = r0**2 / (2.0 * n)
     up0 = r0 / n
     sol = solve_ivp(_bowl_rhs(n), (r0, r_max), [u0, up0], method="DOP853",
@@ -156,7 +144,7 @@ def translator_residual(patch: GraphPatch) -> float:
 
 
 def model_snapshot(model: ModelSolution, t: float, nodes: int = 400) -> FlowSnapshot:
-    """Discrete profile snapshot of a shrinker at time t; a translator raises DomainError."""
+    """Discrete profile snapshot of a shrinker at time t."""
     R = shrinker_radius(model, t)
     if model.kind == SPHERE:
         return FlowSnapshot(sphere_profile(R, model.n, nodes), t)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DegenerateSurfaceError, DomainError, EmptyWindowError, FitFailureError,
                      InsufficientDataError, ResolutionError)
 from .flow import Trajectory
-from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node
+from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node, nearest_node
 
 SPHERE_FIT_RTOL = 1e-14  # the sphere fit stops at a step this small relative to (zc, R)
 SPHERE_FIT_MAX_ITER = 100  # and fails after this many Gauss-Newton steps
@@ -69,11 +69,6 @@ def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
     return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
 
 
-def _nearest_node(curve: ProfileCurve, z: float, rho: float) -> int:
-    d2 = (curve.z - z) ** 2 + (curve.r - rho) ** 2
-    return int(np.argmin(d2))
-
-
 def waist_node(snapshot: FlowSnapshot, z_near: Optional[float] = None) -> int:
     """Interior local minimum of r(s), nearest to z_near if given."""
     r = snapshot.surface.r
@@ -115,13 +110,11 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequen
     come out 1 within discretization tolerance 5h.  h is the
     ``node_spacing`` at the snapped node.
     """
-    times = traj.times
     terms = []
     for (z, rho, t) in points:
-        k = int(np.argmin(np.abs(times - t)))
-        snap = traj.snapshots[k]
+        snap = traj.nearest_snapshot(t)
         curve = snap.surface
-        j = _nearest_node(curve, z, rho)
+        j = nearest_node(curve, z, rho)
         h = curve.node_spacing()[j]
         snap_dist = float(np.hypot(curve.z[j] - z, curve.r[j] - rho))
         if snap_dist > 3.0 * h:
@@ -132,7 +125,7 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequen
             raise DomainError("normalized blow-up requires H > 0 at the center point")
         d = DilationParams(a=H, z0=float(curve.z[j]), rho0=float(curve.r[j]), t0=snap.t)
         center = parabolic_dilate(snap, d)
-        j2 = _nearest_node(center.surface, 0.0, d.a * d.rho0)
+        j2 = nearest_node(center.surface, 0.0, d.a * d.rho0)
         H_origin = float(center.curvature.H[j2])
         tol = 5.0 * center.surface.node_spacing()[j2]
         if abs(H_origin - 1.0) > tol:

@@ -407,6 +407,9 @@ def _sphere_file(path, theta=np.linspace(0.0, np.pi, 64), **change):
 
 
 PROFILE_FILE = '{"profile-file": {"path": "profile.json"}}'
+# with _sphere_file's r = sin(t): a closed profile that crosses itself at z = 0, r = 1/2
+_T = np.linspace(0.0, np.pi, 64)
+LOOPED = {"z": list(-np.cos(_T) + np.sin(2.0 * _T))}
 
 
 @pytest.mark.parametrize("initial_text, profile_change", [
@@ -428,11 +431,12 @@ PROFILE_FILE = '{"profile-file": {"path": "profile.json"}}'
     (PROFILE_FILE, {"r": list(0.1 + np.sin(np.linspace(0.0, np.pi, 64)))}),
     (PROFILE_FILE, {"r": [0.0] + [0.5] * 8 + [0.0]}),
     (PROFILE_FILE, {"n": 1}),
+    (PROFILE_FILE, LOOPED),
 ], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
          "amplitude-1e300", "amplitude-cusps", "R0-tiny",
          "model-kind", "cylinder-m", "model-params-list", "model-grim-reaper", "model-bowl",
          "profile-3-nodes", "profile-nan", "profile-off-axis", "profile-length-mismatch",
-         "profile-n1"])
+         "profile-n1", "profile-self-intersecting"])
 def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_text,
                                          profile_change):
     monkeypatch.chdir(tmp_path)
@@ -444,6 +448,34 @@ def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error (field: initial.") and "Traceback" not in err
+
+
+def test_self_intersecting_profile_names_its_field(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _sphere_file(tmp_path / "profile.json", **LOOPED)
+    cfg = write_cfg(tmp_path, {"name": "x", "initial": json.loads(PROFILE_FILE)})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: initial.profile-file): ")
+    assert "self-intersecting" in err
+
+
+def test_perturbation_that_crosses_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A hook whose arms lie 0.1 apart is embedded; this perturbation pushes one across."""
+    monkeypatch.chdir(tmp_path)
+    corners = np.array([(0, 0), (0, .5), (2, .5), (2, .6), (1, .6), (1, 1), (3, 1), (3, 0)], float)
+    pts = [corners[:1]]
+    for a, b in zip(corners[:-1], corners[1:]):  # about 20 nodes per unit length
+        pts.append(a + (b - a) * np.linspace(0.0, 1.0, 2 + int(20 * np.hypot(*(b - a))))[1:, None])
+    z, r = np.concatenate(pts).T
+    (tmp_path / "profile.json").write_text(json.dumps(
+        {"z": list(z), "r": list(r), "topology": "closed-through-axis"}))
+    initial = dict(json.loads(PROFILE_FILE), perturb={"amplitude": 0.2, "modes": 3})
+    cfg = write_cfg(tmp_path, {"name": "x", "initial": initial, "seed": 5})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: initial.perturb): ")
+    assert "self-intersecting" in err
 
 
 def test_exit_code_unwritable_output(tmp_path):

@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 from mcfprof import flow
 from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
 from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
-                          STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END,
+                          STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END, STOP_UNDERFLOW,
                           StepControl, _implicit_step, _pinched, _step_operator,
                           run_until, target_spacing)
 from mcfprof.geometry import (FlowSnapshot, GraphPatch, ProfileCurve, CLOSED,
@@ -55,6 +55,33 @@ def test_underflow_before_indicator_is_inconclusive():
                   StepControl(dt_min=1.0))
     assert info.value.trajectory is not None
     assert len(info.value.trajectory.snapshots) >= 1
+
+
+def test_pinch_guard_retries_at_half_the_step(monkeypatch):
+    """A step that pinches is retried at exactly half its dt, and the run goes on."""
+    tried = []
+
+    def pinch_once(z, r, n, closed, period, dt, op=None):
+        tried.append(dt)
+        if len(tried) == 1:
+            raise NeckPinchError("pinched")
+        return _implicit_step(z, r, n, closed, period, dt, op)
+
+    monkeypatch.setattr(flow, "_implicit_step", pinch_once)
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0), StepControl(t_end=0.01))
+    assert traj.stop_reason == STOP_T_END
+    assert tried[1] == 0.5 * tried[0]
+    assert traj.step_times[1] - traj.step_times[0] == tried[1]
+
+
+def test_pinch_guard_underflows_when_every_step_pinches(monkeypatch):
+    def always_pinch(*args, **kwargs):
+        raise NeckPinchError("pinched")
+
+    monkeypatch.setattr(flow, "_implicit_step", always_pinch)
+    with pytest.raises(InconclusiveRunError) as info:
+        run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0), StepControl(t_end=0.01))
+    assert info.value.trajectory.stop_reason == STOP_UNDERFLOW
 
 
 def test_mean_convexity_report(sphere_run):

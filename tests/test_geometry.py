@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from mcfprof.errors import DegenerateSurfaceError, ResolutionError
+from mcfprof import geometry
+from mcfprof.errors import DegenerateSurfaceError, ResolutionError, TopologyError
 from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, cubic_spline,
                               curvature_axisymmetric, resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
@@ -203,6 +204,110 @@ def test_profile_validate_contract():
     bad.r[3] = 0.0
     with pytest.raises(DegenerateSurfaceError):
         bad.validate()
+
+
+def _bent_sphere(c, nodes=64):
+    """Closed profile z = -cos(t) + c sin(2t), r = sin(t): it crosses itself iff c > 1/2.
+
+    The crossing is at z = 0, sin(t) = 1/(2c); for c < 0 the caps fold back, so z
+    is not monotone but the profile is embedded.
+    """
+    t = np.linspace(0.0, np.pi, nodes)
+    r = np.sin(t)
+    r[0] = r[-1] = 0.0
+    return ProfileCurve(-np.cos(t) + c * np.sin(2.0 * t), r, 2, CLOSED)
+
+
+def _flat_capped(nodes_per_side=16):
+    """A capped cylinder: flat caps at z = 0 and z = 2 joined by the wall r = 1."""
+    u = np.linspace(0.0, 1.0, nodes_per_side, endpoint=False)
+    z = np.concatenate((0.0 * u, 2.0 * u, 2.0 + 0.0 * u, [2.0]))
+    r = np.concatenate((u, 1.0 + 0.0 * u, 1.0 - u, [0.0]))
+    return ProfileCurve(z, r, 2, CLOSED)
+
+
+def _battlement():
+    """Two tall towers whose flat tops are collinear and one ulp apart in z: embedded.
+
+    The tops' projections on the sweep direction round to one value, so only
+    the bounding-box test keeps them apart.
+    """
+    gap = 1.0 + np.spacing(1.0)
+    z = np.array([0.0, 0.0, 1.0, 1.0, gap, gap, 2.0, 2.0])
+    r = np.array([0.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0, 0.0]) * 1e6
+    proj = np.column_stack((z, r)) @ geometry.SWEEP_DIRECTION
+    assert proj[2] == proj[5]
+    return ProfileCurve(z, r, 2, CLOSED)
+
+
+def _wrap_crossing(nodes=40):
+    """A periodic profile, a graph on its own period, whose last segment crosses
+    the first segment of its copy shifted by one period."""
+    period = np.pi
+    h = period / nodes
+    z = np.linspace(0.0, period, nodes, endpoint=False)
+    r = np.ones(nodes)
+    z[-1] = period + 0.5 * h
+    r[-2], r[-1] = 0.9, 1.02
+    return ProfileCurve(z, r, 2, PERIODIC, period)
+
+
+@pytest.mark.parametrize("curve, crossing, swept", [
+    (_bent_sphere(1.0), True, True),
+    (_wrap_crossing(), True, True),
+    (_bent_sphere(-0.3), False, True),
+    (_flat_capped(), False, True),
+    (_battlement(), False, True),
+    (cylinder_profile(1.0, np.pi, 2, 64), False, False),
+], ids=["looped", "crossing-across-wrap", "overhanging", "flat-capped", "collinear-disjoint",
+         "cylinder"])
+def test_is_self_intersecting(monkeypatch, curve, crossing, swept):
+    """A graph over the axis is embedded outright; any other profile is swept."""
+    calls = []
+    sweep = geometry._polyline_crosses
+    monkeypatch.setattr(geometry, "_polyline_crosses", lambda pts: calls.append(1) or sweep(pts))
+    assert curve.is_self_intersecting() is crossing
+    assert bool(calls) is swept
+
+
+def _exact_crossing(pts) -> bool:
+    """Brute force over all non-adjacent segment pairs, in integer arithmetic."""
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (v > 0) - (v < 0)
+
+    def on_segment(a, b, c):  # c, collinear with a and b, lies between them
+        return all(min(a[x], b[x]) <= c[x] <= max(a[x], b[x]) for x in (0, 1))
+
+    segs = list(zip(pts[:-1], pts[1:]))
+    for i, (p1, p2) in enumerate(segs):
+        for q1, q2 in segs[i + 2:]:
+            d = (orient(q1, q2, p1), orient(q1, q2, p2), orient(p1, p2, q1), orient(p1, p2, q2))
+            if d[0] * d[1] < 0 and d[2] * d[3] < 0:
+                return True
+            if any(dk == 0 and on_segment(a, b, c) for dk, (a, b, c) in zip(d, (
+                    (q1, q2, p1), (q1, q2, p2), (p1, p2, q1), (p1, p2, q2)))):
+                return True
+    return False
+
+
+def test_sweep_matches_brute_force_on_integer_polylines():
+    """Small integer grids make touching, collinear and overlapping segments common."""
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(300):
+        pts = [tuple(int(v) for v in p) for p in rng.integers(0, 5, size=(rng.integers(4, 12), 2))]
+        expected = _exact_crossing(pts)
+        assert geometry._polyline_crosses(np.array(pts, dtype=float)) is expected, pts
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_validate_rejects_self_intersection():
+    with pytest.raises(TopologyError):
+        _bent_sphere(1.0).validate()
+    _bent_sphere(-0.3).validate()
+    _flat_capped().validate()
 
 
 def test_snapshot_curvature_cached_and_consistent():

@@ -1,6 +1,8 @@
-"""Package structure: every library function is reached from the package itself."""
+"""Package structure: every library function is reached from the package itself, and
+every import is one that a numpy + scipy install provides."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcfprof"
@@ -37,3 +39,21 @@ def unreferenced_definitions(package: Path) -> set:
 
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions(PACKAGE) == NOT_YET_WIRED
+
+
+def absolute_imports(package: Path) -> set:
+    """Top-level names of the modules that the package's absolute imports load."""
+    names = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imports_need_only_numpy_and_scipy():
+    """No optional-import fork: every machine with numpy and scipy runs the same code."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    assert absolute_imports(PACKAGE) - allowed == set()
