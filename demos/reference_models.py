@@ -1,10 +1,10 @@
-# Reference solutions: shrinkers and translators
-# ==============================================
+# Reference solutions: shrinkers and the bowl soliton
+# ===================================================
 #
 # The package carries closed-form and ODE-based model solutions used as
 # oracles throughout the test suite: shrinking spheres and cylinders (exact
-# radius law), the grim reaper curve y = -log(cos x) (exact translator), and
-# the rotationally symmetric bowl soliton (solved as a boundary-value ODE).
+# radius law) and the rotationally symmetric translator, the bowl soliton
+# (its profile ODE integrated outward from the tip).
 # This script prints the same residual table as `mcfprof models` and then a
 # few bowl-soliton profile values with their asymptotic trend
 # u(r) ~ r^2 / (2 (n - 1)).  It exits with the table's code, so it fails

@@ -1,11 +1,10 @@
 """mcfprof: a numerical laboratory for first-time singularities of mean curvature flow."""
 
 from .geometry import (CLOSED, PERIODIC, CurvatureField, FlowSnapshot,
-                       GraphPatch, ProfileCurve, curvature_axisymmetric,
-                       resample_arclength)
+                       ProfileCurve, curvature_axisymmetric, resample_arclength)
 from .flow import StepControl, Trajectory, run_until
-from .models import (ModelSolution, bowl_soliton_profile, grim_reaper_eval,
-                     model_snapshot, shrinker_radius, translator_residual)
+from .models import (ModelSolution, bowl_soliton_profile, model_snapshot,
+                     shrinker_radius)
 from .rescale import (BlowupSequence, BlowupTerm, DilationParams, fit_model,
                       normalized_blowup, parabolic_dilate, select_blowup_points)
 from .diagnostics import (HarnackRecord, NoncollapseRecord, SnapshotRecord,

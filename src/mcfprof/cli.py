@@ -26,10 +26,9 @@ from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
                      ResolutionError, TopologyError)
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
 from .geometry import (PERIODIC, FlowSnapshot, ProfileCurve, curvature_axisymmetric,
-                       max_curvature_node)
-from .models import (CYLINDER, SPHERE, ModelSolution,
-                     bowl_soliton_profile, grim_reaper_patch, model_snapshot,
-                     shrinker_radius, translator_residual)
+                       max_curvature_node, nearest_node)
+from .models import (CYLINDER, SPHERE, ModelSolution, bowl_soliton_profile,
+                     model_snapshot, shrinker_radius)
 from .shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                      perturb_profile, sphere_profile)
 
@@ -407,7 +406,7 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
 
 def _blowup_report(traj: Trajectory, spec: dict) -> dict:
     rule = spec.get("points-rule", "neck")
-    window = spec.get("window", 2.0)
+    window = spec.get("window", rs.FIT_WINDOW)
     points = rs.select_blowup_points(traj, rule, spec.get("count", 5))
     seq = rs.normalized_blowup(traj, points)
     fits = rs.classify_tangent_flow(seq.terms[-1], window=window)
@@ -625,10 +624,10 @@ def cmd_analyze(args) -> int:
         raise ConfigError("blow-up analysis needs a snapshot cascade (>= 3 stored snapshots); "
                           "re-run with a curvature stop so the cascade is recorded", field="")
     pt = _parse_point(args.blowup_at)
-    if "rho" not in pt:
-        snap = traj.nearest_snapshot(pt["t"])
-        j = int(np.argmin(np.abs(snap.surface.z - pt["z"])))
-        pt["rho"] = float(snap.surface.r[j])
+    if "rho" not in pt:  # the centre is the surface node nearest the axis point (x, 0)
+        surf = traj.nearest_snapshot(pt["t"]).surface
+        j = nearest_node(surf, pt["z"], 0.0)
+        pt["z"], pt["rho"] = float(surf.z[j]), float(surf.r[j])
     seq = rs.normalized_blowup(traj, [(pt["z"], pt["rho"], pt["t"])])
     fits = rs.classify_tangent_flow(seq.terms[0], window=args.window)
     _, min_lam1 = dg.convexity_check(seq.terms[0].center, 0.0)
@@ -643,12 +642,6 @@ def cmd_analyze(args) -> int:
 def models_check() -> int:
     """Residual table for the reference solutions; exit 0 iff all in tolerance."""
     rows = []
-
-    res_h = translator_residual(grim_reaper_patch(1e-3))
-    res_h2 = translator_residual(grim_reaper_patch(5e-4))
-    rows.append(("grim-reaper residual (h=1e-3)", res_h, 1e-5, res_h < 1e-5))
-    ratio = res_h / res_h2 if res_h2 else float("inf")
-    rows.append(("grim-reaper refinement ratio (h -> h/2)", ratio, "in [3, 5]", 3.0 <= ratio <= 5.0))
 
     prof = bowl_soliton_profile(2, 4.0, 1e-2)
     rows.append(("bowl ODE residual", prof.max_residual, 1e-8, prof.max_residual < 1e-8))
@@ -697,8 +690,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="re-run diagnostics on a stored run directory")
     p_an.add_argument("run_dir", help="directory produced by `mcfprof run`")
     p_an.add_argument("--blowup-at", default=None, metavar='"x=...,t=..."',
-                      help="normalized blow-up at a spacetime point")
-    p_an.add_argument("--window", type=float, default=2.0,
+                      help="normalized blow-up at a spacetime point; without rho, at the "
+                           "surface node nearest the axis point (x, 0)")
+    p_an.add_argument("--window", type=float, default=rs.FIT_WINDOW,
                       help="rescaled window radius for model fits")
     p_an.set_defaults(func=cmd_analyze)
 

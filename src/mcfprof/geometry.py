@@ -2,12 +2,11 @@
 
 ``ProfileCurve`` (arclength-sampled generating curve of a rotationally
 symmetric hypersurface in R^(n+1)) is the only surface that is flowed or
-analyzed.  ``GraphPatch`` (a height function of one variable on a uniform grid)
-only carries the grim reaper to its translator residual check.  Profiles have one
-derivative kernel, ``profile_derivatives`` (3-point stencils on chord
-segments), and one curvature formula, ``principal_curvatures``, which
-``curvature_axisymmetric`` and the integrator's step operator share.  The sign
-convention is the inward normal with H > 0 on round spheres.
+analyzed.  Profiles have one derivative kernel, ``profile_derivatives``
+(3-point stencils on chord segments), and one curvature formula,
+``principal_curvatures``, which ``curvature_axisymmetric`` and the
+integrator's step operator share.  The sign convention is the inward normal
+with H > 0 on round spheres.
 """
 
 from __future__ import annotations
@@ -156,27 +155,6 @@ def _polyline_crosses(pts: np.ndarray) -> bool:
 
 
 @dataclass
-class GraphPatch:
-    """Height function u(x1) over a uniform 1-D grid of spacing h."""
-
-    u: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        self.u = np.ascontiguousarray(self.u, dtype=float)
-        if self.u.ndim != 1:
-            raise ValueError("GraphPatch supports n = 1 only")
-        if self.h <= 0:
-            raise ValueError("grid spacing must be positive")
-
-    def validate(self):
-        if not np.all(np.isfinite(self.u)):
-            raise DegenerateSurfaceError("non-finite height values")
-        if self.u.size < 8:
-            raise ResolutionError("need at least 8 grid nodes")
-
-
-@dataclass
 class CurvatureField:
     """Per-node principal curvatures and derived fields.
 
@@ -296,20 +274,6 @@ def max_curvature_node(A2: np.ndarray) -> int:
     of a symmetric profile.
     """
     return int(np.argmax(A2 >= (1.0 - TIE_RTOL) * A2.max()))
-
-
-def graph_gradients(patch: GraphPatch):
-    """(u', u'') of the patch: central differences, second-order one-sided at the ends."""
-    u, h = patch.u, patch.h
-    d1 = np.empty_like(u)
-    d1[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    d1[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
-    d1[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-    d2 = np.empty_like(u)
-    d2[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-    d2[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
-    d2[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
-    return d1, d2
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Exact and ODE-computed reference solutions: shrinkers, grim reaper, bowl soliton.
+"""Exact and ODE-computed reference solutions: shrinkers and the bowl soliton.
 
 The shrinking sphere and cylinder are profile snapshots with an exact radius
-law, the integrator's regression oracles.  The translators serve only as
-residual oracles for ``mcfprof models``: the grim reaper as a 1-D graph patch
-checked by ``translator_residual``, the bowl as the radial profile of its ODE
-with its own residual.  They are neither fit targets of the tangent-flow
+law, the integrator's regression oracles.  The bowl, the rotationally
+symmetric translator, is the radial profile of its ODE with its own residual,
+checked by ``mcfprof models``.  It is neither a fit target of the tangent-flow
 classification nor initial data for the integrator.
 """
 
@@ -16,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ExtinctError
-from .geometry import FlowSnapshot, GraphPatch, graph_gradients
+from .geometry import FlowSnapshot
 from .shapes import cylinder_profile, sphere_profile
 
 SPHERE = "sphere"
@@ -59,22 +58,6 @@ def shrinker_radius(model: ModelSolution, t: float) -> float:
     return float(np.sqrt(model.R0**2 - 2.0 * model.effective_m * t))
 
 
-def grim_reaper_eval(x1, t: float = 0.0):
-    """Height of the grim reaper translator, x_{n+1} = t - log cos x1."""
-    x1 = np.asarray(x1, dtype=float)
-    if np.any(np.abs(x1) >= np.pi / 2):
-        raise DomainError("grim reaper requires |x1| < pi/2")
-    out = t - np.log(np.cos(x1))
-    return float(out) if out.ndim == 0 else out
-
-
-def grim_reaper_patch(h: float = 1e-3, half_width: float = 1.2, t: float = 0.0) -> GraphPatch:
-    """1-D graph patch sampling the grim reaper on |x1| <= half_width."""
-    m = int(round(half_width / h))
-    x = -m * h + h * np.arange(2 * m + 1)
-    return GraphPatch(grim_reaper_eval(x, t), h)
-
-
 @dataclass
 class BowlProfile:
     """Radial profile u(r) of the rotationally symmetric translating bowl."""
@@ -101,7 +84,7 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
     the dense solver output with a 5-point stencil (independent of the ODE
     right-hand side).
     """
-    from scipy.integrate import solve_ivp  # only the translator oracles need an ODE solver
+    from scipy.integrate import solve_ivp  # only the bowl oracle needs an ODE solver
     if n < 2:
         raise DomainError("bowl soliton requires n >= 2")
     r0 = min(h, 1e-3)
@@ -128,19 +111,6 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
     else:
         max_res = np.nan
     return BowlProfile(n, r, u, up, max_res)
-
-
-def translator_residual(patch: GraphPatch) -> float:
-    """Max interior deviation from the unit-speed translator equation.
-
-    A vertical translator of speed 1 satisfies (u'/W)' = 1/W with
-    W = sqrt(1 + u'^2); returns max |u''/W^3 - 1/W| over interior nodes.
-    """
-    patch.validate()
-    up, upp = graph_gradients(patch)
-    W2 = 1.0 + up**2
-    res = upp / W2**1.5 - 1.0 / np.sqrt(W2)
-    return float(np.abs(res[2:-2]).max())
 
 
 def model_snapshot(model: ModelSolution, t: float, nodes: int = 400) -> FlowSnapshot:

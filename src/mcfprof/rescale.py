@@ -1,5 +1,9 @@
 """Parabolic dilation, normalized blow-up sequences, and tangent-flow fitting.
 
+The tangent flow at a first singularity of a mean-convex surface of
+revolution is a round cylinder S^(n-1) x R or a round sphere S^n, so a
+blow-up term is classified by whichever of those two fits has the lower rms.
+
 The dilation (x, t) -> (a(x - x0), a^2(t - t0)) is applied to axisymmetric
 snapshots in the axis-aligned frame: z' = a(z - z0), r' = a r, with the
 blow-up origin tracked as the off-axis marker (z' = 0, rho = a rho0).  This
@@ -15,12 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (DegenerateSurfaceError, DomainError, EmptyWindowError, FitFailureError,
-                     InsufficientDataError, ResolutionError)
+                     ResolutionError)
 from .flow import Trajectory
 from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node, nearest_node
 
 SPHERE_FIT_RTOL = 1e-14  # the sphere fit stops at a step this small relative to (zc, R)
 SPHERE_FIT_MAX_ITER = 100  # and fails after this many Gauss-Newton steps
+FIT_WINDOW = 2.0  # radius of the rescaled ball about the blow-up origin that the fits see
 
 
 @dataclass
@@ -155,9 +160,8 @@ def fit_model(snapshot: FlowSnapshot, family: str,
               origin=None, window: Optional[float] = None):
     """Least-squares fit of a model surface; returns (params, rms_residual).
 
-    family in {'sphere', 'cylinder', 'plane'}.  For axisymmetric snapshots
-    the cylinder axis is the symmetry axis and the sphere center lies on it;
-    the plane family is the best meridian line (informational only).
+    family in {'sphere', 'cylinder'}.  For axisymmetric snapshots the
+    cylinder axis is the symmetry axis and the sphere center lies on it.
     Residuals are RMS signed normal distances over the (optionally windowed)
     nodes.
     """
@@ -188,28 +192,15 @@ def fit_model(snapshot: FlowSnapshot, family: str,
         if not converged:
             raise FitFailureError("sphere fit did not converge", best=({"zc": zc, "R": R}, rms))
         return {"zc": zc, "R": R}, rms
-    if family == "plane":
-        # total least squares line through the windowed meridian nodes
-        pts = np.column_stack((z, r))
-        c = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - c, full_matrices=False)
-        normal = vt[-1]
-        d = (pts - c) @ normal
-        rms = float(np.sqrt(np.mean(d**2)))
-        return {"point": (float(c[0]), float(c[1])),
-                "normal": (float(normal[0]), float(normal[1]))}, rms
     raise ValueError(f"unknown model family {family!r}")
 
 
-def classify_tangent_flow(term: BlowupTerm, window: Optional[float] = None) -> dict:
-    """Cylinder vs sphere vs plane residuals of one normalized blow-up term."""
+def classify_tangent_flow(term: BlowupTerm, window: float = FIT_WINDOW) -> dict:
+    """Cylinder vs sphere residuals of one normalized blow-up term; ``best`` has the lower rms."""
     snap = term.center
-    n = snap.surface.n
-    if window is None:
-        window = 2.0 * (n - 1)
     origin = (0.0, term.origin_rho)
     out = {}
-    for family in ("cylinder", "sphere", "plane"):
+    for family in ("cylinder", "sphere"):
         try:
             params, rms = fit_model(snap, family, origin=origin, window=window)
             out[family] = {"params": params, "rms": rms}
@@ -220,71 +211,6 @@ def classify_tangent_flow(term: BlowupTerm, window: Optional[float] = None) -> d
     if cyl_R <= 0.0:
         raise EmptyWindowError("the fit window holds only nodes on the axis")
     out["cylinder"]["rms_over_R"] = out["cylinder"]["rms"] / cyl_R
-    # a normalized blow-up has H = 1 at the origin, which rules the plane out;
-    # the meridian-line fit is reported but not ranked
-    ranked = sorted(("cylinder", "sphere"), key=lambda f: out[f]["rms"])
-    out["best"] = ranked[0]
+    out["best"] = min(("cylinder", "sphere"), key=lambda f: out[f]["rms"])
     out["window"] = window
     return out
-
-
-# ---------------------------------------------------------------------------
-# convergence of the sequence
-# ---------------------------------------------------------------------------
-
-def _window_distances(A: ProfileCurve, B: ProfileCurve, origin, window):
-    """Sup over window nodes of A of the meridian distance to B.
-
-    For coaxial surfaces of revolution the 3D point-to-surface distance
-    equals the meridian-plane distance, and the windowed sup is attained at
-    profile nodes, so no azimuthal sampling is needed.
-    """
-    z0, rho0 = origin
-    mask = np.hypot(A.z - z0, A.r - rho0) <= window
-    if not np.any(mask):
-        raise EmptyWindowError("window contains no surface nodes")
-    za, ra = A.z[mask], A.r[mask]
-    d2 = (za[:, None] - B.z[None, :]) ** 2 + (ra[:, None] - B.r[None, :]) ** 2
-    dmin = np.sqrt(d2.min(axis=1))
-    jmin = d2.argmin(axis=1)
-    # parabolic refinement over the node index of B
-    ok = (jmin > 0) & (jmin < B.z.size - 1)
-    j = jmin[ok]
-    dm = np.sqrt(d2[ok, j - 1])
-    d0 = dmin[ok]
-    dp = np.sqrt(d2[ok, j + 1])
-    denom = dm - 2 * d0 + dp
-    refine = denom > 0
-    delta = np.zeros_like(d0)
-    delta[refine] = 0.5 * (dm[refine] - dp[refine]) / denom[refine]
-    delta = np.clip(delta, -1.0, 1.0)
-    d_ref = d0 - 0.25 * (dm - dp) * delta
-    out = dmin.copy()
-    out[ok] = np.minimum(d0, np.abs(d_ref))
-    return float(out.max()), mask, jmin
-
-
-def blowup_convergence_metric(seq: BlowupSequence, window_radius: float) -> dict:
-    """C^0 (Hausdorff) and C^1 (normal angle) proximity of consecutive terms.
-
-    Distances are measured between the rescaled-time-0 snapshots of
-    consecutive terms, restricted to the ball of ``window_radius`` about the
-    blow-up origin.  Reports whether the sequence is Cauchy (nonincreasing
-    distances).
-    """
-    if len(seq.terms) < 3:
-        raise InsufficientDataError("need at least 3 blow-up terms")
-    dists, angles = [], []
-    for ta, tb in zip(seq.terms[:-1], seq.terms[1:]):
-        A, B = ta.center.surface, tb.center.surface
-        origin_a = (0.0, ta.origin_rho)
-        origin_b = (0.0, tb.origin_rho)
-        dab, mask_a, near_a = _window_distances(A, B, origin_a, window_radius)
-        dba, _, _ = _window_distances(B, A, origin_b, window_radius)
-        dists.append(max(dab, dba))
-        na = ta.center.curvature.normal[mask_a]
-        nb = tb.center.curvature.normal[near_a]
-        dots = np.clip(np.sum(na * nb, axis=1), -1.0, 1.0)
-        angles.append(float(np.max(np.arccos(dots))))
-    decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(dists[:-1], dists[1:]))
-    return {"hausdorff": dists, "normal_angle": angles, "cauchy": decreasing}

@@ -79,18 +79,22 @@ def dumbbell_profile(bulb_R: float, neck_r: float, length: float, n: int = 2,
 def perturb_profile(curve: ProfileCurve, amplitude: float, modes: int, seed: int) -> ProfileCurve:
     """Add a smooth random radial perturbation (sum of low Fourier modes).
 
-    Vanishes at closed-through-axis poles.  Deterministic given the seed.
+    Vanishes at closed-through-axis poles; on a periodic-in-z profile each
+    mode has the profile's own period in arclength.  Deterministic given the seed.
     """
     rng = np.random.default_rng(seed)
     s = curve.arclength
-    total = s[-1] if curve.topology == CLOSED else s[-1] + curve.spacings()[-1]
+    closed = curve.topology == CLOSED
+    total = s[-1] if closed else s[-1] + curve.spacings()[-1]
+    # mode k has k half-waves along a closed profile, k whole waves along a periodic one
+    angle = np.pi if closed else 2.0 * np.pi
     bump = np.zeros_like(s)
     for k in range(1, modes + 1):
         phase = rng.uniform(0.0, 2 * np.pi)
-        bump += rng.normal() * np.sin(np.pi * k * s / total + phase)
+        bump += rng.normal() * np.sin(angle * k * s / total + phase)
     bump *= amplitude / max(1.0, np.abs(bump).max())
     r = curve.r.copy()
-    if curve.topology == CLOSED:
+    if closed:
         taper = np.sin(np.pi * s / total)
         r[1:-1] = r[1:-1] + bump[1:-1] * taper[1:-1]
     else:

@@ -16,7 +16,8 @@ from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK
                          _snapshot_obj, main, models_check, validate_config)
 from mcfprof.errors import ConfigError, WindowError
 from mcfprof.flow import Trajectory
-from mcfprof.geometry import FlowSnapshot
+from mcfprof.geometry import FlowSnapshot, nearest_node
+from mcfprof.rescale import FIT_WINDOW, fit_model
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile, perturb_profile,
                             sphere_profile)
 
@@ -184,6 +185,31 @@ def test_run_writes_artifacts(tmp_path):
     assert code == EXIT_OK
     T = json.loads((out / "manifest.json").read_text())["T_sing"]
     assert abs(T - 0.25) < 0.25 * 0.01
+
+
+def test_perturbed_periodic_cylinder_flows_to_extinction(tmp_path):
+    # each perturbation mode is periodic in the profile's own period, so r does not
+    # jump at the wrap and the run does not stop at t = 0 on a seam spike
+    cfg = {"name": "wavy-cylinder", "n": 2, "nodes": 400, "seed": 2,
+           "initial": {"cylinder": {"R0": 1.0, "period": 3.14159},
+                       "perturb": {"amplitude": 0.05, "modes": 3}}}
+    code, out = run_scenario(tmp_path, cfg, "wavy")
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["run_stats"]["steps"] > 0
+    assert abs(manifest["T_sing"] - 0.5) < 0.01 * 0.5  # R0^2 / 2
+
+
+def test_blowup_fits_are_cylinder_and_sphere(tmp_path):
+    cfg = dict(BASE_CFG, diagnostics={"blowup": {"points-rule": "max-curvature", "count": 3}})
+    code, out = run_scenario(tmp_path, cfg, "fits")
+    assert code == EXIT_OK
+    fits = json.loads((out / "report.json").read_text())["diagnostics"]["blowup"]["fits"]
+    assert set(fits) == {"best", "cylinder", "sphere", "window"}
+    assert fits["best"] == "sphere" and fits["window"] == FIT_WINDOW
+    last = _snapshot_from_obj(json.loads(sorted((out / "snapshots").iterdir())[-1].read_text()))
+    with pytest.raises(ValueError):
+        fit_model(last, "plane")
 
 
 def test_manifest_run_stats(tmp_path):
@@ -374,6 +400,21 @@ def test_analyze_blowup_at_point(tmp_path):
     assert abs(result["H_origin"] - 1.0) < 0.1
 
 
+def test_analyze_blowup_at_centre_is_node_nearest_axis_point(tmp_path):
+    _, out = run_scenario(tmp_path, BASE_CFG, "axis")
+    last = _snapshot_from_obj(json.loads(sorted((out / "snapshots").iterdir())[-1].read_text()))
+    surf = last.surface
+    # halfway from the centre to the top pole: the pole is the surface node nearest the
+    # axis point, while the node nearest in z alone sits on the side of the sphere
+    z0 = 0.75 * surf.z[-1] + 0.25 * surf.z[0]
+    j = nearest_node(surf, z0, 0.0)
+    assert j == surf.num_nodes - 1 != int(np.argmin(np.abs(surf.z - z0)))
+    assert main(["analyze", str(out), "--blowup-at", f"x={z0},t={last.t}"]) == EXIT_OK
+    result = json.loads((out / "analysis.json").read_text())
+    assert (result["point"]["z"], result["point"]["rho"]) == (surf.z[j], surf.r[j])
+    assert result["scale"] == last.curvature.H[j]
+
+
 def test_analyze_blowup_at_prints_analysis_json(tmp_path, capsys):
     _, out = run_scenario(tmp_path, BASE_CFG, "pr")
     last = json.loads(sorted((out / "snapshots").iterdir())[-1].read_text())
@@ -520,7 +561,7 @@ def test_analyze_malformed_run_dir(tmp_path, capsys, manifest_text, snapshot):
 def test_models_table_in_tolerance(capsys):
     assert models_check() == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) == 6
+    assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
 
 

@@ -10,7 +10,7 @@ from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
                           STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END, STOP_UNDERFLOW,
                           StepControl, _implicit_step, _pinched, _step_operator,
                           run_until, target_spacing)
-from mcfprof.geometry import (FlowSnapshot, GraphPatch, ProfileCurve, CLOSED,
+from mcfprof.geometry import (FlowSnapshot, ProfileCurve, CLOSED,
                               _solve_tridiagonal, curvature_axisymmetric,
                               profile_derivatives, resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
@@ -23,7 +23,7 @@ def test_ambient_dimension_precondition():
     with pytest.raises(ValueError):
         run_until(FlowSnapshot(flatish, 0.0), StepControl(t_end=1e-5))
     with pytest.raises(TypeError):
-        run_until(FlowSnapshot(GraphPatch(np.zeros(16), 0.1), 0.0), StepControl(t_end=1e-5))
+        run_until(FlowSnapshot(np.zeros((16, 2)), 0.0), StepControl(t_end=1e-5))
 
 
 def test_run_until_t_end_exact():

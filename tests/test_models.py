@@ -1,14 +1,12 @@
-"""Reference solutions: shrinkers, grim reaper, bowl soliton."""
+"""Reference solutions: shrinkers and the bowl soliton."""
 
 import numpy as np
 import pytest
 
-from mcfprof.errors import DomainError, ExtinctError
+from mcfprof.errors import ExtinctError
 from mcfprof.flow import _implicit_step
-from mcfprof.models import (CYLINDER, SPHERE, ModelSolution,
-                            bowl_soliton_profile, grim_reaper_eval,
-                            grim_reaper_patch, model_snapshot, shrinker_radius,
-                            translator_residual)
+from mcfprof.models import (CYLINDER, SPHERE, ModelSolution, bowl_soliton_profile,
+                            model_snapshot, shrinker_radius)
 
 
 def test_shrinker_radius_law():
@@ -27,14 +25,6 @@ def test_cylinder_m_bounds():
         ModelSolution(kind=CYLINDER, n=2, R0=1.0, m=3)
 
 
-def test_grim_reaper_eval():
-    assert grim_reaper_eval(0.0, 0.0) == 0.0
-    assert abs(grim_reaper_eval(np.pi / 3, 0.0) - np.log(2.0)) < 1e-14
-    assert grim_reaper_eval(0.0, 5.0) == 5.0
-    with pytest.raises(DomainError):
-        grim_reaper_eval(np.pi / 2, 0.0)
-
-
 def test_bowl_near_origin_coefficient():
     prof = bowl_soliton_profile(2, 4.0, 1e-2)
     h = prof.r[0]
@@ -50,18 +40,6 @@ def test_bowl_asymptotic_slope():
     prof = bowl_soliton_profile(2, 50.0, 0.1)
     up_50 = prof.up[-1]
     assert abs(up_50 / 50.0 - 1.0) < 0.03  # u'(r) ~ r/(n-1) for n=2
-
-
-def test_translator_residual_plane():
-    from mcfprof.geometry import GraphPatch
-    assert abs(translator_residual(GraphPatch(np.zeros(64), 0.01)) - 1.0) < 1e-14
-
-
-def test_translator_residual_grim_reaper_and_refinement():
-    r1 = translator_residual(grim_reaper_patch(1e-3))
-    r2 = translator_residual(grim_reaper_patch(5e-4))
-    assert r1 < 1e-5
-    assert 3.0 <= r1 / r2 <= 5.0  # O(h^2)
 
 
 def test_model_snapshot_values():

@@ -7,10 +7,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcfprof"
 
-# defined and tested, but wired into no command yet: see the ROADMAP item
-# "Wire or delete the library that only tests run"
-NOT_YET_WIRED = {"blowup_convergence_metric"}
-
 
 def unreferenced_definitions(package: Path) -> set:
     """Top-level functions and classes whose name no package module uses.
@@ -38,7 +34,7 @@ def unreferenced_definitions(package: Path) -> set:
 
 
 def test_every_definition_is_used_by_the_package():
-    assert unreferenced_definitions(PACKAGE) == NOT_YET_WIRED
+    assert unreferenced_definitions(PACKAGE) == set()
 
 
 def absolute_imports(package: Path) -> set:

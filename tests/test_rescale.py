@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from mcfprof import rescale
-from mcfprof.errors import FitFailureError, InsufficientDataError
+from mcfprof.errors import FitFailureError
 from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import SPHERE, ModelSolution, model_snapshot, shrinker_radius
-from mcfprof.rescale import (BlowupSequence, DilationParams, blowup_convergence_metric,
-                             classify_tangent_flow,
-                             fit_model, normalized_blowup, parabolic_dilate,
-                             select_blowup_points, waist_node)
+from mcfprof.rescale import (DilationParams, classify_tangent_flow, fit_model, normalized_blowup,
+                             parabolic_dilate, select_blowup_points, waist_node)
 from mcfprof.flow import Trajectory
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, ovaloid_profile, sphere_profile
 
@@ -84,13 +82,6 @@ def test_fit_sphere_discriminates():
     assert rms_cyl >= 0.1
 
 
-def test_fit_plane_line():
-    snap = FlowSnapshot(cylinder_profile(0.7, np.pi, 2, 200), 0.0)
-    params, rms = fit_model(snap, "plane")
-    assert rms < 1e-12
-    assert abs(abs(params["normal"][1]) - 1.0) < 1e-12
-
-
 def _sphere_trajectory(ctl_stop=2.0 / 0.05**2):
     from mcfprof.flow import StepControl, run_until
     return run_until(FlowSnapshot(sphere_profile(1.0, 2, 300), 0.0),
@@ -116,25 +107,6 @@ def test_normalized_blowup_decreasing_scales_flagged():
     points = [(float(s.surface.z[0]), 0.0, s.t) for s in traj.snapshots[-4:]]
     seq = normalized_blowup(traj, points[::-1])  # decreasing curvature order
     assert not seq.scales_increasing  # accepted but flagged
-
-
-def test_blowup_convergence_sphere_floor():
-    traj = _sphere_trajectory()
-    points = [(float(s.surface.z[0]), 0.0, s.t) for s in traj.snapshots[-5:]]
-    seq = normalized_blowup(traj, points)
-    conv = blowup_convergence_metric(seq, window_radius=2.0)
-    h = seq.terms[-1].center.surface.mean_spacing
-    # all terms are the same unit-H sphere up to discretization
-    assert max(conv["hausdorff"]) < 20.0 * h
-    assert max(conv["normal_angle"]) < 0.2
-
-
-def test_blowup_convergence_needs_three_terms():
-    traj = _sphere_trajectory()
-    points = [(float(traj.snapshots[-1].surface.z[0]), 0.0, traj.snapshots[-1].t)]
-    seq = normalized_blowup(traj, points)
-    with pytest.raises(InsufficientDataError):
-        blowup_convergence_metric(seq, 2.0)
 
 
 def test_neck_blowup_classifies_cylinder(dumbbell_run):
