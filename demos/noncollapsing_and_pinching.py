@@ -20,8 +20,8 @@ for name, curve, exact in (
         ("sphere  n=2", sphere_profile(1.0, 2, 300), 2.0),
         ("sphere  n=3", sphere_profile(1.0, 3, 300), 3.0),
         ("cylinder n=2", cylinder_profile(0.5, np.pi, 2, 300), 1.0)):
-    rec = dg.noncollapsing_ratio(FlowSnapshot(curve, 0.0))
-    print(f"{name}: kappa_min = {rec.kappa_min:.5f}  (exact {exact})")
+    kappa = dg.noncollapsing_ratio(FlowSnapshot(curve, 0.0))
+    print(f"{name}: kappa_min = {kappa:.5f}  (exact {exact})")
 
 print("\ndumbbell neckpinch run ...")
 initial = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0)

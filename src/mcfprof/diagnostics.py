@@ -1,9 +1,11 @@
 """Quantitative flow diagnostics on trajectories and snapshots.
 
-Per-snapshot scalar records, inscribed radius / noncollapsing ratio, curvature
-pinching envelope, local Harnack ratio over parabolic cubes, |A|^2/H^2
-monotone-max check, residual of the mean-curvature evolution equation,
-convexity of rescaled snapshots, and the sqrt(tau) distance-scaling law.
+Per-snapshot scalar records, the noncollapsing constant kappa_min = min r*H
+(a search for the minimizing pair of Andrews' two-point bound, with no
+per-node inscribed radius), curvature pinching envelope, local Harnack ratio
+over parabolic cubes, |A|^2/H^2 monotone-max check, residual of the
+mean-curvature evolution equation, convexity of rescaled snapshots, and the
+sqrt(tau) distance-scaling law.
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ from .errors import (DomainError, InsufficientDataError, McfError,
                      TopologyError, WindowError)
 from .flow import Trajectory, _step_operator
 from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, nearest_node
-
-
-@dataclass
-class NoncollapseRecord:
-    """Per-snapshot noncollapsing summary: kappa_min = min r_node * H_node."""
-
-    kappa_min: float
-    r_field: np.ndarray
 
 
 @dataclass
@@ -71,7 +65,7 @@ def snapshot_records(snapshots: Sequence[FlowSnapshot],
             rec.skipped = f"DomainError: min H = {rec.min_H!r} <= 0"
         if noncollapse:
             try:
-                rec.kappa_min = noncollapsing_ratio(snap).kappa_min
+                rec.kappa_min = noncollapsing_ratio(snap)
             except McfError as exc:
                 rec.kappa_skipped = f"{type(exc).__name__}: {exc}"
         records.append(rec)
@@ -103,25 +97,34 @@ def _surface_tree(curve: ProfileCurve) -> cKDTree:
     return cKDTree(pts, leafsize=64)
 
 
-def _inscribed_radii(snapshot: FlowSnapshot) -> np.ndarray:
-    """Tangent-constrained inscribed radius at every node.
+def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
+    """kappa_min = min over nodes x of H(x) r(x); requires min H > 0.
 
-    r(x) = sup{rho : the ball of radius rho centered at x + rho*nu(x) stays
-    inside the enclosed region}, with the inside test at rho "every node is at
-    distance >= rho - tol from the center", tol = h/10 and h the node's
-    ``ProfileCurve.node_spacing`` (so a graded mesh is resolved at its local
-    spacing).  Centers are meridian points (z_c, r_c) at ambient radial
-    coordinate |r_c|, so a center that crosses the axis is measured correctly.
+    r(x) is the tangent-constrained inscribed radius: sup{rho : the ball of
+    radius rho centered at x + rho*nu(x) stays inside the enclosed region},
+    with the inside test at rho "every node is at distance >= rho - tol from
+    the center", tol = h/10 and h the node's ``ProfileCurve.node_spacing`` (so
+    a graded mesh is resolved at its local spacing).  Centers are meridian
+    points (z_c, r_c) at ambient radial coordinate |r_c|, so a center that
+    crosses the axis is measured correctly.
 
     The test has a closed form (Andrews' two-point function
     k(x, y) = 2<y - x, nu>/|y - x|^2 with tol folded in): a point y -- a node,
     its axis mirror (z, -r) or a periodic copy -- with a = <y - x, nu> > tol
     fails it exactly when rho > g(y) = (|y - x|^2 - tol^2) / (2 (a - tol)),
-    and no other point ever fails it.  So r(x) = min(diam, min_y g(y)), found
-    by following violators: start from min(diam, g(mirror of x)), query the
-    nearest node to the center at that radius and, while it violates with a
-    smaller g, move to its g.
+    and no other point ever fails it.  So r(x) = min(diam, min_y g(y)), and
+    kappa_min is the least H(x) g(y) over pairs, searched without any r(x):
+    start from kappa = min_x H(x) min(diam, g(mirror of x)); each round, for
+    every active node, query the nearest node to the center at rho = kappa/H(x).
+    An empty ball certifies H(x) r(x) >= kappa, and since kappa only
+    decreases the node is never tested again; a violator lowers kappa to its
+    H g(y) and stays active.  The comparison is H g(y) < kappa rather than
+    g(y) < rho: kappa then strictly decreases every round, so a node lying on
+    the ball boundary up to the rounding of kappa/H cannot loop.
     """
+    H = snapshot.curvature.H
+    if float(np.min(H)) <= 0.0:
+        raise DomainError("noncollapsing ratio requires H > 0 at every node")
     curve = snapshot.surface
     if curve.is_self_intersecting():
         raise TopologyError("inscribed radius needs an embedded surface")
@@ -144,28 +147,19 @@ def _inscribed_radii(snapshot: FlowSnapshot) -> np.ndarray:
         return np.where(a > eps, g, np.inf)
 
     active = np.arange(curve.num_nodes)
-    rho_max = np.minimum(diam, bound(active, pts * np.array([1.0, -1.0])))
+    kappa = float(np.min(H * np.minimum(diam, bound(active, pts * np.array([1.0, -1.0])))))
     while active.size:
-        rho = rho_max[active]
+        rho = kappa / H[active]
         # the meridian point nearest each center, mirrored when r_c < 0
         centers = pts[active] + rho[:, None] * normal[active]
         d, j = tree.query(np.column_stack((centers[:, 0], np.abs(centers[:, 1]))))
         y = tree.data[j]
         y[:, 1] = np.copysign(y[:, 1], centers[:, 1])
-        g = bound(active, y)
-        shrink = (d < rho - tol[active]) & (g < rho)
-        active = active[shrink]
-        rho_max[active] = g[shrink]
-    return rho_max
-
-
-def noncollapsing_ratio(snapshot: FlowSnapshot) -> NoncollapseRecord:
-    """Per-node inscribed radius and the minimum of r*H; requires min H > 0."""
-    curv = snapshot.curvature
-    if float(np.min(curv.H)) <= 0.0:
-        raise DomainError("noncollapsing ratio requires H > 0 at every node")
-    r_field = _inscribed_radii(snapshot)
-    return NoncollapseRecord(kappa_min=float(np.min(r_field * curv.H)), r_field=r_field)
+        kappa_y = bound(active, y) * H[active]
+        violated = (d < rho - tol[active]) & (kappa_y < kappa)
+        active = active[violated]
+        kappa = float(np.min(kappa_y[violated], initial=kappa))
+    return kappa
 
 
 # ---------------------------------------------------------------------------

@@ -146,27 +146,20 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequen
 # model fitting
 # ---------------------------------------------------------------------------
 
-def _window_mask(curve: ProfileCurve, origin, window):
-    if window is None:
-        return np.ones(curve.num_nodes, dtype=bool)
-    z0, rho0 = origin if origin is not None else (0.0, 0.0)
-    mask = np.hypot(curve.z - z0, curve.r - rho0) <= window
-    if not np.any(mask):
-        raise EmptyWindowError("no surface nodes inside the fit window")
-    return mask
-
-
-def fit_model(snapshot: FlowSnapshot, family: str,
-              origin=None, window: Optional[float] = None):
+def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float):
     """Least-squares fit of a model surface; returns (params, rms_residual).
 
     family in {'sphere', 'cylinder'}.  For axisymmetric snapshots the
     cylinder axis is the symmetry axis and the sphere center lies on it.
-    Residuals are RMS signed normal distances over the (optionally windowed)
-    nodes.
+    Residuals are RMS signed normal distances over the nodes within ambient
+    distance ``window`` of ``origin`` = (z0, rho0); ``window=np.inf`` fits the
+    whole curve.
     """
     curve = snapshot.surface
-    mask = _window_mask(curve, origin, window)
+    z0, rho0 = origin
+    mask = np.hypot(curve.z - z0, curve.r - rho0) <= window
+    if not np.any(mask):
+        raise EmptyWindowError("no surface nodes inside the fit window")
     z, r = curve.z[mask], curve.r[mask]
 
     if family == "cylinder":

@@ -18,6 +18,7 @@ from mcfprof.flow import Trajectory, _implicit_step
 from mcfprof.geometry import CLOSED, FlowSnapshot, ProfileCurve
 from mcfprof.models import bowl_soliton_profile
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, sphere_profile
+from radius_oracle import two_point_inscribed_radii
 
 
 def verdict(num: int, name: str, ok: bool):
@@ -74,16 +75,14 @@ def test_criterion_02_translators():
 
 def test_criterion_03_noncollapsing(sphere_run, cylinder_run, dumbbell_run, ovaloid_run):
     ok = True
-    # model constants at every node: r*H = n on spheres, m on cylinders
-    for n in (2, 3):
-        curve = sphere_profile(1.0, n, 300)
+    # model constants at every node: r*H = n on spheres, m on cylinders, with r the
+    # dense two-point radius; the production kappa is its minimum
+    for n, curve in ((2, sphere_profile(1.0, 2, 300)), (3, sphere_profile(1.0, 3, 300)),
+                     (1, cylinder_profile(0.5, np.pi, 2, 300))):
         snap = FlowSnapshot(curve, 0.0)
-        kappa = dg.noncollapsing_ratio(snap).r_field * snap.curvature.H
+        kappa = two_point_inscribed_radii(snap) * snap.curvature.H
         ok &= bool(np.abs(kappa / n - 1.0).max() < 2.0 * curve.mean_spacing)
-    curve = cylinder_profile(0.5, np.pi, 2, 300)
-    snap = FlowSnapshot(curve, 0.0)
-    kappa = dg.noncollapsing_ratio(snap).r_field * snap.curvature.H
-    ok &= bool(np.abs(kappa - 1.0).max() < 2.0 * curve.mean_spacing)
+        ok &= abs(dg.noncollapsing_ratio(snap) / kappa.min() - 1.0) <= 1e-12
     # kappa <= n + 5h on every snapshot of every run, h its smallest spacing
     for run in (sphere_run, cylinder_run, dumbbell_run, ovaloid_run):
         snaps = run["traj"].snapshots
@@ -91,9 +90,8 @@ def test_criterion_03_noncollapsing(sphere_run, cylinder_run, dumbbell_run, oval
             ok &= rec.kappa_min <= snap.surface.n + 5.0 * snap.surface.spacings().min()
     # dilation invariance of kappa
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
-    k1 = dg.noncollapsing_ratio(snap).kappa_min
-    k2 = dg.noncollapsing_ratio(
-        rs.parabolic_dilate(snap, rs.DilationParams(4.7, 0.3, 0.0, 0.0))).kappa_min
+    k1 = dg.noncollapsing_ratio(snap)
+    k2 = dg.noncollapsing_ratio(rs.parabolic_dilate(snap, rs.DilationParams(4.7, 0.3, 0.0, 0.0)))
     ok &= abs(k2 / k1 - 1.0) < 1e-8
     verdict(3, "noncollapsing constants", ok)
 

@@ -209,7 +209,7 @@ def test_blowup_fits_are_cylinder_and_sphere(tmp_path):
     assert fits["best"] == "sphere" and fits["window"] == FIT_WINDOW
     last = _snapshot_from_obj(json.loads(sorted((out / "snapshots").iterdir())[-1].read_text()))
     with pytest.raises(ValueError):
-        fit_model(last, "plane")
+        fit_model(last, "plane", origin=(0.0, 0.0), window=np.inf)
 
 
 def test_manifest_run_stats(tmp_path):
@@ -299,12 +299,12 @@ def test_disabled_diagnostics_add_no_columns(tmp_path, monkeypatch):
 
 def test_run_computes_kappa_once_per_snapshot(tmp_path, monkeypatch):
     calls = []
-    radii = dg._inscribed_radii
+    kappa = dg.noncollapsing_ratio
 
     def counted(snapshot):
         calls.append(snapshot.t)
-        return radii(snapshot)
-    monkeypatch.setattr(dg, "_inscribed_radii", counted)
+        return kappa(snapshot)
+    monkeypatch.setattr(dg, "noncollapsing_ratio", counted)
     code, out = run_scenario(tmp_path, dict(BASE_CFG, diagnostics={"noncollapse": True}), "once")
     assert code == EXIT_OK
     assert len(calls) == json.loads((out / "report.json").read_text())["num_snapshots"]

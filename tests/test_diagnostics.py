@@ -1,5 +1,7 @@
 """Noncollapsing, pinching, Harnack, monotone ratios, residuals, distance law."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
 from scipy.spatial import cKDTree
 
 from mcfprof import diagnostics
-from mcfprof.geometry import CLOSED
+from mcfprof.geometry import CLOSED, PERIODIC
 from mcfprof.shapes import perturb_profile
+from radius_oracle import two_point_inscribed_radii
 
 
 def brute_force_inscribed_radius(snapshot, node, samples=4000):
@@ -47,23 +50,25 @@ def brute_force_inscribed_radius(snapshot, node, samples=4000):
 
 def test_inscribed_radius_sphere():
     snap = FlowSnapshot(sphere_profile(1.0, 2, 300), 0.0)
+    radii = two_point_inscribed_radii(snap)
     for node in (10, 100, 150):
-        assert abs(noncollapsing_ratio(snap).r_field[node] - 1.0) < 2e-3
+        assert abs(radii[node] - 1.0) < 2e-3
 
 
 def test_inscribed_radius_cylinder():
     snap = FlowSnapshot(cylinder_profile(0.5, np.pi, 2, 300), 0.0)
-    assert abs(noncollapsing_ratio(snap).r_field[120] - 0.5) < 2e-3
+    assert abs(two_point_inscribed_radii(snap)[120] - 0.5) < 2e-3
 
 
 def test_inscribed_radius_dumbbell_against_brute_force():
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.2, 8.0, 2, 600), 0.0)
     h = snap.surface.mean_spacing
     waist = waist_node(snap, 0.0)
-    r_w = noncollapsing_ratio(snap).r_field[waist]
+    radii = two_point_inscribed_radii(snap)
+    r_w = radii[waist]
     assert abs(r_w - snap.surface.r[waist]) < 2.0 * h  # limited by the waist circle
     for node in (10, 30, 60, 90):  # cap and bulb shoulder of the left bulb
-        r_p = noncollapsing_ratio(snap).r_field[node]
+        r_p = radii[node]
         oracle = brute_force_inscribed_radius(snap, node)
         assert abs(r_p - oracle) < 2.0 * h
 
@@ -71,19 +76,18 @@ def test_inscribed_radius_dumbbell_against_brute_force():
 def test_noncollapsing_constants_sphere():
     for n in (2, 3):
         curve = sphere_profile(1.0, n, 300)
-        rec = noncollapsing_ratio(FlowSnapshot(curve, 0.0))
+        snap = FlowSnapshot(curve, 0.0)
         h = curve.mean_spacing
-        kappa = rec.r_field * FlowSnapshot(curve, 0.0).curvature.H
+        kappa = two_point_inscribed_radii(snap) * snap.curvature.H
         assert np.abs(kappa / n - 1.0).max() < 2.0 * h
-        assert rec.kappa_min <= n + 5.0 * h
+        assert noncollapsing_ratio(snap) <= n + 5.0 * h
 
 
 def test_noncollapsing_constant_cylinder():
     curve = cylinder_profile(0.5, np.pi, 2, 300)
     snap = FlowSnapshot(curve, 0.0)
-    rec = noncollapsing_ratio(snap)
     h = curve.mean_spacing
-    kappa = rec.r_field * snap.curvature.H
+    kappa = two_point_inscribed_radii(snap) * snap.curvature.H
     assert np.abs(kappa / 1.0 - 1.0).max() < 2.0 * h  # m = n-1 = 1
 
 
@@ -95,10 +99,9 @@ def test_noncollapsing_requires_mean_convex():
 
 def test_kappa_dilation_invariance():
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
-    rec = noncollapsing_ratio(snap)
+    kappa = noncollapsing_ratio(snap)
     scaled = parabolic_dilate(snap, DilationParams(4.7, 0.3, 0.0, 0.0))
-    rec2 = noncollapsing_ratio(scaled)
-    assert abs(rec2.kappa_min / rec.kappa_min - 1.0) < 1e-8
+    assert abs(noncollapsing_ratio(scaled) / kappa - 1.0) < 1e-8
 
 
 def test_inscribed_radius_continuity():
@@ -116,32 +119,16 @@ def test_inscribed_radius_continuity():
     r = curve.r - psi * normal[:, 1]
     r[0] = r[-1] = 0.0
     snap2 = FlowSnapshot(ProfileCurve(z, r, 2, CLOSED), 0.0)
+    radii1, radii2 = two_point_inscribed_radii(snap), two_point_inscribed_radii(snap2)
     for node in (20, 60, 100, 140, 180):
-        r1 = noncollapsing_ratio(snap).r_field[node]
-        r2 = noncollapsing_ratio(snap2).r_field[node]
+        r1, r2 = radii1[node], radii2[node]
         assert abs(r1 - r2) <= 10.0 * eps + h / 10.0
 
 
-
-def two_point_inscribed_radii(snapshot):
-    """Oracle: min(diam, min_y g(y)) over every node, axis mirror and periodic copy y, densely."""
-    curve = snapshot.surface
-    normal = snapshot.curvature.normal
-    pts = np.column_stack((curve.z, curve.r))
-    tol = curve.node_spacing() / 10.0
-    if curve.topology == CLOSED:
-        diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
-        ys = pts
-    else:
-        diam = float(np.hypot(curve.period, 2.0 * curve.r.max()))
-        ys = np.vstack([pts + [shift, 0.0] for shift in (-curve.period, 0.0, curve.period)])
-    ys = np.vstack((ys, ys * [1.0, -1.0]))
-    dy = ys[None, :, :] - pts[:, None, :]
-    a = np.einsum("ijk,ik->ij", dy, normal)
-    eps = tol[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(a > eps, ((dy * dy).sum(axis=2) - eps * eps) / (2.0 * (a - eps)), np.inf)
-    return np.minimum(diam, g.min(axis=1))
+def bulged_cylinder(nodes):
+    """r = 1 + 0.3 cos 2z over one period pi: the radii at the bulge are set across the wrap."""
+    z = np.linspace(0.0, np.pi, nodes, endpoint=False)
+    return ProfileCurve(z, 1.0 + 0.3 * np.cos(2.0 * z), 2, PERIODIC, np.pi)
 
 
 RADIUS_SHAPES = {
@@ -154,17 +141,56 @@ RADIUS_SHAPES = {
                                                   0.01, 3, 1),
     "perturbed-cylinder": lambda: perturb_profile(cylinder_profile(1.0, np.pi, 2, 400),
                                                   0.05, 3, 2),
+    "bulged-cylinder": lambda: bulged_cylinder(300),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(RADIUS_SHAPES))
-def test_inscribed_radii_equal_bisection_reference(shape):
-    # the radii are exact: they equal the dense two-point minimum, the value
-    # a bisection over rho converges to, at every node (the poles of a closed
-    # profile and a dumbbell waist whose ray crosses the axis included)
-    snap = FlowSnapshot(RADIUS_SHAPES[shape](), 0.0)
-    np.testing.assert_allclose(diagnostics._inscribed_radii(snap),
-                               two_point_inscribed_radii(snap), rtol=1e-12, atol=0.0)
+# the last snapshot of each session run: refined, graded meshes whose tol varies per node
+RUN_SNAPSHOTS = ("sphere_run", "cylinder_run", "dumbbell_run")
+
+
+@pytest.mark.parametrize("shape", sorted(RADIUS_SHAPES) + [f"{run}-last" for run in RUN_SNAPSHOTS])
+def test_inscribed_radii_equal_bisection_reference(shape, request):
+    # kappa is exact: it equals min H r over the dense two-point radii, the values
+    # a bisection over rho converges to (the poles of a closed profile, a dumbbell
+    # waist whose ray crosses the axis and the wrap of a periodic profile included)
+    if shape.endswith("-last"):
+        snap = request.getfixturevalue(shape[:-len("-last")])["traj"].snapshots[-1]
+    else:
+        snap = FlowSnapshot(RADIUS_SHAPES[shape](), 0.0)
+    radii = two_point_inscribed_radii(snap)
+    H = snap.curvature.H
+    if H.min() > 0.0:
+        np.testing.assert_allclose(noncollapsing_ratio(snap), np.min(H * radii),
+                                   rtol=1e-12, atol=0.0)
+    else:  # the perturbed cylinder has H < 0 somewhere; the sweep below covers its radii
+        with pytest.raises(DomainError):
+            noncollapsing_ratio(snap)
+
+
+# small meshes of the RADIUS_SHAPES kinds, swept node by node below
+SWEEP_SHAPES = {
+    "sphere": lambda: sphere_profile(1.0, 2, 120),
+    "cylinder": lambda: cylinder_profile(0.5, np.pi, 2, 120),
+    "dumbbell": lambda: dumbbell_profile(1.0, 0.35, 8.0, 2, 200),
+    "perturbed-cylinder": lambda: perturb_profile(cylinder_profile(1.0, np.pi, 2, 160),
+                                                  0.05, 3, 2),
+    "bulged-cylinder": lambda: bulged_cylinder(160),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
+def test_kappa_attained_at_each_node_equals_reference(shape):
+    # with H replaced by (1 + 1e-6)/r at every node but one and 1/r there, that node
+    # alone attains the minimum; so a radius that is off at any node moves kappa
+    snap = FlowSnapshot(SWEEP_SHAPES[shape](), 0.0)
+    radii = two_point_inscribed_radii(snap)
+    for k in range(snap.surface.num_nodes):
+        H = (1.0 + 1e-6) / radii
+        H[k] = 1.0 / radii[k]
+        weighted = FlowSnapshot(snap.surface, 0.0, replace(snap.curvature, H=H))
+        np.testing.assert_allclose(noncollapsing_ratio(weighted), H[k] * radii[k],
+                                   rtol=1e-12, atol=0.0, err_msg=f"node {k}")
 
 
 class CountingTree(cKDTree):
@@ -188,8 +214,8 @@ def counted_queries(monkeypatch):
 
 def test_inscribed_radii_query_budget(counted_queries):
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0)
-    diagnostics._inscribed_radii(snap)
-    assert 0 < counted_queries.rows <= 4 * snap.surface.num_nodes
+    noncollapsing_ratio(snap)
+    assert 0 < counted_queries.rows <= 2 * snap.surface.num_nodes
 
 
 # ---------------------------------------------------------------------------

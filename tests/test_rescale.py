@@ -68,17 +68,17 @@ def test_fixed_point_of_shrinking_sphere():
 
 def test_fit_exact_cylinder():
     snap = FlowSnapshot(cylinder_profile(0.7, np.pi, 2, 200), 0.0)
-    params, rms = fit_model(snap, "cylinder")
+    params, rms = fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)
     assert abs(params["R"] - 0.7) < 1e-12
     assert rms < 1e-12
 
 
 def test_fit_sphere_discriminates():
     snap = FlowSnapshot(sphere_profile(1.0, 2, 200), 0.0)
-    params, rms = fit_model(snap, "sphere")
+    params, rms = fit_model(snap, "sphere", origin=(0.0, 0.0), window=np.inf)
     assert abs(params["R"] - 1.0) < 1e-10 and abs(params["zc"]) < 1e-10
     assert rms < 1e-10
-    _, rms_cyl = fit_model(snap, "cylinder")
+    _, rms_cyl = fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)
     assert rms_cyl >= 0.1
 
 
@@ -97,7 +97,7 @@ def test_normalized_blowup_sphere_is_unit_H_sphere():
     for term in seq.terms:
         assert abs(term.H_origin - 1.0) <= 5.0 * term.center.surface.mean_spacing
         # unit-H sphere has radius n = 2
-        fit, rms = fit_model(term.center, "sphere")
+        fit, rms = fit_model(term.center, "sphere", origin=(0.0, 0.0), window=np.inf)
         assert abs(fit["R"] - 2.0) < 0.02
         assert rms / fit["R"] < 0.01
 
