@@ -14,8 +14,7 @@ from mcfprof.geometry import FlowSnapshot
 from mcfprof.shapes import sphere_profile
 
 initial = FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0)
-traj = run_until(initial, StepControl(A2_stop=2.0 / 0.05**2),
-                 record_times=np.linspace(0.02, 0.22, 11))
+traj = run_until(initial, StepControl(A2_stop=2.0 / 0.05**2))
 
 print(f"stop reason: {traj.stop_reason}")
 print(f"{'t':>8} {'R (numerical)':>14} {'R (analytic)':>13} {'rel. error':>11}")

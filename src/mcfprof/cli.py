@@ -107,14 +107,17 @@ def _check_options(spec: dict, options: dict, path: str):
 
 
 def validate_config(raw: dict) -> dict:
-    """Normalize and validate a scenario config dict; raises ConfigError."""
+    """The config with its defaults filled in; raises ConfigError naming the bad field.
+
+    Its keys are name, n, initial, nodes, step, diagnostics and seed; any other
+    top-level key is an error, as an unknown step or diagnostic option is.
+    """
     _require(isinstance(raw, dict), "config must be a JSON object", "")
-    cfg = dict(raw)
-    _require(isinstance(cfg.get("name"), str) and cfg["name"], "name must be a nonempty string", "name")
-    n = cfg.get("n", 2)
+    name = raw.get("name")
+    _require(isinstance(name, str) and name, "name must be a nonempty string", "name")
+    n = raw.get("n", 2)
     _require(_is_int(n) and 2 <= n <= MAX_N, f"n must be an integer in [2, {MAX_N}]", "n")
-    cfg["n"] = n
-    initial = cfg.get("initial")
+    initial = raw.get("initial")
     _require(isinstance(initial, dict) and len([k for k in initial if k != "perturb"]) == 1,
              "initial must carry exactly one datum tag", "initial")
     tag = next(k for k in initial if k != "perturb")
@@ -142,26 +145,24 @@ def validate_config(raw: dict) -> dict:
                  and _is_int(modes) and 0 <= modes <= MAX_PERTURB_MODES,
                  f"perturb needs {{amplitude >= 0, modes: int in [0, {MAX_PERTURB_MODES}]}}",
                  "initial.perturb")
-    nodes = cfg.get("nodes", 400)
+    nodes = raw.get("nodes", 400)
     _require(isinstance(nodes, int) and 8 <= nodes <= MAX_NODES,
              f"nodes must be an integer in [8, {MAX_NODES}]", "nodes")
-    cfg["nodes"] = nodes
-    step = cfg.get("step", {})
+    step = raw.get("step", {})
     _require(isinstance(step, dict), "step must be an object", "step")
     _check_options(step, STEP_OPTIONS, "step")
-    cfg["step"] = step
-    diags = cfg.get("diagnostics", {})
-    if isinstance(diags, list):
-        diags = {k: True for k in diags}
-    _require(isinstance(diags, dict), "diagnostics must be an object or list of toggles", "diagnostics")
+    diags = raw.get("diagnostics", {})
+    _require(isinstance(diags, dict), "diagnostics must be an object", "diagnostics")
     for key, spec in diags.items():
         _require(key in DIAG_KEYS, f"unknown diagnostic {key!r}", f"diagnostics.{key}")
         if key in DIAG_OPTIONS and isinstance(spec, dict):
             _check_options(spec, DIAG_OPTIONS[key], f"diagnostics.{key}")
-    cfg["diagnostics"] = diags
-    seed = cfg.get("seed", 0)
+    seed = raw.get("seed", 0)
     _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0", "seed")
-    cfg["seed"] = seed
+    cfg = {"name": name, "n": n, "initial": initial, "nodes": nodes, "step": step,
+           "diagnostics": diags, "seed": seed}
+    for key in raw:
+        _require(key in cfg, f"unknown config key {key!r}", key)
     return cfg
 
 
@@ -204,12 +205,10 @@ def build_initial(cfg: dict) -> FlowSnapshot:
         try:
             with open(body["path"]) as fh:
                 data = json.load(fh)
-            curve = ProfileCurve(np.asarray(data["z"]), np.asarray(data["r"]),
-                                 data.get("n", n), data["topology"], data.get("period"))
+            curve = ProfileCurve(np.asarray(data["z"]), np.asarray(data["r"]), n,
+                                 data["topology"], data.get("period"))
         except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad profile file: {exc}", field="initial.profile-file.path")
-        _require(_is_int(curve.n) and 2 <= curve.n <= MAX_N,
-                 f"n must be an integer in [2, {MAX_N}]", "initial.profile-file")
         # the perturbation respaces with splines, which need a valid curve
         _valid_datum(curve, tag)
     else:
@@ -488,14 +487,8 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.nodes is not None:
-        cfg["nodes"] = args.nodes
-        cfg = validate_config(cfg)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = args.out or cfg.get("output_dir")
-    if not out_dir:
-        raise ConfigError("no output directory (config output_dir or --out)", field="output_dir")
+    out_dir = args.out
+    _require(out_dir, "--out must name a directory", "--out")
     try:
         snap_dir = os.path.join(out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
@@ -511,7 +504,7 @@ def cmd_run(args) -> int:
             if os.path.isfile(path):
                 os.remove(path)
     except OSError as exc:
-        raise ConfigError(f"output_dir not writable: {exc}", field="output_dir")
+        raise ConfigError(f"output directory not writable: {exc}", field="--out")
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     initial = build_initial(cfg)
@@ -682,9 +675,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate a scenario and emit artifacts")
     p_run.add_argument("--config", required=True, help="scenario config JSON file")
-    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--nodes", type=int, default=None, help="override node count")
-    p_run.add_argument("--seed", type=int, default=None, help="override perturbation seed")
+    p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze", help="re-run diagnostics on a stored run directory")

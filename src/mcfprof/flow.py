@@ -10,7 +10,7 @@ curvature blow-up and records a snapshot cascade accumulating there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -247,12 +247,11 @@ def _respace(z, r, n, topology, period, op: StepOperator, h0, ctl: StepControl):
     return fresh.z, fresh.r
 
 
-def run_until(initial: FlowSnapshot, ctl: StepControl,
-              record_times: Sequence[float] = ()) -> Trajectory:
+def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
     """Integrate a profile curve until a stop criterion fires.
 
-    Snapshots are recorded at the requested times plus a geometric curvature
-    cascade so that blow-up sequences have material to rescale.
+    Snapshots are recorded at the start, on a geometric curvature cascade so
+    that blow-up sequences have material to rescale, and at the stop.
     """
     curve = initial.surface
     if not isinstance(curve, ProfileCurve):
@@ -276,7 +275,6 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
 
     z, r, op = settle(curve.z, curve.r)
     t = initial.t
-    schedule = sorted(tt for tt in record_times if tt > t)
 
     def make_snapshot():
         return FlowSnapshot(ProfileCurve(z.copy(), r.copy(), n, topology, period), t)
@@ -328,12 +326,8 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
         if dt < ctl.dt_min or t + dt == t:  # t + dt == t: dt is below the resolution of t
             stop_reason = STOP_UNDERFLOW
             break
-        hit_schedule = False
         if ctl.t_end is not None and t + dt > ctl.t_end:
             dt = ctl.t_end - t
-        if schedule and t + dt >= schedule[0] - 1e-15:
-            dt = schedule[0] - t
-            hit_schedule = True
 
         z_new = None
         while z_new is None:
@@ -341,7 +335,6 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
                 z_new, r_new = _implicit_step(z, r, n, closed, period, dt, op)
             except NeckPinchError:  # retry at half the step, down to dt_min
                 dt *= 0.5
-                hit_schedule = False
                 if dt <= ctl.dt_min or t + dt == t:
                     break
         if z_new is None:
@@ -352,11 +345,6 @@ def run_until(initial: FlowSnapshot, ctl: StepControl,
         t += dt
         counts["steps"] += 1
         z, r, op = settle(z_new, r_new)
-
-        if hit_schedule:
-            schedule.pop(0)
-            snapshots.append(make_snapshot())
-            last_recorded_t = t
 
     if last_recorded_t != t or len(snapshots) == 1:
         snapshots.append(make_snapshot())

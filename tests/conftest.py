@@ -11,23 +11,18 @@ from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
                             ovaloid_profile, sphere_profile)
 
 
-def _timed_run(initial, ctl, record_times=()):
+def _timed_run(initial, ctl):
     t0 = time.monotonic()
-    traj = run_until(initial, ctl, record_times)
+    traj = run_until(initial, ctl)
     return {"traj": traj, "runtime": time.monotonic() - t0}
 
 
 @pytest.fixture(scope="session")
 def sphere_run():
-    """Round unit sphere, n=2, 400 nodes, integrated to R ~ 0.03.
-
-    Extra recorded times cover [0.1505, 0.2] densely so parabolic-cube
-    statistics around t = 0.2 have material.
-    """
+    """Round unit sphere, n=2, 400 nodes, integrated to R ~ 0.03."""
     initial = FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0)
     ctl = StepControl(A2_stop=2.0 / 0.03**2)
-    record = np.arange(0.1505, 0.2001, 0.0025)
-    return _timed_run(initial, ctl, record)
+    return _timed_run(initial, ctl)
 
 
 @pytest.fixture(scope="session")

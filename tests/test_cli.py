@@ -97,17 +97,15 @@ def test_validate_defaults():
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 10**6 + 1}},
      "step.max_nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "nodes": 10**6 + 1}, "nodes"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "output_dir": 5}, "output_dir"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "node": 100}, "node"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "diagnostics": ["noncollapse"]},
+     "diagnostics"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:
         validate_config(raw)
     assert info.value.field == field
-
-
-def test_diagnostics_list_form_normalized():
-    cfg = validate_config({"name": "x", "initial": {"sphere": {"R0": 1.0}},
-                           "diagnostics": ["noncollapse", "pinching"]})
-    assert cfg["diagnostics"] == {"noncollapse": True, "pinching": True}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +315,7 @@ def csv_columns(path):
 
 
 def test_timeseries_and_report_render_the_same_values(tmp_path):
-    cfg = dict(BASE_CFG, diagnostics=["noncollapse", "pinching", "ratioA2H2"])
+    cfg = dict(BASE_CFG, diagnostics={"noncollapse": True, "pinching": True, "ratioA2H2": True})
     code, out = run_scenario(tmp_path, cfg, "same")
     assert code == EXIT_OK
     cols = csv_columns(out / "timeseries.csv")
@@ -331,7 +329,7 @@ def test_timeseries_and_report_render_the_same_values(tmp_path):
 THIN_NECK_CFG = {"name": "thin", "n": 2,
                  "initial": {"dumbbell": {"bulb_R": 1.0, "neck_r": 0.1, "length": 8.0}},
                  "nodes": 400, "step": {"A2_stop": 2e3},
-                 "diagnostics": ["noncollapse", "pinching", "ratioA2H2"]}
+                 "diagnostics": {"noncollapse": True, "pinching": True, "ratioA2H2": True}}
 
 
 def test_snapshot_with_H_below_zero_has_nan_cells_and_skipped_reasons(tmp_path):
@@ -471,13 +469,12 @@ LOOPED = {"z": list(-np.cos(_T) + np.sin(2.0 * _T))}
     (PROFILE_FILE, {"r": [0.0] + [float("nan")] * 62 + [0.0]}),
     (PROFILE_FILE, {"r": list(0.1 + np.sin(np.linspace(0.0, np.pi, 64)))}),
     (PROFILE_FILE, {"r": [0.0] + [0.5] * 8 + [0.0]}),
-    (PROFILE_FILE, {"n": 1}),
     (PROFILE_FILE, LOOPED),
 ], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
          "amplitude-1e300", "amplitude-cusps", "R0-tiny",
          "model-kind", "cylinder-m", "model-params-list", "model-grim-reaper", "model-bowl",
          "profile-3-nodes", "profile-nan", "profile-off-axis", "profile-length-mismatch",
-         "profile-n1", "profile-self-intersecting"])
+         "profile-self-intersecting"])
 def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_text,
                                          profile_change):
     monkeypatch.chdir(tmp_path)
@@ -517,6 +514,25 @@ def test_perturbation_that_crosses_is_a_config_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("config error (field: initial.perturb): ")
     assert "self-intersecting" in err
+
+
+def test_config_key_outside_the_schema_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(BASE_CFG, output_dir=5))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: output_dir): ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tail", [["--out", "{out}", "--seed", "1"],
+                                  ["--out", "{out}", "--nodes", "64"], []],
+                         ids=["seed", "nodes", "no-out"])
+def test_run_takes_only_config_and_out(tmp_path, tail):
+    argv = ["run", "--config", write_cfg(tmp_path, BASE_CFG)]
+    with pytest.raises(SystemExit) as info:
+        main(argv + [arg.format(out=tmp_path / "out") for arg in tail])
+    assert info.value.code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_unwritable_output(tmp_path):
@@ -685,6 +701,11 @@ def _mutated_config(seed):
 @pytest.mark.parametrize("seed", range(200))
 def test_exit_code_property(tmp_path, capsys, seed):
     cfg = _mutated_config(seed)
-    code = main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INCONCLUSIVE)
     assert "Traceback" not in capsys.readouterr().err
+    if code == EXIT_OK:  # the run directory round-trips through analyze
+        report_bytes = (out / "report.json").read_bytes()
+        assert main(["analyze", str(out)]) == EXIT_OK
+        assert (out / "report.json").read_bytes() == report_bytes

@@ -248,14 +248,18 @@ def test_pinching_trend_on_dumbbell(dumbbell_run):
 # ---------------------------------------------------------------------------
 
 def test_harnack_sphere_radius_law_oracle(sphere_run):
-    # p on the sphere at t = 0.2, R = 1: H(p) = 2/sqrt(0.2), cube reaches back
-    # to t = 0.15.  Radius law H(t) = 1/sqrt(0.25 - t) gives
-    # delta = H(0.15)/H(0.2) = sqrt(0.05/0.10) = sqrt(1/2).
+    # p on the equator of the cascade snapshot nearest t = 0.2, R = 1.  The cube
+    # holds the recorded snapshots with t in (t_p - 1/H(t_p)^2, t_p].  The radius
+    # law H(t) = 2/sqrt(1 - 4t) grows in t and is uniform in space, so
+    # delta = H(t_first)/H(t_p) at the earliest snapshot in the cube.
     traj = sphere_run["traj"]
     snap = traj.nearest_snapshot(0.2)
     j = len(snap.surface.z) // 2
     rec = harnack_check(traj, (float(snap.surface.z[j]), float(snap.surface.r[j]), 0.2), 1.0)
-    assert abs(rec.delta_achieved - np.sqrt(0.5)) < 0.02
+    H = lambda t: 2.0 / np.sqrt(1.0 - 4.0 * t)
+    t_first = min(t for t in traj.times if t > snap.t - 1.0 / H(snap.t) ** 2)
+    assert t_first < snap.t  # the cube reaches back past p's own snapshot
+    assert abs(rec.delta_achieved - H(t_first) / H(snap.t)) < 1e-3
     assert 0.0 < rec.delta_achieved <= 1.0
 
 

@@ -41,14 +41,6 @@ def test_run_until_snapshot_times_increasing(sphere_run):
     assert final.curvature.A2.max() >= 0.9 / 0.03**2  # threshold actually reached
 
 
-def test_record_times_hit_exactly():
-    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0),
-                     StepControl(t_end=0.02), record_times=[0.005, 0.015])
-    times = traj.times
-    assert np.abs(times - 0.005).min() < 1e-12
-    assert np.abs(times - 0.015).min() < 1e-12
-
-
 def test_underflow_before_indicator_is_inconclusive():
     with pytest.raises(InconclusiveRunError) as info:
         run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0),
