@@ -9,6 +9,7 @@ reproduce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import copy
 import datetime
 import hashlib
 import json
@@ -111,8 +112,10 @@ def validate_config(raw: dict) -> dict:
 
     Its keys are name, n, initial, nodes, step, diagnostics and seed; any other
     top-level key is an error, as an unknown step or diagnostic option is.
+    The config is built from a deep copy: ``raw`` is left as it was.
     """
     _require(isinstance(raw, dict), "config must be a JSON object", "")
+    raw = copy.deepcopy(raw)
     name = raw.get("name")
     _require(isinstance(name, str) and name, "name must be a nonempty string", "name")
     n = raw.get("n", 2)

@@ -2,7 +2,8 @@
 
 Per-snapshot scalar records, the noncollapsing constant kappa_min = min r*H
 (a search for the minimizing pair of Andrews' two-point bound, with no
-per-node inscribed radius), curvature pinching envelope, local Harnack ratio
+per-node inscribed radius, by a blocked numpy nearest-node search that the
+H-evolution projection also uses), curvature pinching envelope, local Harnack ratio
 over parabolic cubes, |A|^2/H^2 monotone-max check, residual of the
 mean-curvature evolution equation, convexity of rescaled snapshots, and the
 sqrt(tau) distance-scaling law.
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DomainError, InsufficientDataError, McfError,
                      TopologyError, WindowError)
@@ -87,14 +87,71 @@ class HarnackRecord:
 # inscribed radius and noncollapsing
 # ---------------------------------------------------------------------------
 
-def _surface_tree(curve: ProfileCurve) -> cKDTree:
-    pts = np.column_stack((curve.z, curve.r))
-    if curve.topology == PERIODIC:
-        left = pts + np.array([-curve.period, 0.0])
-        right = pts + np.array([curve.period, 0.0])
-        pts = np.vstack((left, pts, right))
-    # a query visits a whole contact arc of equidistant nodes: scan it in big leaves
-    return cKDTree(pts, leafsize=64)
+# centres per block of the nearest-node search: one (B x 3) @ (3 x W) screen each
+SEARCH_BLOCK = 64
+
+
+def _nearest_within(pts: np.ndarray, centers: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Per centre, the index of the nearest point of ``pts`` strictly closer than its reach.
+
+    -1 where no point is.  Distances are sqrt(dz*dz + dr*dr), a KD-tree's formula,
+    so the choice and the strict test agree with a tree's query bit for bit.
+    Points are sorted by z and centres taken in z order, ``SEARCH_BLOCK`` at a
+    time; each block screens the points of its z-window with one matmul giving
+    |y|^2 - 2 c.y.  The screen's rounding stays below ``margin``, so a row whose
+    screened minimum is unique by twice the margin takes that point, and any
+    other row is measured exactly over its own window.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    yz, yr = pts[order, 0], pts[order, 1]
+    y2 = yz * yz + yr * yr
+    screen = np.vstack((-2.0 * yz, -2.0 * yr, y2))
+    by_z = np.argsort(centers[:, 0], kind="stable")
+    cz, cr = centers[by_z, 0], centers[by_z, 1]
+    reach = np.maximum(reach[by_z], 0.0)
+    # a point next in z bounds the search: no nearer point lies further in z;
+    # the window is padded for the rounding of cz -/+ ub
+    k = np.searchsorted(yz, cz).clip(0, len(yz) - 1)
+    ub = np.minimum(np.hypot(cz - yz[k], cr - yr[k]), reach)
+    ub += 1e-12 * (np.abs(cz) + ub)
+    lo = np.searchsorted(yz, cz - ub, "left")
+    hi = np.searchsorted(yz, cz + ub, "right")
+    # the screened best point of each row, and the screened |c - y|^2 of the best two
+    rows = np.column_stack((cz, cr, np.ones(len(cz))))
+    best = np.zeros(len(cz), dtype=int)
+    s1 = np.full(len(cz), np.inf)
+    s2 = np.full(len(cz), np.inf)
+    starts = np.arange(0, len(cz), SEARCH_BLOCK)
+    for start, a, b in zip(starts, np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)):
+        if a >= b:
+            continue
+        block = slice(start, start + SEARCH_BLOCK)
+        S = rows[block] @ screen[:, a:b]
+        k1 = S.argmin(axis=1)
+        at = np.arange(len(k1))
+        s1[block] = S[at, k1]
+        S[at, k1] = np.inf
+        s2[block] = S.min(axis=1)
+        best[block] = a + k1
+    c2 = cz * cz + cr * cr
+    # the screen and c2 round by at most ~8 eps (|c|^2 + |y|^2), the exact distance
+    # squared by ~3 eps |c - y|^2 <= 6 eps (|c|^2 + |y|^2): 64 eps covers both
+    margin = 64.0 * np.finfo(float).eps * (c2 + y2.max())
+    s1 += c2
+    found = s1 < reach * reach + margin
+    tied = found & (s2 + c2 <= s1 + 2.0 * margin)
+    dz = cz - yz[best]
+    dr = cr - yr[best]
+    d = np.where(found & ~tied, np.sqrt(dz * dz + dr * dr), np.inf)
+    for i in np.flatnonzero(tied & (lo < hi)):
+        dz = cz[i] - yz[lo[i]:hi[i]]
+        dr = cr[i] - yr[lo[i]:hi[i]]
+        exact = np.sqrt(dz * dz + dr * dr)
+        best[i] = lo[i] + exact.argmin()
+        d[i] = exact[best[i] - lo[i]]
+    nearest = np.full(len(cz), -1)
+    nearest[by_z] = np.where(d < reach, order[best], -1)
+    return nearest
 
 
 def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
@@ -128,9 +185,12 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
     curve = snapshot.surface
     if curve.is_self_intersecting():
         raise TopologyError("inscribed radius needs an embedded surface")
-    tree = _surface_tree(curve)
     normal = snapshot.curvature.normal
     pts = np.column_stack((curve.z, curve.r))
+    surface = pts
+    if curve.topology == PERIODIC:
+        shift = np.array([curve.period, 0.0])
+        surface = np.vstack((pts - shift, pts, pts + shift))
     tol = curve.node_spacing() / 10.0
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
@@ -150,13 +210,16 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
     kappa = float(np.min(H * np.minimum(diam, bound(active, pts * np.array([1.0, -1.0])))))
     while active.size:
         rho = kappa / H[active]
-        # the meridian point nearest each center, mirrored when r_c < 0
+        # the meridian point nearest each center inside its test ball, mirrored when r_c < 0
         centers = pts[active] + rho[:, None] * normal[active]
-        d, j = tree.query(np.column_stack((centers[:, 0], np.abs(centers[:, 1]))))
-        y = tree.data[j]
+        j = _nearest_within(surface, np.column_stack((centers[:, 0], np.abs(centers[:, 1]))),
+                            rho - tol[active])
+        hit = j >= 0
+        active, centers, j = active[hit], centers[hit], j[hit]
+        y = surface[j]
         y[:, 1] = np.copysign(y[:, 1], centers[:, 1])
         kappa_y = bound(active, y) * H[active]
-        violated = (d < rho - tol[active]) & (kappa_y < kappa)
+        violated = kappa_y < kappa
         active = active[violated]
         kappa = float(np.min(kappa_y[violated], initial=kappa))
     return kappa
@@ -272,8 +335,9 @@ def _interp_H_at_projection(curve: ProfileCurve, H: np.ndarray, z0, r0):
     quadratic interpolation of H there.  Returns (value, ok) arrays.
     """
     s = curve.arclength
-    # nearest node from a KD-tree: memory stays linear in the node counts
-    _, j = cKDTree(np.column_stack((curve.z, curve.r))).query(np.column_stack((z0, r0)))
+    # the nearest node, with no reach to bound it
+    j = _nearest_within(np.column_stack((curve.z, curve.r)), np.column_stack((z0, r0)),
+                        np.full(len(z0), np.inf))
     ok = (j > 0) & (j < curve.num_nodes - 1)
     jj = np.clip(j, 1, curve.num_nodes - 2)
     dm = (curve.z[jj - 1] - z0) ** 2 + (curve.r[jj - 1] - r0) ** 2

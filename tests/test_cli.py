@@ -108,6 +108,28 @@ def test_validate_config_field_paths(raw, field):
     assert info.value.field == field
 
 
+def _dicts(obj):
+    """Every dict nested in a config, the config itself included."""
+    if isinstance(obj, dict):
+        yield obj
+        for val in obj.values():
+            yield from _dicts(val)
+
+
+@pytest.mark.parametrize("raw", [
+    {"name": "x", "initial": {"cylinder": {"R0": 1}}},
+    {"name": "x", "initial": {"dumbbell": {"bulb_R": 1, "neck_r": 0.35, "length": 8},
+                              "perturb": {"amplitude": 0.005, "modes": 3}},
+     "step": {"A2_stop": 2e4}, "diagnostics": {"harnack": {"R": 1.0}, "noncollapse": True}},
+    {"name": "x", "initial": {"model": {"kind": "sphere", "params": {"R0": 1.0}}}},
+])
+def test_validate_config_leaves_its_input_alone(raw):
+    before = copy.deepcopy(raw)
+    cfg = validate_config(raw)
+    assert raw == before
+    assert not {id(d) for d in _dicts(raw)} & {id(d) for d in _dicts(cfg)}
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -587,13 +609,14 @@ RUN_IMPORTS = """
 import json, sys
 from mcfprof.cli import main
 codes = [main(["run", "--config", path, "--out", path + ".out"]) for path in sys.argv[1:]]
-unused = ("scipy.interpolate", "scipy.optimize", "scipy.integrate")
+unused = ("scipy.interpolate", "scipy.optimize", "scipy.integrate",
+          "scipy.spatial", "scipy.special", "scipy.sparse")
 print(json.dumps({"codes": codes,
                   "loaded": sorted(m for m in sys.modules if m.startswith(unused))}))
 """
 
 
-def test_run_loads_no_interpolate_optimize_integrate(tmp_path):
+def test_run_leaves_unused_scipy_unloaded(tmp_path):
     neck = {"name": "neck", "initial": {"dumbbell": {"bulb_R": 1.0, "neck_r": 0.35, "length": 8.0},
                                         "perturb": {"amplitude": 0.005, "modes": 3}},
             "nodes": 200, "step": {"A2_stop": 2e3},

@@ -193,29 +193,81 @@ def test_kappa_attained_at_each_node_equals_reference(shape):
                                    rtol=1e-12, atol=0.0, err_msg=f"node {k}")
 
 
-class CountingTree(cKDTree):
-    """KD-tree that counts the rows passed to ``query``."""
-
-    rows = 0
-
-    def query(self, x, *args, **kwargs):
-        CountingTree.rows += len(x)
-        return super().query(x, *args, **kwargs)
-
-
 @pytest.fixture
 def counted_queries(monkeypatch):
-    build = diagnostics._surface_tree
-    monkeypatch.setattr(diagnostics, "_surface_tree",
-                        lambda curve: CountingTree(build(curve).data))
-    monkeypatch.setattr(CountingTree, "rows", 0)
-    return CountingTree
+    """The row count of every nearest-node search that ``noncollapsing_ratio`` makes."""
+    rows = []
+    search = diagnostics._nearest_within
+
+    def counting(pts, centers, reach):
+        rows.append(len(centers))
+        return search(pts, centers, reach)
+
+    monkeypatch.setattr(diagnostics, "_nearest_within", counting)
+    return rows
 
 
 def test_inscribed_radii_query_budget(counted_queries):
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0)
     noncollapsing_ratio(snap)
-    assert 0 < counted_queries.rows <= 2 * snap.surface.num_nodes
+    assert 0 < sum(counted_queries) <= 2 * snap.surface.num_nodes
+
+
+def assert_nearest_matches_tree(pts, centers, reach):
+    """Each centre gets a node at the tree's distance bit for bit, or none (-1)
+    exactly when the tree's nearest distance is at least the reach."""
+    j = diagnostics._nearest_within(pts, centers, reach)
+    tree_d, _ = cKDTree(pts).query(centers)
+    inside = tree_d < reach
+    np.testing.assert_array_equal(j >= 0, inside)
+    assert np.all(j[~inside] == -1)
+    dz = centers[inside, 0] - pts[j[inside], 0]
+    dr = centers[inside, 1] - pts[j[inside], 1]
+    np.testing.assert_array_equal(np.sqrt(dz * dz + dr * dr), tree_d[inside])
+
+
+@pytest.mark.parametrize("run", ["dumbbell_run", "sphere_run"])
+def test_nearest_within_matches_kdtree_on_kappa_queries(run, request, monkeypatch):
+    # every query of the kappa search on every snapshot of the seed-0 neckpinch
+    # (dumbbell_run) and sphere400 (sphere_run) benchmark runs
+    queries = []
+    search = diagnostics._nearest_within
+
+    def recording(pts, centers, reach):
+        queries.append((pts, centers, reach))
+        return search(pts, centers, reach)
+
+    monkeypatch.setattr(diagnostics, "_nearest_within", recording)
+    for snap in request.getfixturevalue(run)["traj"].snapshots:
+        noncollapsing_ratio(snap)
+    monkeypatch.undo()
+    assert len(queries) >= len(request.getfixturevalue(run)["traj"].snapshots)
+    for pts, centers, reach in queries:
+        assert_nearest_matches_tree(pts, centers, reach)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nearest_within_matches_kdtree_on_random_points(seed):
+    rng = np.random.default_rng(seed)
+    m, period = int(rng.integers(20, 400)), 3.0
+    pts = np.column_stack((rng.uniform(0.0, period, m), rng.uniform(0.0, 1.0, m)))
+    if seed % 2:  # periodic copies, as the kappa search of a periodic profile passes
+        pts = np.vstack([pts + [shift, 0.0] for shift in (-period, 0.0, period)])
+    centers = np.column_stack((rng.uniform(-1.0, 4.0, 300), rng.uniform(-0.5, 1.5, 300)))
+    tree_d, _ = cKDTree(pts).query(centers)
+    # reaches below, at and above the nearest distance; many centres have no node in reach
+    reach = tree_d * rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0, np.inf], 300)
+    reach[:20] = -1.0
+    assert_nearest_matches_tree(pts, centers, reach)
+
+
+def test_nearest_within_exact_ties():
+    # lattice points with centres at cell midpoints: four nodes at the same distance
+    g = np.arange(12) * 0.1
+    pts = np.column_stack([a.ravel() for a in np.meshgrid(g, g)])
+    centers = pts[:50] + 0.05
+    for reach in (np.full(50, np.inf), np.full(50, 0.1), np.hypot(0.05, 0.05) * np.ones(50)):
+        assert_nearest_matches_tree(pts, centers, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +360,47 @@ def test_H_evolution_residual_small_on_sphere():
     h = snap.surface.mean_spacing
     # analytically dH/dt = H|A|^2 and Lap H = 0; discretization error O(h^2 + dt)
     assert res["max_residual"] < 10.0 * (h**2 + dt)
+
+
+def wavy_cylinder(N):
+    z = np.linspace(0.0, np.pi, N, endpoint=False)
+    return ProfileCurve(z, 1.0 + 0.1 * np.cos(4.0 * z), 2, PERIODIC, np.pi)
+
+
+def h_evolution_triples():
+    """The snapshot triples of acceptance criterion 08: two implicit steps at dt ∝ h²."""
+    for factory in (lambda N: sphere_profile(1.0, 2, N), wavy_cylinder,
+                    lambda N: cylinder_profile(1.0, np.pi, 2, N)):
+        for N in (100, 200):
+            curve = factory(N)
+            dt = 0.8 * factory(100).spacings().min() ** 2 / 4.0 * (100 / N) ** 2
+            snaps = [FlowSnapshot(curve, 0.0)]
+            for k in (1, 2):
+                z, r = _implicit_step(curve.z, curve.r, 2, curve.topology == CLOSED,
+                                      curve.period, dt)
+                curve = ProfileCurve(z, r, 2, curve.topology, curve.period)
+                snaps.append(FlowSnapshot(curve, k * dt))
+            yield snaps
+
+
+def test_H_projection_picks_the_kdtree_node(monkeypatch):
+    def tree_search(pts, centers, reach):
+        return cKDTree(pts).query(centers)[1]
+
+    for prev, mid, nxt in h_evolution_triples():
+        for side in (prev, nxt):
+            args = (side.surface, side.curvature.H, mid.surface.z, mid.surface.r)
+            pts = np.column_stack((side.surface.z, side.surface.r))
+            centers = np.column_stack((mid.surface.z, mid.surface.r))
+            np.testing.assert_array_equal(
+                diagnostics._nearest_within(pts, centers, np.full(len(centers), np.inf)),
+                cKDTree(pts).query(centers)[1])
+            val, ok = diagnostics._interp_H_at_projection(*args)
+            with monkeypatch.context() as m:
+                m.setattr(diagnostics, "_nearest_within", tree_search)
+                tree_val, tree_ok = diagnostics._interp_H_at_projection(*args)
+            np.testing.assert_array_equal(val, tree_val)
+            np.testing.assert_array_equal(ok, tree_ok)
 
 
 def test_H_evolution_needs_three_snapshots():
