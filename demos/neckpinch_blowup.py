@@ -38,9 +38,9 @@ print(f"  sphere fit:   rms = {sph['rms']:.4f} "
       f"({sph['rms'] / cyl['rms']:.1f}x the cylinder residual)")
 
 for term in seq.terms[-3:]:
-    _, min_lam1 = dg.convexity_check(term.center, 0.05)
+    min_lam1 = dg.convexity_check(term.center)
     print(f"  rescaled term at scale {term.params.a:10.2f}: min lambda_1 = {min_lam1:+.4f}")
-_, min_lam1 = dg.convexity_check(traj.snapshots[0], 0.05)
+min_lam1 = dg.convexity_check(traj.snapshots[0])
 print(f"  unrescaled initial surface:         min lambda_1 = {min_lam1:+.4f}")
 
 res = dg.singular_distance_scaling(traj)

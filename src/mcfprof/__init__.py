@@ -7,9 +7,9 @@ from .models import (ModelSolution, bowl_soliton_profile, model_snapshot,
                      shrinker_radius)
 from .rescale import (BlowupSequence, BlowupTerm, DilationParams, fit_model,
                       normalized_blowup, parabolic_dilate, select_blowup_points)
-from .diagnostics import (HarnackRecord, SnapshotRecord, convexity_check,
-                          harnack_check, noncollapsing_ratio, pinching_profile,
-                          ratio_A2_H2, singular_distance_scaling,
-                          snapshot_records, verify_H_evolution)
+from .diagnostics import (SnapshotRecord, convexity_check, harnack_check,
+                          noncollapsing_ratio, pinching_profile, ratio_A2_H2,
+                          singular_distance_scaling, snapshot_records,
+                          verify_H_evolution)
 
 __version__ = "0.1.0"

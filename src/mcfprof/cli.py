@@ -42,16 +42,18 @@ FLOAT_CHUNK = 1024  # floats per written piece of a JSON float array
 
 DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
              "Hevolution", "blowup", "distance-scaling")
-MAX_N = 100  # the largest dimension n: per-node arrays hold n curvatures
+# the largest dimension n: an integer past the float range overflows (n - 1) * lam_rot, and
+# 100 is well above the n <= 10 whose sphere runs have been checked against T = R0^2/(2n)
+MAX_N = 100
 MAX_PERTURB_MODES = 64
 MAX_NODES = 10**6  # the largest nodes and step.max_nodes: bounds the memory a config can ask for
-INITIAL_TAGS = {
-    "sphere": ("R0",),
-    "cylinder": ("R0", "period"),
-    "dumbbell": ("bulb_R", "neck_r", "length"),
-    "ovaloid": ("a", "b"),
-    "model": ("kind", "params"),
-    "profile-file": ("path",),
+# the shape tags of an initial datum: tag -> (constructor, its fields), called as
+# constructor(*fields, n, nodes); the other tag is "profile-file", whose field is "path"
+SHAPES = {
+    "sphere": (sphere_profile, ("R0",)),
+    "cylinder": (cylinder_profile, ("R0", "period")),
+    "dumbbell": (dumbbell_profile, ("bulb_R", "neck_r", "length")),
+    "ovaloid": (ovaloid_profile, ("a", "b")),
 }
 
 
@@ -124,15 +126,16 @@ def validate_config(raw: dict) -> dict:
     _require(isinstance(initial, dict) and len([k for k in initial if k != "perturb"]) == 1,
              "initial must carry exactly one datum tag", "initial")
     tag = next(k for k in initial if k != "perturb")
-    _require(tag in INITIAL_TAGS, f"unknown initial tag {tag!r}", f"initial.{tag}")
+    _require(tag in SHAPES or tag == "profile-file", f"unknown initial tag {tag!r}",
+             f"initial.{tag}")
     body = initial[tag]
     _require(isinstance(body, dict), "initial datum body must be an object", f"initial.{tag}")
-    for key in INITIAL_TAGS[tag]:
-        if tag == "cylinder" and key == "period":
-            body.setdefault("period", float(np.pi))
+    if tag == "cylinder":
+        body.setdefault("period", float(np.pi))
+    for key in SHAPES[tag][1] if tag in SHAPES else ("path",):
         _require(key in body, f"missing field {key}", f"initial.{tag}.{key}")
     for key, val in body.items():
-        if key in ("kind", "params", "path"):
+        if key == "path":
             continue
         _require(_is_positive(val), f"{key} must be a positive finite number",
                  f"initial.{tag}.{key}")
@@ -196,14 +199,6 @@ def build_initial(cfg: dict) -> FlowSnapshot:
     tag = next(k for k in initial if k != "perturb")
     body = initial[tag]
     n, nodes = cfg["n"], cfg["nodes"]
-    if tag == "model":
-        try:
-            model = ModelSolution(kind=body["kind"], n=n, **body["params"])
-            snap = model_snapshot(model, t=0.0, nodes=nodes)
-        except (TypeError, ValueError, McfError) as exc:
-            raise ConfigError(f"bad model: {exc}", field="initial.model")
-        _valid_datum(snap.surface, tag)
-        return snap
     if tag == "profile-file":
         try:
             with open(body["path"]) as fh:
@@ -215,15 +210,9 @@ def build_initial(cfg: dict) -> FlowSnapshot:
         # the perturbation respaces with splines, which need a valid curve
         _valid_datum(curve, tag)
     else:
+        make, fields = SHAPES[tag]
         try:
-            if tag == "sphere":
-                curve = sphere_profile(body["R0"], n, nodes)
-            elif tag == "cylinder":
-                curve = cylinder_profile(body["R0"], body["period"], n, nodes)
-            elif tag == "dumbbell":
-                curve = dumbbell_profile(body["bulb_R"], body["neck_r"], body["length"], n, nodes)
-            else:
-                curve = ovaloid_profile(body["a"], body["b"], n, nodes)
+            curve = make(*(body[key] for key in fields), n, nodes)
         except (ValueError, OverflowError, NumericalBlowupError) as exc:  # an overflowing datum
             raise ConfigError(f"bad initial datum: {exc}", field=f"initial.{tag}")
     if "perturb" in initial:
@@ -393,12 +382,9 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
             continue
         p = (float(snap.surface.z[j]), float(snap.surface.r[j]), snap.t)
         try:
-            rec = dg.harnack_check(traj, p, R)
+            records.append({"t": snap.t, "H_p": H_p, **dg.harnack_check(traj, p, R)})
         except McfError as exc:
             skipped.append({"t": snap.t, "reason": f"{type(exc).__name__}: {exc}"})
-            continue
-        records.append({"t": snap.t, "H_p": H_p, "delta": rec.delta_achieved,
-                        "sup_H": rec.sup_H, "inf_H": rec.inf_H})
     out = {"R": R, "H_threshold": threshold, "initial_max_H": H0max, "points": records,
            "skipped": skipped}
     if records:
@@ -414,8 +400,8 @@ def _blowup_report(traj: Trajectory, spec: dict) -> dict:
     fits = rs.classify_tangent_flow(seq.terms[-1], window=window)
     convexity = []
     for term in seq.terms[-3:]:
-        _, min_lam1 = dg.convexity_check(term.center, 0.0)
-        convexity.append({"scale": term.params.a, "min_lambda1": min_lam1})
+        convexity.append({"scale": term.params.a,
+                          "min_lambda1": dg.convexity_check(term.center)})
     return {"points": [list(p) for p in points],
             "scales": [t.params.a for t in seq.terms],
             "H_origin": [t.H_origin for t in seq.terms],
@@ -468,15 +454,11 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
                             "max_ratio": np.array([r.max_ratio for r in records]),
                             **dg.ratio_A2_H2(records)}
             elif key == "Hevolution":
-                res = dg.verify_H_evolution(traj)
-                out[key] = {"t": res["t"], "max_residual": res["max_residual"],
-                            "skipped": res["skipped"]}
+                out[key] = dg.verify_H_evolution(traj)
             elif key == "blowup":
                 out[key] = _blowup_report(traj, diags[key] if isinstance(diags[key], dict) else {})
             elif key == "distance-scaling":
-                res = dg.singular_distance_scaling(traj)
-                out[key] = {"tau": res["tau"], "r_tau": res["r_tau"],
-                            "slope": res["slope"], "ratio": res["ratio"]}
+                out[key] = dg.singular_distance_scaling(traj)
         except McfError as exc:
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
             if key in ("pinching", "ratioA2H2") and skipped:
@@ -609,6 +591,8 @@ def _parse_point(text: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    check, need = POSITIVE
+    _require(check(args.window), f"--window {need}", "--window")
     cfg, traj = _load_run_dir(args.run_dir)
     if args.blowup_at is None:
         # identity re-analysis: rebuild report.json from the stored snapshots
@@ -626,10 +610,9 @@ def cmd_analyze(args) -> int:
         pt["z"], pt["rho"] = float(surf.z[j]), float(surf.r[j])
     seq = rs.normalized_blowup(traj, [(pt["z"], pt["rho"], pt["t"])])
     fits = rs.classify_tangent_flow(seq.terms[0], window=args.window)
-    _, min_lam1 = dg.convexity_check(seq.terms[0].center, 0.0)
     result = {"point": pt, "scale": seq.terms[0].params.a,
               "H_origin": seq.terms[0].H_origin, "fits": fits,
-              "min_lambda1": min_lam1}
+              "min_lambda1": dg.convexity_check(seq.terms[0].center)}
     _dump_json(os.path.join(args.run_dir, "analysis.json"), result)
     _write_json(sys.stdout, result)
     return EXIT_OK

@@ -60,7 +60,7 @@ def snapshot_records(snapshots: Sequence[FlowSnapshot],
             k = int(np.argmax(ratio))
             rec.max_ratio = float(ratio[k])
             rec.spacing = float(snap.surface.node_spacing()[k])
-            rec.min_lam1_over_H = float(np.min(c.lam[:, 0] / H))
+            rec.min_lam1_over_H = float(np.min(c.lam1 / H))
         else:
             rec.skipped = f"DomainError: min H = {rec.min_H!r} <= 0"
         if noncollapse:
@@ -70,17 +70,6 @@ def snapshot_records(snapshots: Sequence[FlowSnapshot],
                 rec.kappa_skipped = f"{type(exc).__name__}: {exc}"
         records.append(rec)
     return records
-
-
-@dataclass
-class HarnackRecord:
-    """sup/inf of H over the parabolic cube of scale R/H(p) below a point p."""
-
-    p: tuple  # (z, rho, t)
-    R: float
-    sup_H: float
-    inf_H: float
-    delta_achieved: float
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +230,7 @@ def pinching_profile(traj: Trajectory) -> list:
     H_all = np.concatenate([snap.curvature.H for snap in traj.snapshots])
     if float(H_all.min()) <= 0.0:
         raise DomainError("pinching profile requires a mean-convex trajectory")
-    lam1_all = np.concatenate([snap.curvature.lam[:, 0] for snap in traj.snapshots])
+    lam1_all = np.concatenate([snap.curvature.lam1 for snap in traj.snapshots])
     Hmax = float(H_all.max())
     envelope = []
     for d in range(4):
@@ -260,12 +249,13 @@ def pinching_profile(traj: Trajectory) -> list:
 # local Harnack
 # ---------------------------------------------------------------------------
 
-def harnack_check(traj: Trajectory, p, R: float) -> HarnackRecord:
+def harnack_check(traj: Trajectory, p, R: float) -> dict:
     """sup/inf of H over the parabolic cube Q_{R/H(p)}(p) of recorded snapshots.
 
     p = (z, rho, t) is snapped to the nearest node of the nearest snapshot.
     The cube is the set of nodes within ambient distance R/H(p) of p taken
-    over snapshots with t in (t_p - (R/H(p))^2, t_p].
+    over snapshots with t in (t_p - (R/H(p))^2, t_p].  Returns
+    {"delta", "sup_H", "inf_H"}, delta = min(H(p)/sup H, inf H/H(p)).
     """
     z_p, rho_p, t_p = p
     snap_p = traj.nearest_snapshot(t_p)
@@ -299,9 +289,7 @@ def harnack_check(traj: Trajectory, p, R: float) -> HarnackRecord:
         inf_H = min(inf_H, float(H.min()))
     if not np.isfinite(sup_H):
         raise WindowError("no snapshot nodes inside the parabolic cube")
-    delta = min(H_p / sup_H, inf_H / H_p)
-    return HarnackRecord(p=(z_p, rho_p, t_p), R=R, sup_H=sup_H, inf_H=inf_H,
-                         delta_achieved=delta)
+    return {"delta": min(H_p / sup_H, inf_H / H_p), "sup_H": sup_H, "inf_H": inf_H}
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +348,18 @@ def _interp_H_at_projection(curve: ProfileCurve, H: np.ndarray, z0, r0):
     return val, ok
 
 
-def verify_H_evolution(traj: Trajectory, index: Optional[int] = None) -> dict:
-    """Residual of dH/dt = Lap H + H |A|^2 at the middle of a snapshot triple.
+def verify_H_evolution(traj: Trajectory) -> dict:
+    """Residual of dH/dt = Lap H + H |A|^2 at the middle snapshot and its neighbours.
 
-    ``index`` picks the middle snapshot (default: the midpoint of the
-    trajectory).  Node correspondence across the triple is by nearest-point
-    projection of the middle nodes onto the neighbors; nodes where the
-    projection is ambiguous (or within a few spacings of a pole, where the
-    rotational term degenerates) are skipped and counted.
+    The middle is snapshot ``len // 2``.  Node correspondence across the
+    triple is by nearest-point projection of the middle nodes onto the
+    neighbors; nodes where the projection is ambiguous (or within a few
+    spacings of a pole, where the rotational term degenerates) are skipped
+    and counted.  Returns {"max_residual", "t", "skipped"}.
     """
     if len(traj.snapshots) < 3:
         raise InsufficientDataError("need at least three recorded snapshots")
-    if index is None:
-        index = len(traj.snapshots) // 2
-    index = max(1, min(index, len(traj.snapshots) - 2))
+    index = len(traj.snapshots) // 2
     prev_s, mid_s, next_s = traj.snapshots[index - 1:index + 2]
     curve = mid_s.surface
     c = mid_s.curvature
@@ -409,10 +395,9 @@ def verify_H_evolution(traj: Trajectory, index: Optional[int] = None) -> dict:
 # convexity and distance scaling
 # ---------------------------------------------------------------------------
 
-def convexity_check(snapshot: FlowSnapshot, tol: float):
-    """(passed, min lambda_1) over all nodes; pass iff min >= -tol."""
-    min_lam1 = float(np.min(snapshot.curvature.lam[:, 0]))
-    return min_lam1 >= -tol, min_lam1
+def convexity_check(snapshot: FlowSnapshot) -> float:
+    """min lambda_1 over all nodes: the snapshot is convex where it is >= 0."""
+    return float(np.min(snapshot.curvature.lam1))
 
 
 def singular_distance_scaling(traj: Trajectory) -> dict:
@@ -420,8 +405,8 @@ def singular_distance_scaling(traj: Trajectory) -> dict:
 
     Uses a geometric tau ladder tau_j = tau_max * 2^(-j), j < 14, mapped to
     the nearest recorded snapshots, with tau_max half the gap from T back to
-    the first snapshot after t0; returns the log-log slope and the ratio band
-    r_tau / sqrt(tau).
+    the first snapshot after t0.  Returns {"tau", "r_tau", "slope", "ratio"}:
+    the ladder, its distances, the log-log slope and the band r_tau / sqrt(tau).
     """
     if traj.singular_estimate is None:
         raise InsufficientDataError("trajectory has no singular-point estimate")

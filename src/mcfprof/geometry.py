@@ -156,18 +156,20 @@ def _polyline_crosses(pts: np.ndarray) -> bool:
 
 @dataclass
 class CurvatureField:
-    """Per-node principal curvatures and derived fields.
+    """Per-node principal curvatures and derived fields, one value per node each.
 
-    ``lam`` has shape (N, n) with rows sorted ascending; ``H`` is defined as
-    the row sum of ``lam`` so the identity H = sum(lambda_i) is exact.
+    A surface of revolution has two distinct principal curvatures: the axial
+    one ``lam_axial`` and the rotational one ``lam_rot`` of multiplicity n-1.
+    ``lam1`` is the smaller (NaN-last, like a sorted row), and
+    H = lam_axial + (n-1) lam_rot.  ``normal`` is the (N, 2) meridian normal.
     """
 
-    lam: np.ndarray
+    lam_axial: np.ndarray
+    lam_rot: np.ndarray
+    lam1: np.ndarray
     H: np.ndarray
     A2: np.ndarray
     normal: np.ndarray
-    lam_axial: Optional[np.ndarray] = None
-    lam_rot: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -253,13 +255,9 @@ def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
     z_s, r_s, z_ss, r_ss, _ = profile_derivatives(curve.z, curve.r, closed, curve.period)
     lam_axial, lam_rot, A2, w = principal_curvatures(z_s, r_s, z_ss, r_ss, curve.r,
                                                      curve.n, closed)
-    lam = np.empty((curve.num_nodes, curve.n))
-    lam[:, 0] = lam_axial
-    lam[:, 1:] = lam_rot[:, None]
-    lam.sort(axis=1)
-    H = lam.sum(axis=1)
+    H = lam_axial + (curve.n - 1) * lam_rot
     normal = np.column_stack((r_s / w, -z_s / w))
-    return CurvatureField(lam, H, A2, normal, lam_axial=lam_axial, lam_rot=lam_rot)
+    return CurvatureField(lam_axial, lam_rot, np.fmin(lam_axial, lam_rot), H, A2, normal)
 
 
 def nearest_node(curve: ProfileCurve, z: float, rho: float) -> int:

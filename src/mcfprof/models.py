@@ -1,10 +1,12 @@
 """Exact and ODE-computed reference solutions: shrinkers and the bowl soliton.
 
 The shrinking sphere and cylinder are profile snapshots with an exact radius
-law, the integrator's regression oracles.  The bowl, the rotationally
-symmetric translator, is the radial profile of its ODE with its own residual,
-checked by ``mcfprof models``.  It is neither a fit target of the tangent-flow
-classification nor initial data for the integrator.
+law, the integrator's regression oracles for ``mcfprof models`` and the
+tests; a run config states the same surfaces by the ``sphere`` and
+``cylinder`` shape tags.  The bowl, the rotationally symmetric translator, is
+the radial profile of its ODE with its own residual, checked by ``mcfprof
+models``.  None of them is a fit target of the tangent-flow classification
+or an initial datum of a run.
 """
 
 from __future__ import annotations

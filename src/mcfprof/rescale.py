@@ -153,13 +153,14 @@ def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float):
     cylinder axis is the symmetry axis and the sphere center lies on it.
     Residuals are RMS signed normal distances over the nodes within ambient
     distance ``window`` of ``origin`` = (z0, rho0); ``window=np.inf`` fits the
-    whole curve.
+    whole curve.  A window of fewer than 3 nodes raises EmptyWindowError.
     """
     curve = snapshot.surface
     z0, rho0 = origin
     mask = np.hypot(curve.z - z0, curve.r - rho0) <= window
-    if not np.any(mask):
-        raise EmptyWindowError("no surface nodes inside the fit window")
+    inside = int(np.count_nonzero(mask))
+    if inside < 3:
+        raise EmptyWindowError(f"the fit window holds {inside} of the 3 nodes a fit needs")
     z, r = curve.z[mask], curve.r[mask]
 
     if family == "cylinder":
@@ -200,10 +201,8 @@ def classify_tangent_flow(term: BlowupTerm, window: float = FIT_WINDOW) -> dict:
         except FitFailureError as exc:
             params, rms = exc.best
             out[family] = {"params": params, "rms": rms, "converged": False}
-    cyl_R = out["cylinder"]["params"]["R"]
-    if cyl_R <= 0.0:
-        raise EmptyWindowError("the fit window holds only nodes on the axis")
-    out["cylinder"]["rms_over_R"] = out["cylinder"]["rms"] / cyl_R
+    # 3 window nodes include one off the axis, so R > 0
+    out["cylinder"]["rms_over_R"] = out["cylinder"]["rms"] / out["cylinder"]["params"]["R"]
     out["best"] = min(("cylinder", "sphere"), key=lambda f: out[f]["rms"])
     out["window"] = window
     return out

@@ -7,10 +7,10 @@ import numpy as np
 from .geometry import CLOSED, PERIODIC, ProfileCurve, resample_arclength
 
 
-def sphere_profile(R: float, n: int = 2, nodes: int = 400, center_z: float = 0.0) -> ProfileCurve:
-    """Round sphere of radius R, sampled uniformly in arclength."""
+def sphere_profile(R: float, n: int = 2, nodes: int = 400) -> ProfileCurve:
+    """Round sphere of radius R centred at the origin, sampled uniformly in arclength."""
     theta = np.linspace(0.0, np.pi, nodes)
-    z = center_z - R * np.cos(theta)
+    z = -R * np.cos(theta)
     r = R * np.sin(theta)
     r[0] = 0.0
     r[-1] = 0.0

@@ -1,5 +1,7 @@
 """Curvature operators, resampling, and carrier invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -33,7 +35,8 @@ def dense_hausdorff(a: ProfileCurve, b: ProfileCurve, samples: int = 4000) -> fl
 def test_sphere_unit_curvatures():
     c = curvature_axisymmetric(sphere_profile(1.0, 2, 400))
     assert np.abs(c.H - 2.0).max() < 5e-4
-    assert np.abs(c.lam - 1.0).max() < 5e-4
+    assert np.abs(c.lam_axial - 1.0).max() < 5e-4
+    assert np.abs(c.lam_rot - 1.0).max() < 5e-4
     assert np.abs(c.normal).max() <= 1.0 + 1e-12
 
 
@@ -72,7 +75,7 @@ def test_sphere_isotropy():
         curve = sphere_profile(1.0, 2, N)
         c = curvature_axisymmetric(curve)
         h = curve.mean_spacing
-        assert c.lam[:, 1].max() - c.lam[:, 0].min() < 5.0 * h**2
+        assert np.fmax(c.lam_axial, c.lam_rot).max() - c.lam1.min() < 5.0 * h**2
 
 
 def test_curvature_errors():
@@ -90,11 +93,21 @@ def test_curvature_field_invariants_random_profiles(seed):
     base = sphere_profile(1.0, 2, 160)
     curve = perturb_profile(base, amplitude=0.12, modes=4, seed=seed)
     c = curvature_axisymmetric(curve)
-    scale = np.maximum(np.abs(c.lam).sum(axis=1), 1e-30)
-    assert np.abs(c.H - c.lam.sum(axis=1)).max() / scale.max() < 1e-13
+    np.testing.assert_array_equal(c.lam1, np.fmin(c.lam_axial, c.lam_rot))
+    np.testing.assert_array_equal(c.H, c.lam_axial + (curve.n - 1) * c.lam_rot)
     assert np.all(c.A2 >= c.H**2 / curve.n - 1e-12)
     assert np.all(np.abs(np.linalg.norm(c.normal, axis=1) - 1.0) < 1e-12)
-    assert np.all(np.diff(c.lam, axis=1) >= 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_curvature_field_holds_one_value_per_node(n):
+    # two distinct principal curvatures at every n: no array grows with n; the
+    # meridian normal has its 2 components at every n
+    curve = dumbbell_profile(1.0, 0.35, 8.0, n, 200)
+    c = curvature_axisymmetric(curve)
+    for f in dataclasses.fields(c):
+        want = (curve.num_nodes, 2) if f.name == "normal" else (curve.num_nodes,)
+        assert getattr(c, f.name).shape == want, f.name
 
 
 def test_convex_surfaces_have_positive_H():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcfprof import rescale
-from mcfprof.errors import FitFailureError
+from mcfprof.errors import EmptyWindowError, FitFailureError
 from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import SPHERE, ModelSolution, model_snapshot, shrinker_radius
 from mcfprof.rescale import (DilationParams, classify_tangent_flow, fit_model, normalized_blowup,
@@ -183,3 +183,19 @@ def test_waist_node_finds_neck():
     # the flat waist segment has its strict minima at its shoulders (~|z| = 0.5)
     assert abs(db.surface.r[j] - 0.35) < 0.01
     assert abs(db.surface.z[j]) < 0.8
+
+
+@pytest.mark.parametrize("family", ["cylinder", "sphere"])
+def test_fit_window_needs_three_nodes(family):
+    # windows about node 50 of a uniform sphere that hold 0, 1, 2 and then 3 nodes
+    snap = FlowSnapshot(sphere_profile(1.0, 2, 101), 0.0)
+    curve = snap.surface
+    origin = (float(curve.z[50]), float(curve.r[50]))
+    h = float(np.hypot(curve.z[51] - curve.z[50], curve.r[51] - curve.r[50]))
+    for count, origin_at, window in ((0, (0.0, 0.5), 0.1), (1, origin, 0.5 * h),
+                                     (2, ((curve.z[50] + curve.z[51]) / 2.0,
+                                          (curve.r[50] + curve.r[51]) / 2.0), 0.6 * h)):
+        with pytest.raises(EmptyWindowError, match=f"holds {count} of the 3 nodes"):
+            fit_model(snap, family, origin=origin_at, window=window)
+    params, rms = fit_model(snap, family, origin=origin, window=1.5 * h)
+    assert np.isfinite(list(params.values()) + [rms]).all()
