@@ -2,8 +2,8 @@
 
 Emits deterministic artifacts per run: timeseries.csv (one row per recorded
 snapshot), snapshots/t_<index>.json, report.json (enabled diagnostics), and
-manifest.json (config echo + content digests).  Identical config and seed
-reproduce byte-identical CSV/JSON.
+manifest.json (config echo, content digests, run counters, stage timings).
+Identical config and seed reproduce byte-identical CSV/JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -132,9 +133,11 @@ def validate_config(raw: dict) -> dict:
     _require(isinstance(body, dict), "initial datum body must be an object", f"initial.{tag}")
     if tag == "cylinder":
         body.setdefault("period", float(np.pi))
-    for key in SHAPES[tag][1] if tag in SHAPES else ("path",):
+    fields = SHAPES[tag][1] if tag in SHAPES else ("path",)
+    for key in fields:
         _require(key in body, f"missing field {key}", f"initial.{tag}.{key}")
     for key, val in body.items():
+        _require(key in fields, f"unknown initial.{tag} field {key!r}", f"initial.{tag}.{key}")
         if key == "path":
             continue
         _require(_is_positive(val), f"{key} must be a positive finite number",
@@ -145,6 +148,9 @@ def validate_config(raw: dict) -> dict:
                  "initial.dumbbell.neck_r")
     if "perturb" in initial:
         p = initial["perturb"]
+        for key in p if isinstance(p, dict) else ():
+            _require(key in ("amplitude", "modes"), f"unknown perturb key {key!r}",
+                     f"initial.perturb.{key}")
         modes = p.get("modes", 3) if isinstance(p, dict) else None
         _require(isinstance(p, dict) and _is_number(p.get("amplitude", 0))
                  and p.get("amplitude", 0) >= 0
@@ -492,7 +498,9 @@ def cmd_run(args) -> int:
         raise ConfigError(f"output directory not writable: {exc}", field="--out")
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    clock = [time.perf_counter()]  # the end of each timed stage
     initial = build_initial(cfg)
+    clock.append(time.perf_counter())
     ctl = StepControl(**cfg["step"])
     inconclusive = False
     try:
@@ -504,12 +512,14 @@ def cmd_run(args) -> int:
         print(f"inconclusive run (partial outputs written): {exc}", file=sys.stderr)
         traj = exc.trajectory
         inconclusive = True
+    clock.append(time.perf_counter())
 
     # report content must be reproducible from the stored snapshots alone
     rep_traj = Trajectory(snapshots=traj.snapshots, stop_reason=traj.stop_reason,
                           singular_estimate=traj.singular_estimate)
     records = _records(rep_traj, cfg)
     report = build_report(rep_traj, cfg, records)
+    clock.append(time.perf_counter())
 
     written = ["timeseries.csv", "report.json"]
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, records, cfg["diagnostics"])
@@ -519,6 +529,9 @@ def cmd_run(args) -> int:
     _dump_json(os.path.join(out_dir, "report.json"), report)
 
     files = {name: _sha256(os.path.join(out_dir, name)) for name in written}
+    clock.append(time.perf_counter())
+    stages = ("build_initial", "run_until", "records_report", "write_artifacts")
+    timings = {stage: b - a for stage, a, b in zip(stages, clock, clock[1:])}
     nodes = [snap.surface.num_nodes for snap in traj.snapshots]
     est = traj.singular_estimate
     manifest = {
@@ -530,7 +543,8 @@ def cmd_run(args) -> int:
         "T_sing": None if est is None else est.T,
         "singular_point": None if est is None else {"z": est.z, "rho": est.rho},
         "files": files,
-        "run_stats": dict(traj.stats, snapshot_nodes=nodes, snapshot_nodes_total=sum(nodes)),
+        "run_stats": dict(traj.stats, snapshot_nodes=nodes, snapshot_nodes_total=sum(nodes),
+                          timings_s=timings),
     }
     _dump_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"{cfg['name']}: stop={traj.stop_reason} snapshots={len(traj.snapshots)} "

@@ -9,6 +9,7 @@ curvature blow-up and records a snapshot cascade accumulating there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -110,7 +111,7 @@ class StepOperator(NamedTuple):
     M = tridiag(lower, diag, upper) is Δ = ∂ss + (n-1)(r_s/r)∂s frozen at the curve,
     q = (n-1)/r² linearizes -(n-1)/r, (f_z, f_r) is the explicit right-hand side;
     max_A2 and the spacings ds (with the periodic wrap segment) feed the step rule,
-    and the per-node |A|² A2 the respacing rule.
+    and the per-node |A|² A2 the respacing rule: a half-step state leaves them None.
     """
 
     lower: np.ndarray
@@ -119,16 +120,13 @@ class StepOperator(NamedTuple):
     q: np.ndarray
     f_z: np.ndarray
     f_r: np.ndarray
-    max_A2: float
-    ds: np.ndarray
-    A2: np.ndarray
+    max_A2: Optional[float] = None
+    ds: Optional[np.ndarray] = None
+    A2: Optional[np.ndarray] = None
 
 
-def _step_operator(z, r, n, closed, period) -> StepOperator:
-    """Assemble the StepOperator of raw profile arrays from one stencil pass."""
-    z_s, r_s, z_ss, r_ss, seg = profile_derivatives(z, r, closed, period)
-    A2 = principal_curvatures(z_s, r_s, z_ss, r_ss, r, n, closed)[2]
-    ds = seg[1:-1] if closed else seg[1:]
+def _euler_operator(r, n, closed, z_s, r_s, z_ss, r_ss, seg):
+    """(lower, diag, upper, q, f_z, f_r) of the StepOperator at (z, r), from its derivatives."""
     hm = seg[:-1]
     hp = seg[1:]
     # r = 0 makes the pole rows non-finite here; they are replaced below
@@ -147,10 +145,18 @@ def _step_operator(z, r, n, closed, period) -> StepOperator:
         diag[-1], lower[-1] = -c_last, c_last
         f_z[0] = n * z_ss[0]
         f_z[-1] = n * z_ss[-1]
+    return lower, diag, upper, q, f_z, f_r
+
+
+def _step_operator(z, r, n, closed, period) -> StepOperator:
+    """Assemble the StepOperator of raw profile arrays from one stencil pass."""
+    derivs = profile_derivatives(z, r, closed, period)
+    A2 = principal_curvatures(*derivs[:4], r, n, closed)[2]
     max_A2 = float(A2.max())
-    if not np.isfinite(max_A2):  # no step, respacing or cascade rung follows from it
+    if not math.isfinite(max_A2):  # no step, respacing or cascade rung follows from it
         raise NumericalBlowupError("non-finite curvature")
-    return StepOperator(lower, diag, upper, q, f_z, f_r, max_A2, ds, A2)
+    ds = derivs[4][1:-1] if closed else derivs[4][1:]
+    return StepOperator(*_euler_operator(r, n, closed, *derivs), max_A2, ds, A2)
 
 
 def _implicit_euler(z, r, op, closed, dt):
@@ -165,14 +171,14 @@ def _implicit_euler(z, r, op, closed, dt):
     if not closed:
         return (z + _solve_tridiagonal(lo, a_z, up, dt * op.f_z, cyclic=True),
                 r + _solve_tridiagonal(lo, a_r, up, dt * op.f_r, cyclic=True))
-    dr = np.zeros_like(r)
-    dr[1:-1] = _solve_tridiagonal(lo[1:-1], a_r[1:-1], up[1:-1], dt * op.f_r[1:-1])
-    return z + _solve_tridiagonal(lo, a_z, up, dt * op.f_z), r + dr
+    r_new = r.copy()
+    r_new[1:-1] += _solve_tridiagonal(lo[1:-1], a_r[1:-1], up[1:-1], dt * op.f_r[1:-1])
+    return z + _solve_tridiagonal(lo, a_z, up, dt * op.f_z), r_new
 
 
 def _pinched(r, closed) -> bool:
     """Some node that must stay off the axis is on or across it."""
-    return bool(np.any((r[1:-1] if closed else r) <= 0.0))
+    return bool(((r[1:-1] if closed else r) <= 0.0).any())
 
 
 def _implicit_step(z, r, n, closed, period, dt, op=None):
@@ -180,7 +186,9 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
 
     One full step and two half steps, combined as 2 * half - full; the first
     two share ``op``, the StepOperator of (z, r), assembled here if not given.
-    Raises NeckPinchError when a node that must stay off the axis reaches it.
+    The half-step state assembles no curvature: a non-finite operator there
+    fails its solve with NumericalBlowupError.  Raises NeckPinchError when a
+    node that must stay off the axis reaches it.
     """
     if op is None:
         op = _step_operator(z, r, n, closed, period)
@@ -188,7 +196,8 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
     z_half, r_half = _implicit_euler(z, r, op, closed, 0.5 * dt)
     if _pinched(r_half, closed):
         raise NeckPinchError("r <= 0 at an interior node after a half step")
-    op_half = _step_operator(z_half, r_half, n, closed, period)
+    op_half = StepOperator(*_euler_operator(
+        r_half, n, closed, *profile_derivatives(z_half, r_half, closed, period)))
     z_half, r_half = _implicit_euler(z_half, r_half, op_half, closed, 0.5 * dt)
     z_new = 2.0 * z_half - z_full
     r_new = 2.0 * r_half - r_full
@@ -308,11 +317,11 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
         if ctl.t_end is not None and t >= ctl.t_end - 1e-15:
             stop_reason = STOP_T_END
             break
-        if r.max() < 3.0 * ds.mean():
+        if r.max() < 3.0 * (ds.sum() / ds.size):
             stop_reason = STOP_EXTINCTION
             break
 
-        dt = (CFL * min(ds.min() / np.sqrt(maxA2), STEP_K / maxA2)
+        dt = (CFL * min(ds.min() / math.sqrt(maxA2), STEP_K / maxA2)
               if maxA2 > 0.0 else np.inf)
         # 1/max|A|^2 is nearly affine in t under the type-I law: its secant
         # over the last step predicts when the next level is crossed
@@ -340,7 +349,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
         if z_new is None:
             stop_reason = STOP_UNDERFLOW
             break
-        if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(r_new))):
+        if not (np.isfinite(z_new).all() and np.isfinite(r_new).all()):
             raise NumericalBlowupError("NaN/overflow during integration")
         t += dt
         counts["steps"] += 1

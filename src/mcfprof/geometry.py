@@ -198,25 +198,26 @@ def profile_derivatives(z, r, closed, period):
     periodic ones wrap with a z-shift of one period.  Returns
     (z_s, r_s, z_ss, r_ss, seg), where seg holds the N + 1 chord lengths of the
     padded curve: node i sits between seg[i] and seg[i + 1].  The stencils are
-    exact on quadratics and second order for quasi-uniform spacing.
+    exact on quadratics and second order for quasi-uniform spacing.  z and r
+    are padded as the two rows of one array, so each stencil runs once.
     """
+    p = np.empty((2, z.size + 2))
+    p[0, 1:-1] = z
+    p[1, 1:-1] = r
     if closed:
-        zp = np.concatenate(([z[1]], z, [z[-2]]))
-        rp = np.concatenate(([-r[1]], r, [-r[-2]]))
+        p[0, 0], p[1, 0], p[0, -1], p[1, -1] = z[1], -r[1], z[-2], -r[-2]
     else:
-        zp = np.concatenate(([z[-1] - period], z, [z[0] + period]))
-        rp = np.concatenate(([r[-1]], r, [r[0]]))
-    seg = np.hypot(np.diff(zp), np.diff(rp))
+        p[0, 0], p[1, 0], p[0, -1], p[1, -1] = z[-1] - period, r[-1], z[0] + period, r[0]
+    seg = np.hypot(*(p[:, 1:] - p[:, :-1]))
     hm = seg[:-1]
     hp = seg[1:]
-    denom = hm * hp * (hm + hp)
+    hs = hm + hp
+    denom = hm * hp * hs
     hm2 = hm * hm
     hp2 = hp * hp
-    z_s = (hm2 * zp[2:] + (hp2 - hm2) * zp[1:-1] - hp2 * zp[:-2]) / denom
-    r_s = (hm2 * rp[2:] + (hp2 - hm2) * rp[1:-1] - hp2 * rp[:-2]) / denom
-    z_ss = 2.0 * (hm * zp[2:] - (hm + hp) * zp[1:-1] + hp * zp[:-2]) / denom
-    r_ss = 2.0 * (hm * rp[2:] - (hm + hp) * rp[1:-1] + hp * rp[:-2]) / denom
-    return z_s, r_s, z_ss, r_ss, seg
+    d1 = (hm2 * p[:, 2:] + (hp2 - hm2) * p[:, 1:-1] - hp2 * p[:, :-2]) / denom
+    d2 = 2.0 * (hm * p[:, 2:] - hs * p[:, 1:-1] + hp * p[:, :-2]) / denom
+    return d1[0], d1[1], d2[0], d2[1], seg
 
 
 def principal_curvatures(z_s, r_s, z_ss, r_ss, r, n, closed):
@@ -315,7 +316,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
         y, w = x.T
         v_last = lower[0] / gamma
         x = y - (y[0] + v_last * y[-1]) / (1.0 + w[0] + v_last * w[-1]) * w
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalBlowupError("non-finite solution of a tridiagonal system")
     return x
 

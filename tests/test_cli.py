@@ -104,6 +104,13 @@ def test_validate_defaults():
      "diagnostics"),
     ({"name": "x", "initial": {"model": {"kind": "sphere", "params": {"R0": 1.0}}}},
      "initial.model"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1, "R": 5}}}, "initial.sphere.R"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}, "perturb": {"amplitude": 0.01, "mode": 9}}},
+     "initial.perturb.mode"),
+    ({"name": "x", "initial": {"dumbbell": {"bulb_R": 1, "neck_r": 0.35, "length": 8,
+                                            "path": [1]}}}, "initial.dumbbell.path"),
+    ({"name": "x", "initial": {"profile-file": {"path": "profile.json", "R0": 1.0}}},
+     "initial.profile-file.R0"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:
@@ -245,6 +252,9 @@ def test_manifest_run_stats(tmp_path):
               for path in sorted((out / "snapshots").iterdir())]
     assert stats["snapshot_nodes"] == stored
     assert stats["snapshot_nodes_total"] == sum(stored)
+    timings = stats["timings_s"]
+    assert set(timings) == {"build_initial", "run_until", "records_report", "write_artifacts"}
+    assert all(np.isfinite(val) and val >= 0.0 for val in timings.values())
 
 
 def test_harnack_report_records_skipped_points():

@@ -12,7 +12,7 @@ from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
                           run_until, target_spacing)
 from mcfprof.geometry import (FlowSnapshot, ProfileCurve, CLOSED,
                               _solve_tridiagonal, curvature_axisymmetric,
-                              profile_derivatives, resample_arclength)
+                              principal_curvatures, profile_derivatives, resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                             perturb_profile, sphere_profile)
 
@@ -217,12 +217,33 @@ def test_coarse_steps_record_every_rung_where_crossed(dumbbell_run):
 
 
 # ---------------------------------------------------------------------------
-# reference: the step with one stencil pass per Euler step, the curvature of
-# the step rule in a pass of its own, and banded solves through solve_banded
+# reference: the step with one stencil pass per coordinate and Euler step, the
+# curvature of the step rule in a pass of its own, and banded solves through
+# solve_banded
 # ---------------------------------------------------------------------------
 
+def _reference_profile_derivatives(z, r, closed, period):
+    if closed:
+        zp = np.concatenate(([z[1]], z, [z[-2]]))
+        rp = np.concatenate(([-r[1]], r, [-r[-2]]))
+    else:
+        zp = np.concatenate(([z[-1] - period], z, [z[0] + period]))
+        rp = np.concatenate(([r[-1]], r, [r[0]]))
+    seg = np.hypot(np.diff(zp), np.diff(rp))
+    hm = seg[:-1]
+    hp = seg[1:]
+    denom = hm * hp * (hm + hp)
+    hm2 = hm * hm
+    hp2 = hp * hp
+    z_s = (hm2 * zp[2:] + (hp2 - hm2) * zp[1:-1] - hp2 * zp[:-2]) / denom
+    r_s = (hm2 * rp[2:] + (hp2 - hm2) * rp[1:-1] - hp2 * rp[:-2]) / denom
+    z_ss = 2.0 * (hm * zp[2:] - (hm + hp) * zp[1:-1] + hp * zp[:-2]) / denom
+    r_ss = 2.0 * (hm * rp[2:] - (hm + hp) * rp[1:-1] + hp * rp[:-2]) / denom
+    return z_s, r_s, z_ss, r_ss, seg
+
+
 def _reference_max_A2_spacings(z, r, n, closed, period):
-    z_s, r_s, z_ss, r_ss, seg = profile_derivatives(z, r, closed, period)
+    z_s, r_s, z_ss, r_ss, seg = _reference_profile_derivatives(z, r, closed, period)
     w2 = z_s * z_s + r_s * r_s
     w = np.sqrt(w2)
     lam_axial = (z_ss * r_s - r_ss * z_s) / (w2 * w)
@@ -267,7 +288,7 @@ def _reference_solve_tridiagonal(lower, diag, upper, rhs, cyclic=False):
 
 
 def _reference_implicit_euler(z, r, n, closed, period, dt):
-    z_s, r_s, z_ss, r_ss, seg = profile_derivatives(z, r, closed, period)
+    z_s, r_s, z_ss, r_ss, seg = _reference_profile_derivatives(z, r, closed, period)
     hm = seg[:-1]
     hp = seg[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,6 +359,64 @@ def test_implicit_step_equals_reference(shape, dt):
     assert curvature_axisymmetric(curve).A2.max() == op.max_A2
 
 
+@pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
+def test_profile_derivatives_equal_reference(shape):
+    curve = STEP_SHAPES[shape]()
+    args = (curve.z, curve.r, curve.topology == CLOSED, curve.period)
+    for got, ref in zip(profile_derivatives(*args), _reference_profile_derivatives(*args),
+                        strict=True):
+        assert np.array_equal(got, ref)
+
+
+# the step rules of the whole-run comparison: the dumbbell respaces and refines
+WHOLE_RUNS = {
+    "sphere-n2": StepControl(A2_stop=1e3),
+    "sphere-n3": StepControl(A2_stop=1e3),
+    "dumbbell": StepControl(A2_stop=2.0e4, max_nodes=20000),
+    "perturbed-cylinder": StepControl(A2_stop=1e3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WHOLE_RUNS))
+def test_run_equals_reference_run(monkeypatch, shape):
+    """A whole run with the shipped step equals one with the reference step, bit for bit."""
+    initial = FlowSnapshot(STEP_SHAPES[shape](), 0.0)
+    traj = run_until(initial, WHOLE_RUNS[shape])
+    monkeypatch.setattr(flow, "_implicit_step", lambda z, r, n, closed, period, dt, op:
+                        _reference_implicit_step(z, r, n, closed, period, dt))
+    ref = run_until(initial, WHOLE_RUNS[shape])
+    assert traj.stop_reason == ref.stop_reason == STOP_CURVATURE
+    assert np.array_equal(traj.step_times, ref.step_times)
+    assert np.array_equal(traj.step_maxA2, ref.step_maxA2)
+    assert len(traj.snapshots) == len(ref.snapshots)
+    for snap, snap_ref in zip(traj.snapshots, ref.snapshots):
+        assert snap.t == snap_ref.t
+        assert np.array_equal(snap.surface.z, snap_ref.surface.z)
+        assert np.array_equal(snap.surface.r, snap_ref.surface.r)
+    if shape == "dumbbell":
+        assert traj.stats["respaces"] > 0 and traj.stats["refinements"] > 0
+
+
+@pytest.mark.parametrize("shape, coord", [("sphere-n2", 0), ("perturbed-cylinder", 1)])
+def test_non_finite_half_step_is_numerical_failure(monkeypatch, shape, coord):
+    """A NaN node in the half-step state, which assembles no curvature, still fails the step."""
+    euler = flow._implicit_euler
+    calls = []
+
+    def poisoned(z, r, op, closed, dt):
+        new = euler(z, r, op, closed, dt)
+        calls.append(dt)
+        if len(calls) == 2:  # the first half step
+            new[coord][5] = np.nan
+        return new
+
+    monkeypatch.setattr(flow, "_implicit_euler", poisoned)
+    curve = STEP_SHAPES[shape]()
+    with pytest.raises(NumericalBlowupError):
+        _implicit_step(curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period, 1e-4)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("cyclic, N", [(False, 2), (False, 3), (False, 400),
                                         (True, 3), (True, 400)])
 def test_tridiagonal_solve_equals_solve_banded(cyclic, N):
@@ -360,6 +439,21 @@ def test_two_stencil_passes_per_step(monkeypatch):
     monkeypatch.setattr(flow, "profile_derivatives", counted)
     traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
     assert len(calls) <= 2 * len(traj.step_times)
+
+
+def test_one_curvature_block_per_step(monkeypatch):
+    """Only settled curves assemble curvature: once per step, respacing and the start."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return principal_curvatures(*args)
+
+    monkeypatch.setattr(flow, "principal_curvatures", counted)
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
+    stats = traj.stats
+    assert stats["steps"] > 0
+    assert len(calls) <= stats["steps"] + stats["respaces"] + stats["refinements"] + 1
 
 
 # ---------------------------------------------------------------------------
