@@ -2,9 +2,10 @@
 # ===================================================
 #
 # The package carries closed-form and ODE-based model solutions used as
-# oracles throughout the test suite: shrinking spheres and cylinders (exact
-# radius law) and the rotationally symmetric translator, the bowl soliton
-# (its profile ODE integrated outward from the tip).
+# oracles throughout the test suite: the exact radius law `shrinker_radius`
+# of the shrinking sphere S^n and cylinder S^(n-1) x R (built as the `sphere`
+# and `cylinder` shapes of a run config), and the rotationally symmetric
+# translator, the bowl soliton (its profile ODE integrated outward from the tip).
 # This script prints the same residual table as `mcfprof models` and then a
 # few bowl-soliton profile values with their asymptotic trend
 # u(r) ~ r^2 / (2 (n - 1)).  It exits with the table's code, so it fails

@@ -3,8 +3,7 @@
 from .geometry import (CLOSED, PERIODIC, CurvatureField, FlowSnapshot,
                        ProfileCurve, curvature_axisymmetric, resample_arclength)
 from .flow import StepControl, Trajectory, run_until
-from .models import (ModelSolution, bowl_soliton_profile, model_snapshot,
-                     shrinker_radius)
+from .models import bowl_soliton_profile, shrinker_radius
 from .rescale import (BlowupSequence, BlowupTerm, DilationParams, fit_model,
                       normalized_blowup, parabolic_dilate, select_blowup_points)
 from .diagnostics import (SnapshotRecord, convexity_check, harnack_check,

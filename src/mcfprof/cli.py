@@ -29,8 +29,7 @@ from .errors import (ConfigError, DegenerateSurfaceError, EmptyWindowError,
 from .flow import STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory, run_until
 from .geometry import (PERIODIC, FlowSnapshot, ProfileCurve, curvature_axisymmetric,
                        max_curvature_node, nearest_node)
-from .models import (CYLINDER, SPHERE, ModelSolution, bowl_soliton_profile,
-                     model_snapshot, shrinker_radius)
+from .models import bowl_soliton_profile, shrinker_radius
 from .shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                      perturb_profile, sphere_profile)
 
@@ -589,16 +588,16 @@ def _load_run_dir(run_dir: str):
 def _parse_point(text: str) -> dict:
     out = {}
     for part in text.split(","):
-        key, _, val = part.partition("=")
-        key = key.strip()
-        if key in ("x", "z"):
-            out["z"] = float(val)
-        elif key == "rho":
-            out["rho"] = float(val)
-        elif key == "t":
-            out["t"] = float(val)
-        else:
-            raise ConfigError(f"unknown key {key!r} in point spec", field="--blowup-at")
+        name, _, val = part.partition("=")
+        name = name.strip()
+        key = "z" if name in ("x", "z") else name
+        _require(key in ("z", "rho", "t"), f"unknown key {name!r} in point spec", "--blowup-at")
+        try:
+            out[key] = float(val)
+        except ValueError:  # not a number: fails the finiteness check below
+            out[key] = math.nan
+        _require(math.isfinite(out[key]), f"{name} must be a finite number, not {val!r}",
+                 "--blowup-at")
     if "z" not in out or "t" not in out:
         raise ConfigError("point spec needs x=<z> and t=<time>", field="--blowup-at")
     return out
@@ -642,17 +641,16 @@ def models_check() -> int:
     coeff_err = abs(prof.u[0] / h**2 - 1.0 / 4.0)
     rows.append(("bowl near-origin |u(h)/h^2 - 1/(2n)|", coeff_err, h**2, coeff_err < h**2))
 
-    for kind, kwargs, t_end in ((SPHERE, {}, 0.1), (CYLINDER, {"m": 1}, 0.1)):
-        model = ModelSolution(kind=kind, n=2, R0=1.0, **kwargs)
-        snap = model_snapshot(model, 0.0, nodes=200)
-        traj = run_until(snap, StepControl(t_end=t_end))
-        final = traj.snapshots[-1]
-        if kind == SPHERE:
+    t_end = 0.1
+    for kind in ("sphere", "cylinder"):
+        cfg = validate_config({"name": kind, "initial": {kind: {"R0": 1.0}}, "nodes": 200})
+        final = run_until(build_initial(cfg), StepControl(t_end=t_end)).snapshots[-1]
+        if kind == "sphere":
             zc = 0.5 * (final.surface.z[0] + final.surface.z[-1])
             R_num = float(np.mean(np.hypot(final.surface.z - zc, final.surface.r)))
         else:
             R_num = float(np.mean(final.surface.r))
-        R_exact = shrinker_radius(model, final.t)
+        R_exact = shrinker_radius(kind, cfg["n"], 1.0, final.t)
         err = abs(R_num - R_exact) / R_exact
         rows.append((f"{kind} radius-law round trip (t={t_end})", err, 1e-3, err < 1e-3))
 

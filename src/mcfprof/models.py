@@ -1,63 +1,31 @@
 """Exact and ODE-computed reference solutions: shrinkers and the bowl soliton.
 
-The shrinking sphere and cylinder are profile snapshots with an exact radius
-law, the integrator's regression oracles for ``mcfprof models`` and the
-tests; a run config states the same surfaces by the ``sphere`` and
-``cylinder`` shape tags.  The bowl, the rotationally symmetric translator, is
-the radial profile of its ODE with its own residual, checked by ``mcfprof
-models``.  None of them is a fit target of the tangent-flow classification
-or an initial datum of a run.
+The shrinking sphere S^n and cylinder S^(n-1) x R are the ``sphere`` and
+``cylinder`` shapes of a run config; ``shrinker_radius`` is their exact radius
+law, the integrator's regression oracle for ``mcfprof models`` and the tests.
+The bowl, the rotationally symmetric translator, is the radial profile of its
+ODE with its own residual, checked by ``mcfprof models``.  None of them is a
+fit target of the tangent-flow classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, ExtinctError
-from .geometry import FlowSnapshot
-from .shapes import cylinder_profile, sphere_profile
-
-SPHERE = "sphere"
-CYLINDER = "cylinder"
 
 
-@dataclass
-class ModelSolution:
-    """Parametric shrinker of effective dimension n (sphere) or m (cylinder S^m x R^(n-m))."""
-
-    kind: str
-    n: int
-    R0: float = 1.0
-    m: Optional[int] = None
-    period: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in (SPHERE, CYLINDER):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == CYLINDER:
-            if self.m is None or not 1 <= self.m <= self.n:
-                raise ValueError("cylinder requires 1 <= m <= n")
-            if self.period is None:
-                self.period = float(np.pi)
-
-    @property
-    def effective_m(self) -> int:
-        return self.n if self.kind == SPHERE else self.m
-
-    @property
-    def extinction_time(self) -> float:
-        return self.R0**2 / (2.0 * self.effective_m)
-
-
-def shrinker_radius(model: ModelSolution, t: float) -> float:
-    """Radius law R(t) = sqrt(R0^2 - 2*m_eff*t) of a shrinking sphere/cylinder."""
-    T = model.extinction_time
+def shrinker_radius(kind: str, n: int, R0: float, t: float) -> float:
+    """R(t) = sqrt(R0^2 - 2 k t) of the shrinking ``sphere`` (k = n) or ``cylinder`` (k = n - 1)."""
+    if kind not in ("sphere", "cylinder"):
+        raise ValueError(f"unknown shrinker {kind!r}")
+    k = n if kind == "sphere" else n - 1
+    T = R0**2 / (2.0 * k)
     if t >= T:
         raise ExtinctError(f"t = {t} at/past extinction time {T}")
-    return float(np.sqrt(model.R0**2 - 2.0 * model.effective_m * t))
+    return float(np.sqrt(R0**2 - 2.0 * k * t))
 
 
 @dataclass
@@ -113,11 +81,3 @@ def bowl_soliton_profile(n: int, r_max: float, h: float) -> BowlProfile:
     else:
         max_res = np.nan
     return BowlProfile(n, r, u, up, max_res)
-
-
-def model_snapshot(model: ModelSolution, t: float, nodes: int = 400) -> FlowSnapshot:
-    """Discrete profile snapshot of a shrinker at time t."""
-    R = shrinker_radius(model, t)
-    if model.kind == SPHERE:
-        return FlowSnapshot(sphere_profile(R, model.n, nodes), t)
-    return FlowSnapshot(cylinder_profile(R, model.period, model.n, nodes), t)

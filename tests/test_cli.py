@@ -472,6 +472,19 @@ def test_analyze_window_must_be_positive_finite(tmp_path, capsys, window):
     assert not (out / "analysis.json").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1e400"])
+def test_analyze_blowup_at_must_be_finite_numbers(tmp_path, capsys, value):
+    # each coordinate of the point spec, one at a time, is not a finite number
+    _, out = run_scenario(tmp_path, BASE_CFG, "p")
+    last = json.loads(sorted((out / "snapshots").iterdir())[-1].read_text())
+    for spec in (f"x={value},t={last['t']}", f"x=0.0,t={value}",
+                 f"x=0.0,t={last['t']},rho={value}"):
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--blowup-at", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error (field: --blowup-at): ")
+        assert not (out / "analysis.json").exists()
+
+
 def test_analyze_window_of_one_node_is_an_error_not_nan(tmp_path, capsys):
     # rescaled spacing ~0.03 at the last snapshot: a 0.01 window holds one node
     _, out = run_scenario(tmp_path, BASE_CFG, "w1")

@@ -4,25 +4,23 @@ import numpy as np
 import pytest
 
 from mcfprof.errors import ExtinctError
-from mcfprof.flow import _implicit_step
-from mcfprof.models import (CYLINDER, SPHERE, ModelSolution, bowl_soliton_profile,
-                            model_snapshot, shrinker_radius)
+from mcfprof.flow import StepControl, _implicit_step, run_until
+from mcfprof.geometry import FlowSnapshot
+from mcfprof.models import bowl_soliton_profile, shrinker_radius
+from mcfprof.shapes import cylinder_profile, sphere_profile
 
 
 def test_shrinker_radius_law():
-    sphere = ModelSolution(kind=SPHERE, n=2, R0=1.0)
-    assert abs(shrinker_radius(sphere, 0.125) - np.sqrt(0.5)) < 1e-14
-    assert sphere.extinction_time == 0.25
-    with pytest.raises(ExtinctError):
-        shrinker_radius(sphere, 0.25)
-    cyl = ModelSolution(kind=CYLINDER, n=2, R0=1.0, m=1)
-    assert shrinker_radius(cyl, 0.0) == 1.0
-    assert cyl.extinction_time == 0.5
-
-
-def test_cylinder_m_bounds():
+    assert abs(shrinker_radius("sphere", 2, 1.0, 0.125) - np.sqrt(0.5)) < 1e-14
+    assert shrinker_radius("cylinder", 2, 1.0, 0.0) == 1.0
+    # the exponent is n for the sphere S^n and n - 1 for the cylinder S^(n-1) x R
+    for kind, n, exponent in (("sphere", 2, 2), ("cylinder", 2, 1), ("cylinder", 3, 2)):
+        T = 2.0**2 / (2.0 * exponent)
+        assert abs(shrinker_radius(kind, n, 2.0, 0.5 * T) - np.sqrt(2.0)) < 1e-14
+        with pytest.raises(ExtinctError):
+            shrinker_radius(kind, n, 2.0, T)
     with pytest.raises(ValueError):
-        ModelSolution(kind=CYLINDER, n=2, R0=1.0, m=3)
+        shrinker_radius("dumbbell", 2, 1.0, 0.0)
 
 
 def test_bowl_near_origin_coefficient():
@@ -42,24 +40,39 @@ def test_bowl_asymptotic_slope():
     assert abs(up_50 / 50.0 - 1.0) < 0.03  # u'(r) ~ r/(n-1) for n=2
 
 
-def test_model_snapshot_values():
-    sphere = model_snapshot(ModelSolution(kind=SPHERE, n=2, R0=1.0), 0.0, nodes=200)
+def test_shrinker_profile_values():
+    sphere = FlowSnapshot(sphere_profile(1.0, 2, 200), 0.0)
     assert np.abs(sphere.curvature.H - 2.0).max() < 2e-3
-    cyl = model_snapshot(ModelSolution(kind=CYLINDER, n=2, R0=1.0, m=1), 0.25, nodes=64)
-    assert np.abs(cyl.surface.r - np.sqrt(0.5)).max() < 1e-14
+    cyl = cylinder_profile(shrinker_radius("cylinder", 2, 1.0, 0.25), np.pi, 2, 64)
+    assert np.abs(cyl.r - np.sqrt(0.5)).max() < 1e-14
     with pytest.raises(ExtinctError):
-        model_snapshot(ModelSolution(kind=SPHERE, n=2, R0=1.0), 0.3)
+        shrinker_radius("sphere", 2, 1.0, 0.3)
 
 
 def test_shrinker_snapshot_tracks_analytic_flow():
-    model = ModelSolution(kind=SPHERE, n=2, R0=1.0)
-    snap = model_snapshot(model, 0.0, nodes=200)
-    h_min = snap.surface.spacings().min()
+    curve = sphere_profile(1.0, 2, 200)
+    h_min = curve.spacings().min()
     dt = 0.8 * h_min**2 / 4.0  # the explicit stability bound h²/(2n)
-    z, r = snap.surface.z, snap.surface.r
+    z, r = curve.z, curve.r
     for _ in range(50):
         z, r = _implicit_step(z, r, 2, True, None, dt)
     R_num = np.hypot(z, r)
-    R_exact = shrinker_radius(model, 50 * dt)
-    h = snap.surface.mean_spacing
+    R_exact = shrinker_radius("sphere", 2, 1.0, 50 * dt)
+    h = curve.mean_spacing
     assert np.abs(R_num - R_exact).max() < 10.0 * (h**2 + dt)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["sphere", "cylinder"])
+def test_shrinker_flow_follows_radius_law(kind, n):
+    # the whole flow to t = 0.1 at 200 nodes; measured max relative errors are
+    # 1.8e-4 / 6.0e-4 / 2.1e-3 (sphere) and 3.6e-5 / 2.2e-4 / 8.7e-4 (cylinder) at
+    # n = 2 / 3 / 4.  A cylinder law with the S^1 exponent 1 in place of n - 1 is off
+    # by 13% at n = 3, so the 5e-3 bound keeps 2.4x headroom and still catches it.
+    curve = sphere_profile(1.0, n, 200) if kind == "sphere" else cylinder_profile(1.0, np.pi, n, 200)
+    final = run_until(FlowSnapshot(curve, 0.0), StepControl(t_end=0.1)).snapshots[-1]
+    s = final.surface
+    R_num = np.hypot(s.z - 0.5 * (s.z[0] + s.z[-1]), s.r) if kind == "sphere" else s.r
+    R_exact = shrinker_radius(kind, n, 1.0, final.t)
+    assert final.t == 0.1
+    assert np.abs(R_num - R_exact).max() / R_exact < 5e-3

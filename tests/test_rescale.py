@@ -6,7 +6,7 @@ import pytest
 from mcfprof import rescale
 from mcfprof.errors import EmptyWindowError, FitFailureError
 from mcfprof.geometry import FlowSnapshot, ProfileCurve
-from mcfprof.models import SPHERE, ModelSolution, model_snapshot, shrinker_radius
+from mcfprof.models import shrinker_radius
 from mcfprof.rescale import (DilationParams, classify_tangent_flow, fit_model, normalized_blowup,
                              parabolic_dilate, select_blowup_points, waist_node)
 from mcfprof.flow import Trajectory
@@ -54,10 +54,9 @@ def test_curvature_covariance():
 
 def test_fixed_point_of_shrinking_sphere():
     # rescaled about the extinction spacetime point: R~(s) = sqrt(-2 n s)
-    model = ModelSolution(kind=SPHERE, n=2, R0=1.0)
-    T = model.extinction_time
+    T = 1.0**2 / 4.0  # R0^2 / (2n)
     for t in (0.1, 0.2, 0.24):
-        snap = model_snapshot(model, t, nodes=200)
+        snap = FlowSnapshot(sphere_profile(shrinker_radius("sphere", 2, 1.0, t), 2, 200), t)
         a = 3.0
         out = parabolic_dilate(snap, DilationParams(a, 0.0, 0.0, T))
         s = out.t
