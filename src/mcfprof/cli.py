@@ -38,8 +38,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INCONCLUSIVE = 4
 
-FLOAT_CHUNK = 1024  # floats per written piece of a JSON float array
-
 DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
              "Hevolution", "blowup", "distance-scaling")
 # the largest dimension n: an integer past the float range overflows (n - 1) * lam_rot, and
@@ -165,9 +163,11 @@ def validate_config(raw: dict) -> dict:
     diags = raw.get("diagnostics", {})
     _require(isinstance(diags, dict), "diagnostics must be an object", "diagnostics")
     for key, spec in diags.items():
-        _require(key in DIAG_KEYS, f"unknown diagnostic {key!r}", f"diagnostics.{key}")
-        if key in DIAG_OPTIONS and isinstance(spec, dict):
-            _check_options(spec, DIAG_OPTIONS[key], f"diagnostics.{key}")
+        where = f"diagnostics.{key}"
+        _require(key in DIAG_KEYS, f"unknown diagnostic {key!r}", where)
+        _require(isinstance(spec, (bool, dict)), f"{key} must be true, false or an object", where)
+        if isinstance(spec, dict):
+            _check_options(spec, DIAG_OPTIONS.get(key, {}), where)
     seed = raw.get("seed", 0)
     _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0", "seed")
     cfg = {"name": name, "n": n, "initial": initial, "nodes": nodes, "step": step,
@@ -240,6 +240,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # finite floats: nothing left to convert
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -248,69 +250,14 @@ def _jsonable(obj):
     return obj
 
 
-def _json_pieces(obj, pad="\n"):
-    """Yield ``json.dumps(_jsonable(obj), sort_keys=True, indent=1)`` in pieces.
-
-    ``pad`` is the newline and indent of the enclosing level.  A list or 1-D
-    float array of finite floats takes ``_float_pieces``; dicts, other lists
-    and scalars take the generic path.
-    """
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f" and np.isfinite(obj).all():
-            yield from _float_pieces(obj, pad)
-        else:
-            yield from _json_pieces(obj.tolist(), pad)
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner, sep = pad + " ", "{"
-        for key, val in sorted({str(k): v for k, v in obj.items()}.items()):
-            yield sep + inner + json.dumps(key) + ": "
-            yield from _json_pieces(val, inner)
-            sep = ","
-        yield pad + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner, sep = pad + " ", "["
-        for val in obj:
-            yield sep + inner
-            yield from _json_pieces(val, inner)
-            sep = ","
-        yield pad + "]"
-    else:
-        yield json.dumps(_jsonable(obj))
+def _json_text(obj, indent=1) -> str:
+    """``obj`` as sorted-key JSON; ``indent=None`` is compact and takes json's C encoder."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=indent) + "\n"
 
 
-def _float_pieces(values, pad):
-    """A 1-D array of finite floats as JSON, ``FLOAT_CHUNK`` values per piece.
-
-    ``json`` writes a finite float as ``float.__repr__``; joining whole chunks
-    skips its per-item dispatch, and bounding the chunk keeps a snapshot dump
-    from holding a whole array's strings at once.
-    """
-    if not len(values):
-        yield "[]"
-        return
-    inner = pad + " "
-    join, sep = ("," + inner).join, "[" + inner
-    for start in range(0, len(values), FLOAT_CHUNK):
-        part = values[start:start + FLOAT_CHUNK].tolist()
-        yield sep + join(map(float.__repr__, part))
-        sep = "," + inner
-    yield pad + "]"
-
-
-def _write_json(fh, obj):
-    fh.writelines(_json_pieces(obj))
-    fh.write("\n")
-
-
-def _dump_json(path: str, obj):
+def _dump_json(path: str, obj, indent=1):
     with open(path, "w") as fh:
-        _write_json(fh, obj)
+        fh.write(_json_text(obj, indent))
 
 
 def _sha256(path: str) -> str:
@@ -504,9 +451,6 @@ def cmd_run(args) -> int:
     inconclusive = False
     try:
         traj = run_until(initial, ctl)
-    except NumericalBlowupError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except InconclusiveRunError as exc:
         print(f"inconclusive run (partial outputs written): {exc}", file=sys.stderr)
         traj = exc.trajectory
@@ -522,9 +466,10 @@ def cmd_run(args) -> int:
 
     written = ["timeseries.csv", "report.json"]
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, records, cfg["diagnostics"])
+    # snapshots are nearly all the JSON bytes of a run: compact, they take json's C encoder
     for k, snap in enumerate(traj.snapshots):
         written.append(os.path.join("snapshots", f"t_{k:05d}.json"))
-        _dump_json(os.path.join(out_dir, written[-1]), _snapshot_obj(snap, k))
+        _dump_json(os.path.join(out_dir, written[-1]), _snapshot_obj(snap, k), indent=None)
     _dump_json(os.path.join(out_dir, "report.json"), report)
 
     files = {name: _sha256(os.path.join(out_dir, name)) for name in written}
@@ -573,11 +518,13 @@ def _load_run_dir(run_dir: str):
             path = os.path.join(snap_dir, name)
             with open(path) as fh:
                 snaps.append(_snapshot_from_obj(json.load(fh)))
+            snaps[-1].surface.validate()
         est = None
         if manifest.get("T_sing") is not None:
             sp = manifest.get("singular_point") or {"z": float("nan"), "rho": float("nan")}
             est = SingularEstimate(z=sp["z"], rho=sp["rho"], T=manifest["T_sing"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            DegenerateSurfaceError, ResolutionError, TopologyError) as exc:
         raise ConfigError(f"malformed run directory: {path}: {type(exc).__name__}: {exc}",
                           field="")
     traj = Trajectory(snapshots=snaps, stop_reason=manifest.get("stop_reason"),
@@ -627,7 +574,7 @@ def cmd_analyze(args) -> int:
               "H_origin": seq.terms[0].H_origin, "fits": fits,
               "min_lambda1": dg.convexity_check(seq.terms[0].center)}
     _dump_json(os.path.join(args.run_dir, "analysis.json"), result)
-    _write_json(sys.stdout, result)
+    sys.stdout.write(_json_text(result))
     return EXIT_OK
 
 

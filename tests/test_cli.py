@@ -111,6 +111,14 @@ def test_validate_defaults():
                                             "path": [1]}}}, "initial.dumbbell.path"),
     ({"name": "x", "initial": {"profile-file": {"path": "profile.json", "R0": 1.0}}},
      "initial.profile-file.R0"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "diagnostics": {"noncollapse": {"foo": 1}}},
+     "diagnostics.noncollapse.foo"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "diagnostics": {"harnack": 5}},
+     "diagnostics.harnack"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "diagnostics": {"blowup": "yes"}},
+     "diagnostics.blowup"),
+    ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "diagnostics": {"pinching": [1]}},
+     "diagnostics.pinching"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:
@@ -176,11 +184,13 @@ ENCODER_CASES = {
 }
 
 
-@pytest.mark.parametrize("obj", list(ENCODER_CASES.values()), ids=list(ENCODER_CASES))
-def test_dump_json_matches_json_module(tmp_path, obj):
+@pytest.mark.parametrize("obj, indent", [
+    pytest.param(obj, indent, id=name if indent else f"{name}-compact")
+    for name, obj in ENCODER_CASES.items() for indent in (1, None)])
+def test_dump_json_matches_json_module(tmp_path, obj, indent):
     path = tmp_path / "out.json"
-    _dump_json(str(path), obj)
-    expected = json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n"
+    _dump_json(str(path), obj, indent=indent)
+    expected = json.dumps(_jsonable(obj), sort_keys=True, indent=indent) + "\n"
     assert path.read_bytes() == expected.encode()
 
 
@@ -421,6 +431,20 @@ def test_analyze_identity_rebuild(tmp_path):
     assert (out / "report.json").read_bytes() == before
 
 
+def test_analyze_rebuilds_report_from_indented_snapshots(tmp_path):
+    # snapshots are compact JSON; a run directory written with indented ones analyzes alike
+    _, out = run_scenario(tmp_path, BASE_CFG, "indented")
+    before = (out / "report.json").read_bytes()
+    for path in (out / "snapshots").iterdir():
+        text = path.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True) + "\n"
+        path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    (out / "report.json").unlink()
+    assert main(["analyze", str(out)]) == EXIT_OK
+    assert (out / "report.json").read_bytes() == before
+
+
 def test_analyze_blowup_at_point(tmp_path):
     _, out = run_scenario(tmp_path, BASE_CFG, "bl")
     last = sorted((out / "snapshots").iterdir())[-1]
@@ -642,11 +666,18 @@ def test_analyze_rejects_non_run_dir(tmp_path):
     assert main(["analyze", str(tmp_path)]) == EXIT_CONFIG
 
 
+SPHERE_SNAPSHOT = _jsonable(_snapshot_obj(FlowSnapshot(sphere_profile(1.0, 2, 40), 0.0), 0))
+
+
 @pytest.mark.parametrize("manifest_text, snapshot", [
     (None, {"t": 0.0, "topology": "graph"}),
     ("{not json", None),
     (None, {"t": 0.0, "n": 2, "topology": "weird", "z": [0.0] * 8, "r": [1.0] * 8}),
-], ids=["graph-snapshot", "manifest-not-json", "unknown-topology"])
+    (None, dict(SPHERE_SNAPSHOT, r=SPHERE_SNAPSHOT["r"][:-5])),
+    (None, dict(SPHERE_SNAPSHOT, r=[-v if k == 20 else v for k, v in
+                                    enumerate(SPHERE_SNAPSHOT["r"])])),
+], ids=["graph-snapshot", "manifest-not-json", "unknown-topology", "r-shorter-than-z",
+        "interior-r-negative"])
 def test_analyze_malformed_run_dir(tmp_path, capsys, manifest_text, snapshot):
     code, out = run_scenario(tmp_path, BASE_CFG, "run")
     assert code == EXIT_OK
@@ -658,6 +689,7 @@ def test_analyze_malformed_run_dir(tmp_path, capsys, manifest_text, snapshot):
     assert main(["analyze", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    assert snapshot is None or "t_00000.json" in err
 
 
 def test_models_table_in_tolerance(capsys):
