@@ -9,8 +9,8 @@ Identical config and seed reproduce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
-import copy
 import datetime
+import fnmatch
 import hashlib
 import json
 import math
@@ -38,21 +38,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INCONCLUSIVE = 4
 
-DIAG_KEYS = ("noncollapse", "pinching", "harnack", "ratioA2H2",
-             "Hevolution", "blowup", "distance-scaling")
 # the largest dimension n: an integer past the float range overflows (n - 1) * lam_rot, and
 # 100 is well above the n <= 10 whose sphere runs have been checked against T = R0^2/(2n)
 MAX_N = 100
 MAX_PERTURB_MODES = 64
 MAX_NODES = 10**6  # the largest nodes and step.max_nodes: bounds the memory a config can ask for
-# the shape tags of an initial datum: tag -> (constructor, its fields), called as
-# constructor(*fields, n, nodes); the other tag is "profile-file", whose field is "path"
-SHAPES = {
-    "sphere": (sphere_profile, ("R0",)),
-    "cylinder": (cylinder_profile, ("R0", "period")),
-    "dumbbell": (dumbbell_profile, ("bulb_R", "neck_r", "length")),
-    "ovaloid": (ovaloid_profile, ("a", "b")),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -82,99 +72,97 @@ def _is_positive(val) -> bool:
     return _is_number(val) and val > 0
 
 
-# options of the step and of the diagnostics that take an object:
-# option -> (check, requirement)
+# an option table maps each option of a group to (check, requirement, default); the default
+# REQUIRED means the option must be given, and None that an absent option stays absent
+REQUIRED = object()
 POSITIVE = (_is_positive, "must be a positive finite number")
-STEP_OPTIONS = {"dt_min": POSITIVE, "A2_stop": POSITIVE, "t_end": POSITIVE,
-                "refine_target": POSITIVE,
-                "max_nodes": (lambda v: _is_int(v) and 8 <= v <= MAX_NODES,
-                              f"must be an integer in [8, {MAX_NODES}]")}
+NODES = (lambda v: _is_int(v) and 8 <= v <= MAX_NODES, f"must be an integer in [8, {MAX_NODES}]")
+TEXT = (lambda v: isinstance(v, str) and v != "", "must be a nonempty string")
+OBJECT = (lambda v: isinstance(v, dict), "must be an object", {})
+LENGTH = (*POSITIVE, REQUIRED)
+# the shape tags of an initial datum: tag -> (constructor, its field table), called as
+# constructor(*fields, n, nodes); the other tag is "profile-file", whose field is its path
+SHAPES = {
+    "sphere": (sphere_profile, {"R0": LENGTH}),
+    "cylinder": (cylinder_profile, {"R0": LENGTH, "period": (*POSITIVE, math.pi)}),
+    "dumbbell": (dumbbell_profile, {"bulb_R": LENGTH, "neck_r": LENGTH, "length": LENGTH}),
+    "ovaloid": (ovaloid_profile, {"a": LENGTH, "b": LENGTH}),
+}
+PROFILE_FILE = {"path": (*TEXT, REQUIRED)}
+PERTURB_OPTIONS = {
+    "amplitude": (lambda v: _is_number(v) and v >= 0, "must be a finite number >= 0", 0.0),
+    "modes": (lambda v: _is_int(v) and 0 <= v <= MAX_PERTURB_MODES,
+              f"must be an integer in [0, {MAX_PERTURB_MODES}]", 3)}
+# StepControl states the step defaults
+STEP_OPTIONS = {"dt_min": (*POSITIVE, None), "A2_stop": (*POSITIVE, None),
+                "t_end": (*POSITIVE, None), "refine_target": (*POSITIVE, None),
+                "max_nodes": (*NODES, None)}
+# every diagnostic and its option table: true or an object turns it on, false leaves it off
 DIAG_OPTIONS = {
+    "noncollapse": {}, "pinching": {}, "ratioA2H2": {}, "Hevolution": {}, "distance-scaling": {},
     "blowup": {"points-rule": (lambda v: v in ("neck", "max-curvature"),
-                               "must be 'neck' or 'max-curvature'"),
-               "count": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
-               "window": POSITIVE},
-    "harnack": {"R": POSITIVE, "H_threshold": POSITIVE},
+                               "must be 'neck' or 'max-curvature'", "neck"),
+               "count": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 5),
+               "window": (*POSITIVE, rs.FIT_WINDOW)},
+    "harnack": {"R": (*POSITIVE, 1.0), "H_threshold": (*POSITIVE, 10.0)},
+}
+CONFIG_OPTIONS = {
+    "name": (*TEXT, REQUIRED),
+    "n": (lambda v: _is_int(v) and 2 <= v <= MAX_N, f"must be an integer in [2, {MAX_N}]", 2),
+    "initial": (lambda v: isinstance(v, dict) and len([k for k in v if k != "perturb"]) == 1,
+                "must carry exactly one datum tag", REQUIRED),
+    "nodes": (*NODES, 400),
+    "step": OBJECT,
+    "diagnostics": OBJECT,
+    "seed": (lambda v: _is_int(v) and v >= 0, "must be an integer >= 0", 0),
 }
 
 
-def _check_options(spec: dict, options: dict, path: str):
-    """Each key of spec must name an entry of options and pass its check."""
-    for opt, val in spec.items():
-        where = f"{path}.{opt}"
-        _require(opt in options, f"unknown {path} option {opt!r}", where)
-        check, need = options[opt]
-        _require(check(val), f"{opt} {need}", where)
+def _options(spec, table: dict, path: str) -> dict:
+    """A new dict of spec's options, each checked against table, with the defaults filled in."""
+    group, prefix = (path, path + ".") if path else ("config", "")
+    _require(isinstance(spec, dict), f"{group} must be an object", path)
+    for opt in spec:
+        _require(opt in table, f"unknown {group} option {opt!r}", prefix + opt)
+    out = {}
+    for opt, (check, need, default) in table.items():
+        if opt in spec:
+            _require(check(spec[opt]), f"{opt} {need}", prefix + opt)
+            out[opt] = spec[opt]
+        elif default is not None:
+            _require(default is not REQUIRED, f"missing option {opt}", prefix + opt)
+            out[opt] = default
+    return out
 
 
-def validate_config(raw: dict) -> dict:
-    """The config with its defaults filled in; raises ConfigError naming the bad field.
+def validate_config(raw) -> dict:
+    """The resolved config: every option checked, every default but the step's filled in.
 
-    Its keys are name, n, initial, nodes, step, diagnostics and seed; any other
-    top-level key is an error, as an unknown step or diagnostic option is.
-    The config is built from a deep copy: ``raw`` is left as it was.
+    A bad field raises ConfigError naming it.  A diagnostic given as true or an object
+    is on, with the defaults of the options it leaves out; one given as false is left
+    out.  The result shares no object with ``raw``, and validating it again returns it.
     """
-    _require(isinstance(raw, dict), "config must be a JSON object", "")
-    raw = copy.deepcopy(raw)
-    name = raw.get("name")
-    _require(isinstance(name, str) and name, "name must be a nonempty string", "name")
-    n = raw.get("n", 2)
-    _require(_is_int(n) and 2 <= n <= MAX_N, f"n must be an integer in [2, {MAX_N}]", "n")
-    initial = raw.get("initial")
-    _require(isinstance(initial, dict) and len([k for k in initial if k != "perturb"]) == 1,
-             "initial must carry exactly one datum tag", "initial")
-    tag = next(k for k in initial if k != "perturb")
+    cfg = _options(raw, CONFIG_OPTIONS, "")
+    tag = next(k for k in cfg["initial"] if k != "perturb")
     _require(tag in SHAPES or tag == "profile-file", f"unknown initial tag {tag!r}",
              f"initial.{tag}")
-    body = initial[tag]
-    _require(isinstance(body, dict), "initial datum body must be an object", f"initial.{tag}")
-    if tag == "cylinder":
-        body.setdefault("period", float(np.pi))
-    fields = SHAPES[tag][1] if tag in SHAPES else ("path",)
-    for key in fields:
-        _require(key in body, f"missing field {key}", f"initial.{tag}.{key}")
-    for key, val in body.items():
-        _require(key in fields, f"unknown initial.{tag} field {key!r}", f"initial.{tag}.{key}")
-        if key == "path":
-            continue
-        _require(_is_positive(val), f"{key} must be a positive finite number",
-                 f"initial.{tag}.{key}")
-        body[key] = float(val)  # an integer past int64 would reach numpy as an object
+    body = _options(cfg["initial"][tag], SHAPES[tag][1] if tag in SHAPES else PROFILE_FILE,
+                    f"initial.{tag}")
     if tag == "dumbbell":
         _require(body["neck_r"] < body["bulb_R"], "dumbbell requires neck_r < bulb_R",
                  "initial.dumbbell.neck_r")
-    if "perturb" in initial:
-        p = initial["perturb"]
-        for key in p if isinstance(p, dict) else ():
-            _require(key in ("amplitude", "modes"), f"unknown perturb key {key!r}",
-                     f"initial.perturb.{key}")
-        modes = p.get("modes", 3) if isinstance(p, dict) else None
-        _require(isinstance(p, dict) and _is_number(p.get("amplitude", 0))
-                 and p.get("amplitude", 0) >= 0
-                 and _is_int(modes) and 0 <= modes <= MAX_PERTURB_MODES,
-                 f"perturb needs {{amplitude >= 0, modes: int in [0, {MAX_PERTURB_MODES}]}}",
-                 "initial.perturb")
-    nodes = raw.get("nodes", 400)
-    _require(isinstance(nodes, int) and 8 <= nodes <= MAX_NODES,
-             f"nodes must be an integer in [8, {MAX_NODES}]", "nodes")
-    step = raw.get("step", {})
-    _require(isinstance(step, dict), "step must be an object", "step")
-    _check_options(step, STEP_OPTIONS, "step")
-    diags = raw.get("diagnostics", {})
-    _require(isinstance(diags, dict), "diagnostics must be an object", "diagnostics")
-    for key, spec in diags.items():
+    initial = {tag: body}
+    if "perturb" in cfg["initial"]:
+        initial["perturb"] = _options(cfg["initial"]["perturb"], PERTURB_OPTIONS, "initial.perturb")
+    diags = {}
+    for key, spec in cfg["diagnostics"].items():
         where = f"diagnostics.{key}"
-        _require(key in DIAG_KEYS, f"unknown diagnostic {key!r}", where)
+        _require(key in DIAG_OPTIONS, f"unknown diagnostic {key!r}", where)
         _require(isinstance(spec, (bool, dict)), f"{key} must be true, false or an object", where)
-        if isinstance(spec, dict):
-            _check_options(spec, DIAG_OPTIONS.get(key, {}), where)
-    seed = raw.get("seed", 0)
-    _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0", "seed")
-    cfg = {"name": name, "n": n, "initial": initial, "nodes": nodes, "step": step,
-           "diagnostics": diags, "seed": seed}
-    for key in raw:
-        _require(key in cfg, f"unknown config key {key!r}", key)
-    return cfg
+        if spec is not False:
+            diags[key] = _options({} if spec is True else spec, DIAG_OPTIONS[key], where)
+    return dict(cfg, initial=initial, step=_options(cfg["step"], STEP_OPTIONS, "step"),
+                diagnostics=diags)
 
 
 def load_config(path: str) -> dict:
@@ -217,14 +205,15 @@ def build_initial(cfg: dict) -> FlowSnapshot:
     else:
         make, fields = SHAPES[tag]
         try:
-            curve = make(*(body[key] for key in fields), n, nodes)
+            # an integer past int64 would reach numpy as an object
+            curve = make(*(float(body[key]) for key in fields), n, nodes)
         except (ValueError, OverflowError, NumericalBlowupError) as exc:  # an overflowing datum
             raise ConfigError(f"bad initial datum: {exc}", field=f"initial.{tag}")
     if "perturb" in initial:
         p = initial["perturb"]
         # respacing the perturbed curve can overflow its spline or find that it crosses itself
         try:
-            curve = perturb_profile(curve, p.get("amplitude", 0.0), p.get("modes", 3), cfg["seed"])
+            curve = perturb_profile(curve, p["amplitude"], p["modes"], cfg["seed"])
         except (ValueError, NumericalBlowupError, TopologyError) as exc:
             raise ConfigError(f"bad perturbation: {exc}", field="initial.perturb")
     return FlowSnapshot(_valid_datum(curve, tag), 0.0)
@@ -280,6 +269,12 @@ def _snapshot_from_obj(obj: dict) -> FlowSnapshot:
     return FlowSnapshot(curve, obj["t"])
 
 
+def _snapshot_paths(snap_dir: str) -> list:
+    """The snapshot files of a run directory, in index order: only names `run` writes."""
+    names = fnmatch.filter(os.listdir(snap_dir), "t_*.json") if os.path.isdir(snap_dir) else []
+    return [os.path.join(snap_dir, name) for name in sorted(names)]
+
+
 def _neck_radius(snap: FlowSnapshot) -> float:
     """Periodic profiles: min r; closed ones: r at the narrowest waist, nan without one."""
     r = snap.surface.r
@@ -298,11 +293,11 @@ def _neck_radius(snap: FlowSnapshot) -> float:
 def write_timeseries(path: str, traj: Trajectory, records, diags: dict):
     """One CSV row per snapshot, rendered from its record; nan where the record has none."""
     cols = ["t", "max_H", "min_H", "max_A2"]
-    if diags.get("ratioA2H2"):
+    if "ratioA2H2" in diags:
         cols.append("max_A2_over_H2")
-    if diags.get("noncollapse"):
+    if "noncollapse" in diags:
         cols.append("kappa_min")
-    if diags.get("pinching"):
+    if "pinching" in diags:
         cols.append("min_lambda1_over_H")
     cols += ["neck_radius", "dt"]
     lines = [",".join(cols)]
@@ -320,8 +315,7 @@ def write_timeseries(path: str, traj: Trajectory, records, diags: dict):
 
 
 def _harnack_report(traj: Trajectory, spec: dict) -> dict:
-    R = spec.get("R", 1.0)
-    threshold = spec.get("H_threshold", 10.0)
+    R, threshold = spec["R"], spec["H_threshold"]
     H0max = float(np.max(traj.snapshots[0].curvature.H))
     records, skipped = [], []
     for snap in traj.snapshots[1:]:
@@ -345,11 +339,9 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
 
 
 def _blowup_report(traj: Trajectory, spec: dict) -> dict:
-    rule = spec.get("points-rule", "neck")
-    window = spec.get("window", rs.FIT_WINDOW)
-    points = rs.select_blowup_points(traj, rule, spec.get("count", 5))
+    points = rs.select_blowup_points(traj, spec["points-rule"], spec["count"])
     seq = rs.normalized_blowup(traj, points)
-    fits = rs.classify_tangent_flow(seq.terms[-1], window=window)
+    fits = rs.classify_tangent_flow(seq.terms[-1], window=spec["window"])
     convexity = []
     for term in seq.terms[-3:]:
         convexity.append({"scale": term.params.a,
@@ -362,7 +354,7 @@ def _blowup_report(traj: Trajectory, spec: dict) -> dict:
 
 
 def _records(traj: Trajectory, cfg: dict) -> list:
-    return dg.snapshot_records(traj.snapshots, bool(cfg["diagnostics"].get("noncollapse")))
+    return dg.snapshot_records(traj.snapshots, "noncollapse" in cfg["diagnostics"])
 
 
 def build_report(traj: Trajectory, cfg: dict, records) -> dict:
@@ -386,8 +378,6 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
     kappa_skipped = [{"t": r.t, "reason": r.kappa_skipped} for r in records if r.kappa_skipped]
     skipped = [{"t": r.t, "reason": r.skipped} for r in records if r.skipped]
     for key in sorted(diags):
-        if not diags[key]:
-            continue
         try:
             if key == "noncollapse":
                 if kappa_skipped:
@@ -400,7 +390,7 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
                             "worst_ratio_series": [{"t": r.t, "worst_ratio": r.min_lam1_over_H}
                                                    for r in records]}
             elif key == "harnack":
-                out[key] = _harnack_report(traj, diags[key] if isinstance(diags[key], dict) else {})
+                out[key] = _harnack_report(traj, diags[key])
             elif key == "ratioA2H2":
                 out[key] = {"t": np.array([r.t for r in records]),
                             "max_ratio": np.array([r.max_ratio for r in records]),
@@ -408,7 +398,7 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
             elif key == "Hevolution":
                 out[key] = dg.verify_H_evolution(traj)
             elif key == "blowup":
-                out[key] = _blowup_report(traj, diags[key] if isinstance(diags[key], dict) else {})
+                out[key] = _blowup_report(traj, diags[key])
             elif key == "distance-scaling":
                 out[key] = dg.singular_distance_scaling(traj)
         except McfError as exc:
@@ -434,10 +424,7 @@ def cmd_run(args) -> int:
             pass
         os.remove(probe)
         # a reused out_dir must not keep an earlier run's snapshots or analysis
-        stale = [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
-                 if name.startswith("t_") and name.endswith(".json")]
-        stale.append(os.path.join(out_dir, "analysis.json"))
-        for path in stale:
+        for path in _snapshot_paths(snap_dir) + [os.path.join(out_dir, "analysis.json")]:
             if os.path.isfile(path):
                 os.remove(path)
     except OSError as exc:
@@ -477,22 +464,20 @@ def cmd_run(args) -> int:
     stages = ("build_initial", "run_until", "records_report", "write_artifacts")
     timings = {stage: b - a for stage, a, b in zip(stages, clock, clock[1:])}
     nodes = [snap.surface.num_nodes for snap in traj.snapshots]
-    est = traj.singular_estimate
     manifest = {
         "config": cfg,
         "version": __version__,
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "stop_reason": traj.stop_reason,
-        "T_sing": None if est is None else est.T,
-        "singular_point": None if est is None else {"z": est.z, "rho": est.rho},
+        **{key: report[key] for key in ("stop_reason", "T_sing", "singular_point")},
         "files": files,
         "run_stats": dict(traj.stats, snapshot_nodes=nodes, snapshot_nodes_total=sum(nodes),
                           timings_s=timings),
     }
     _dump_json(os.path.join(out_dir, "manifest.json"), manifest)
+    T = report["T_sing"]
     print(f"{cfg['name']}: stop={traj.stop_reason} snapshots={len(traj.snapshots)} "
-          f"T_sing={'n/a' if est is None else f'{est.T:.6g}'} -> {out_dir}")
+          f"T_sing={'n/a' if T is None else f'{T:.6g}'} -> {out_dir}")
     if inconclusive or traj.stop_reason == STOP_UNDERFLOW:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -504,18 +489,17 @@ def _load_run_dir(run_dir: str):
     snap_dir = os.path.join(run_dir, "snapshots")
     if not os.path.isfile(manifest_path):
         raise ConfigError(f"{run_dir} has no manifest.json (not a run directory?)", field="")
-    names = sorted(n for n in os.listdir(snap_dir)) if os.path.isdir(snap_dir) else []
-    if not names:
-        raise ConfigError(
-            f"{snap_dir} is empty: re-run the scenario so the snapshot cascade is stored", field="")
+    paths = _snapshot_paths(snap_dir)
+    if not paths:
+        raise ConfigError(f"{snap_dir} holds no snapshot: re-run the scenario so the snapshot "
+                          "cascade is stored", field="")
     path = manifest_path
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         cfg = validate_config(manifest["config"])
         snaps = []
-        for name in names:
-            path = os.path.join(snap_dir, name)
+        for path in paths:
             with open(path) as fh:
                 snaps.append(_snapshot_from_obj(json.load(fh)))
             snaps[-1].surface.validate()
@@ -551,7 +535,7 @@ def _parse_point(text: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    check, need = POSITIVE
+    check, need, _ = DIAG_OPTIONS["blowup"]["window"]
     _require(check(args.window), f"--window {need}", "--window")
     cfg, traj = _load_run_dir(args.run_dir)
     if args.blowup_at is None:
@@ -628,7 +612,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--blowup-at", default=None, metavar='"x=...,t=..."',
                       help="normalized blow-up at a spacetime point; without rho, at the "
                            "surface node nearest the axis point (x, 0)")
-    p_an.add_argument("--window", type=float, default=rs.FIT_WINDOW,
+    p_an.add_argument("--window", type=float, default=DIAG_OPTIONS["blowup"]["window"][2],
                       help="rescaled window radius for model fits")
     p_an.set_defaults(func=cmd_analyze)
 

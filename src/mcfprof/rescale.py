@@ -87,7 +87,7 @@ def waist_node(snapshot: FlowSnapshot, z_near: Optional[float] = None) -> int:
     return int(locmin[np.argmin(np.abs(z[locmin] - z_near))])
 
 
-def select_blowup_points(traj: Trajectory, rule: str = "neck", count: int = 5):
+def select_blowup_points(traj: Trajectory, rule: str, count: int):
     """Spacetime points on the flow for a normalized blow-up sequence.
 
     'neck': waist nodes (nearest the singular-point estimate) of the last

@@ -1,6 +1,7 @@
 """Command-line runner: config validation, artifacts, determinism, exit codes."""
 
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -94,7 +95,7 @@ def test_validate_defaults():
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "n": True}, "n"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "seed": -1}, "seed"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}, "perturb": {"modes": 10**9}}},
-     "initial.perturb"),
+     "initial.perturb.modes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "step": {"max_nodes": 10**6 + 1}},
      "step.max_nodes"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "nodes": 10**6 + 1}, "nodes"),
@@ -119,11 +120,48 @@ def test_validate_defaults():
      "diagnostics.blowup"),
     ({"name": "x", "initial": {"sphere": {"R0": 1.0}}, "diagnostics": {"pinching": [1]}},
      "diagnostics.pinching"),
+    # open() takes an integer as a file descriptor: 0 reads stdin, 1 and 2 would be closed
+    ({"name": "x", "initial": {"profile-file": {"path": 0}}}, "initial.profile-file.path"),
+    ({"name": "x", "initial": {"profile-file": {"path": 2}}}, "initial.profile-file.path"),
+    ({"name": "x", "initial": {"profile-file": {"path": True}}}, "initial.profile-file.path"),
+    ({"name": "x", "initial": {"profile-file": {"path": ""}}}, "initial.profile-file.path"),
 ])
 def test_validate_config_field_paths(raw, field):
     with pytest.raises(ConfigError) as info:
         validate_config(raw)
     assert info.value.field == field
+
+
+def _workload_configs():
+    """The benchmark's two workload configs at seeds 0 and 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [work["config"](seed) for work in module.WORKLOADS.values() for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("raw", [
+    BASE_CFG, *_workload_configs(),
+    {"name": "x", "n": 3, "initial": {"profile-file": {"path": "profile.json"},
+                                      "perturb": {}}, "diagnostics": {"blowup": True}},
+], ids=["base", "neckpinch-0", "neckpinch-1", "sphere400-0", "sphere400-1", "profile-file"])
+def test_validate_config_returns_a_resolved_config_unchanged(raw):
+    cfg = validate_config(raw)
+    assert validate_config(cfg) == cfg
+
+
+def test_validate_config_fills_every_default_but_the_step():
+    cfg = validate_config({"name": "x", "initial": {"sphere": {"R0": 1.0}, "perturb": {}},
+                           "step": {"t_end": 0.1},
+                           "diagnostics": {"harnack": True, "blowup": {"count": 2},
+                                           "noncollapse": {}, "pinching": False}})
+    assert cfg["initial"]["perturb"] == {"amplitude": 0.0, "modes": 3}
+    assert cfg["step"] == {"t_end": 0.1}
+    assert cfg["diagnostics"] == {
+        "harnack": {"R": 1.0, "H_threshold": 10.0},
+        "blowup": {"points-rule": "neck", "count": 2, "window": FIT_WINDOW},
+        "noncollapse": {}}
 
 
 def _dicts(obj):
@@ -291,7 +329,7 @@ def test_harnack_fallback_picks_lowest_tied_pole(monkeypatch):
         raise WindowError("not evaluated")
 
     monkeypatch.setattr(dg, "harnack_check", record)
-    _harnack_report(Trajectory(snaps, "t-end", None), {"H_threshold": 1e-3})
+    _harnack_report(Trajectory(snaps, "t-end", None), {"R": 1.0, "H_threshold": 1e-3})
     assert seen == [(snaps[1].surface.z[0], 0.0, 0.01)]
 
 
@@ -310,6 +348,34 @@ def test_run_byte_determinism(tmp_path):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["files"] == m2["files"]
+
+
+ALL_DIAGNOSTICS = ("noncollapse", "pinching", "ratioA2H2", "harnack", "Hevolution", "blowup",
+                   "distance-scaling")
+
+
+def test_an_object_turns_a_diagnostic_on_with_its_defaults(tmp_path):
+    cfg = dict(BASE_CFG, nodes=64, step={"A2_stop": 800.0})
+    _, on = run_scenario(tmp_path, dict(cfg, diagnostics=dict.fromkeys(ALL_DIAGNOSTICS, True)),
+                         "true")
+    _, obj = run_scenario(tmp_path, dict(cfg, diagnostics={key: {} for key in ALL_DIAGNOSTICS}),
+                          "object")
+    report = json.loads((obj / "report.json").read_text())
+    assert sorted(report["diagnostics"]) == sorted(ALL_DIAGNOSTICS)
+    for name in ("report.json", "timeseries.csv"):
+        assert (obj / name).read_bytes() == (on / name).read_bytes(), name
+
+
+def test_manifest_echoes_the_resolved_config(tmp_path):
+    cfg = dict(BASE_CFG, diagnostics={"harnack": True, "pinching": False})
+    code, out = run_scenario(tmp_path, cfg, "echo")
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert manifest["config"] == validate_config(cfg)
+    assert manifest["config"]["diagnostics"] == {"harnack": {"R": 1.0, "H_threshold": 10.0}}
+    for key in ("stop_reason", "T_sing", "singular_point"):
+        assert manifest[key] == report[key]
 
 
 def test_timeseries_columns_follow_toggles(tmp_path):
@@ -440,6 +506,29 @@ def test_analyze_rebuilds_report_from_indented_snapshots(tmp_path):
         obj = json.loads(text)
         assert text == json.dumps(obj, sort_keys=True) + "\n"
         path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    (out / "report.json").unlink()
+    assert main(["analyze", str(out)]) == EXIT_OK
+    assert (out / "report.json").read_bytes() == before
+
+
+def test_analyze_reads_a_manifest_with_diagnostics_given_as_true(tmp_path):
+    # a run directory whose manifest echoes the config as written analyzes alike
+    _, out = run_scenario(tmp_path, BASE_CFG, "old-echo")
+    before = (out / "report.json").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] != BASE_CFG
+    (out / "manifest.json").write_text(json.dumps(dict(manifest, config=BASE_CFG)))
+    (out / "report.json").unlink()
+    assert main(["analyze", str(out)]) == EXIT_OK
+    assert (out / "report.json").read_bytes() == before
+
+
+def test_analyze_reads_only_the_snapshot_files(tmp_path):
+    _, out = run_scenario(tmp_path, BASE_CFG, "stray")
+    before = (out / "report.json").read_bytes()
+    last = sorted((out / "snapshots").iterdir())[-1]
+    (out / "snapshots" / (last.name + "~")).write_text(last.read_text())  # an editor backup
+    (out / "snapshots" / "notes.txt").write_text("not a snapshot")
     (out / "report.json").unlink()
     assert main(["analyze", str(out)]) == EXIT_OK
     assert (out / "report.json").read_bytes() == before
@@ -596,6 +685,14 @@ def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_
     assert err.startswith("config error (field: initial.") and "Traceback" not in err
     if initial_text.startswith('{"model"'):  # the shapes and profile-file are the only tags
         assert err.startswith("config error (field: initial.model): unknown initial tag")
+
+
+def test_profile_file_path_is_not_a_file_descriptor(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"name": "x", "initial": {"profile-file": {"path": 2}}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: initial.profile-file.path): ")
+    assert "nonempty string" in err
 
 
 def test_self_intersecting_profile_names_its_field(tmp_path, capsys, monkeypatch):
