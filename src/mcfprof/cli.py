@@ -9,6 +9,7 @@ Identical config and seed reproduce byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import fnmatch
 import hashlib
@@ -93,10 +94,10 @@ PERTURB_OPTIONS = {
     "amplitude": (lambda v: _is_number(v) and v >= 0, "must be a finite number >= 0", 0.0),
     "modes": (lambda v: _is_int(v) and 0 <= v <= MAX_PERTURB_MODES,
               f"must be an integer in [0, {MAX_PERTURB_MODES}]", 3)}
-# StepControl states the step defaults
-STEP_OPTIONS = {"dt_min": (*POSITIVE, None), "A2_stop": (*POSITIVE, None),
-                "t_end": (*POSITIVE, None), "refine_target": (*POSITIVE, None),
-                "max_nodes": (*NODES, None)}
+# the step options take their defaults from StepControl's fields; t_end's is None,
+# so an absent t_end stays absent
+STEP_OPTIONS = {f.name: (*(NODES if f.name == "max_nodes" else POSITIVE), f.default)
+                for f in dataclasses.fields(StepControl)}
 # every diagnostic and its option table: true or an object turns it on, false leaves it off
 DIAG_OPTIONS = {
     "noncollapse": {}, "pinching": {}, "ratioA2H2": {}, "Hevolution": {}, "distance-scaling": {},
@@ -136,7 +137,7 @@ def _options(spec, table: dict, path: str) -> dict:
 
 
 def validate_config(raw) -> dict:
-    """The resolved config: every option checked, every default but the step's filled in.
+    """The resolved config: every option checked, every default filled in.
 
     A bad field raises ConfigError naming it.  A diagnostic given as true or an object
     is on, with the defaults of the options it leaves out; one given as false is left

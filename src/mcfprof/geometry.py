@@ -11,13 +11,34 @@ with H > 0 on round spheres.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateSurfaceError, NumericalBlowupError, ResolutionError, TopologyError
+
+
+def _lapack_gtsv():
+    """LAPACK dgtsv, loaded from scipy's compiled ``_flapack`` module.
+
+    Importing ``scipy.linalg`` runs its package init, whose array-API layer imports
+    numpy.f2py, numpy.testing, numpy.ma and numpy.random: about half the start-up
+    of a run.  Only the light ``scipy`` init runs here.  The routine is the object
+    that ``scipy.linalg.lapack.dgtsv`` names, whichever of the two is imported first.
+    """
+    folder = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", folder)
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK module _flapack is not in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgtsv
+
+
+dgtsv = _lapack_gtsv()
 
 CLOSED = "closed-through-axis"
 PERIODIC = "periodic-in-z"

@@ -151,13 +151,17 @@ def test_validate_config_returns_a_resolved_config_unchanged(raw):
     assert validate_config(cfg) == cfg
 
 
-def test_validate_config_fills_every_default_but_the_step():
+def test_validate_config_fills_every_default():
     cfg = validate_config({"name": "x", "initial": {"sphere": {"R0": 1.0}, "perturb": {}},
                            "step": {"t_end": 0.1},
                            "diagnostics": {"harnack": True, "blowup": {"count": 2},
                                            "noncollapse": {}, "pinching": False}})
     assert cfg["initial"]["perturb"] == {"amplitude": 0.0, "modes": 3}
-    assert cfg["step"] == {"t_end": 0.1}
+    assert cfg["step"] == {"dt_min": 1e-13, "A2_stop": 1e4, "t_end": 0.1,
+                           "refine_target": 0.15, "max_nodes": 20000}
+    # StepControl's t_end default is None: no end time, so none is echoed
+    assert validate_config({"name": "x", "initial": {"sphere": {"R0": 1.0}}})["step"] == {
+        "dt_min": 1e-13, "A2_stop": 1e4, "refine_target": 0.15, "max_nodes": 20000}
     assert cfg["diagnostics"] == {
         "harnack": {"R": 1.0, "H_threshold": 10.0},
         "blowup": {"points-rule": "neck", "count": 2, "window": FIT_WINDOW},
@@ -796,17 +800,31 @@ def test_models_table_in_tolerance(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
-# runs each config given on the command line, then prints the exit codes and
-# every loaded module of the scipy subpackages that `run` must not need
-RUN_IMPORTS = """
+# runs one command on each target given on the command line (a config for `run`, a run
+# directory for `analyze`), then prints the exit codes and every loaded module that the
+# commands must not need: the unused scipy subpackages, the package init of scipy.linalg
+# (not its compiled _flapack module) and the numpy parts that init imports
+COMMAND_IMPORTS = """
 import json, sys
 from mcfprof.cli import main
-codes = [main(["run", "--config", path, "--out", path + ".out"]) for path in sys.argv[1:]]
+cmd, *targets = sys.argv[1:]
+codes = [main(["run", "--config", t, "--out", t + ".out"] if cmd == "run" else [cmd, t])
+         for t in targets]
 unused = ("scipy.interpolate", "scipy.optimize", "scipy.integrate",
           "scipy.spatial", "scipy.special", "scipy.sparse")
+heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
 print(json.dumps({"codes": codes,
-                  "loaded": sorted(m for m in sys.modules if m.startswith(unused))}))
+                  "loaded": sorted(m for m in sys.modules if m.startswith(unused) or m in heavy)}))
 """
+
+
+def _python(script, *args):
+    """The last line that script prints, run by a fresh interpreter that imports src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
 
 
 def test_run_leaves_unused_scipy_unloaded(tmp_path):
@@ -818,16 +836,41 @@ def test_run_leaves_unused_scipy_unloaded(tmp_path):
                                       "perturb": {"amplitude": 0.02, "modes": 3}},
            "nodes": 64, "step": {"t_end": 0.01}, "seed": 1}
     paths = [write_cfg(tmp_path, neck, "neck.json"), write_cfg(tmp_path, cyl, "cyl.json")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", RUN_IMPORTS, *paths], env=env,
-                          capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(_python(COMMAND_IMPORTS, "run", *paths))
     assert result == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
     # the dumbbell's blow-up term was fitted by the sphere
-    report = json.loads((tmp_path / "neck.json.out" / "report.json").read_text())
-    assert report["diagnostics"]["blowup"]["fits"]["sphere"]["rms"] > 0.0
+    report = (tmp_path / "neck.json.out" / "report.json").read_text()
+    assert json.loads(report)["diagnostics"]["blowup"]["fits"]["sphere"]["rms"] > 0.0
+    # analyze rebuilds the same report from the run directory, also without them
+    result = json.loads(_python(COMMAND_IMPORTS, "analyze", paths[0] + ".out"))
+    assert result == {"codes": [EXIT_OK], "loaded": []}
+    assert (tmp_path / "neck.json.out" / "report.json").read_text() == report
     assert main(["models"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("order", [("scipy.linalg.lapack", "mcfprof.geometry"),
+                                   ("mcfprof.geometry", "scipy.linalg.lapack")],
+                         ids=["scipy-first", "geometry-first"])
+def test_geometry_runs_the_gtsv_that_scipy_exposes(order):
+    """The step system is solved by scipy.linalg.lapack.dgtsv itself, not by a second copy."""
+    script = "".join(f"import {name}\n" for name in order) + (
+        "import mcfprof.geometry as g, scipy.linalg.lapack as lapack\n"
+        "print(g.dgtsv is lapack.dgtsv)")
+    assert _python(script) == "True"
+
+
+def test_geometry_without_flapack_names_the_folder():
+    """No fallback: an install without the compiled module fails at import, naming where."""
+    script = ("import importlib.machinery as m\n"
+              "find = m.PathFinder.find_spec\n"
+              "m.PathFinder.find_spec = staticmethod(lambda name, path=None, target=None:\n"
+              "    None if name == 'scipy.linalg._flapack' else find(name, path, target))\n"
+              "try:\n"
+              "    import mcfprof.geometry\n"
+              "except ImportError as exc:\n"
+              "    print(exc)\n")
+    folder = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    assert _python(script) == f"scipy's compiled LAPACK module _flapack is not in {folder}"
 
 
 def test_exit_code_singular_step_system(tmp_path, monkeypatch, capsys):
