@@ -21,10 +21,6 @@ class NumericalBlowupError(McfError):
     """NaN or overflow encountered during time stepping."""
 
 
-class NeckPinchError(McfError):
-    """A neck crossed r = 0 within one time step; caller must bisect dt."""
-
-
 class ExtinctError(McfError):
     """Model solution queried at or past its extinction time."""
 
@@ -39,22 +35,6 @@ class WindowError(McfError):
 
 class EmptyWindowError(McfError):
     """Spatial window contains no surface nodes."""
-
-
-class FitFailureError(McfError):
-    """Model fit failed to converge; carries the best parameters so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
-class InconclusiveRunError(McfError):
-    """Integration stopped before any singularity indicator; partial trajectory attached."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 class ConfigError(McfError):

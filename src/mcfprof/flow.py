@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
+from .errors import NumericalBlowupError
 from .geometry import (CLOSED, FlowSnapshot, ProfileCurve, _solve_tridiagonal,
                        max_curvature_node, principal_curvatures, profile_derivatives,
                        resample_arclength)
@@ -187,23 +187,21 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
     One full step and two half steps, combined as 2 * half - full; the first
     two share ``op``, the StepOperator of (z, r), assembled here if not given.
     The half-step state assembles no curvature: a non-finite operator there
-    fails its solve with NumericalBlowupError.  Raises NeckPinchError when a
-    node that must stay off the axis reaches it.
+    fails its solve with NumericalBlowupError.  Returns None when a node that
+    must stay off the axis reaches it.
     """
     if op is None:
         op = _step_operator(z, r, n, closed, period)
     z_full, r_full = _implicit_euler(z, r, op, closed, dt)
     z_half, r_half = _implicit_euler(z, r, op, closed, 0.5 * dt)
     if _pinched(r_half, closed):
-        raise NeckPinchError("r <= 0 at an interior node after a half step")
+        return None
     op_half = StepOperator(*_euler_operator(
         r_half, n, closed, *profile_derivatives(z_half, r_half, closed, period)))
     z_half, r_half = _implicit_euler(z_half, r_half, op_half, closed, 0.5 * dt)
     z_new = 2.0 * z_half - z_full
     r_new = 2.0 * r_half - r_full
-    if _pinched(r_new, closed):
-        raise NeckPinchError("r <= 0 at an interior node after the step")
-    return z_new, r_new
+    return None if _pinched(r_new, closed) else (z_new, r_new)
 
 
 def target_spacing(A2, h0, refine_target, periodic):
@@ -260,7 +258,10 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
     """Integrate a profile curve until a stop criterion fires.
 
     Snapshots are recorded at the start, on a geometric curvature cascade so
-    that blow-up sequences have material to rescale, and at the stop.
+    that blow-up sequences have material to rescale, and at the stop.  The
+    trajectory is returned however the run ends: ``stop_reason`` says how, and
+    a run that underflows before any singularity indicator has no
+    ``singular_estimate``.
     """
     curve = initial.surface
     if not isinstance(curve, ProfileCurve):
@@ -338,17 +339,14 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
         if ctl.t_end is not None and t + dt > ctl.t_end:
             dt = ctl.t_end - t
 
-        z_new = None
-        while z_new is None:
-            try:
-                z_new, r_new = _implicit_step(z, r, n, closed, period, dt, op)
-            except NeckPinchError:  # retry at half the step, down to dt_min
-                dt *= 0.5
-                if dt <= ctl.dt_min or t + dt == t:
-                    break
-        if z_new is None:
+        while (new := _implicit_step(z, r, n, closed, period, dt, op)) is None:
+            dt *= 0.5  # a pinch: retry at half the step, down to dt_min
+            if dt <= ctl.dt_min or t + dt == t:
+                break
+        if new is None:
             stop_reason = STOP_UNDERFLOW
             break
+        z_new, r_new = new
         if not (np.isfinite(z_new).all() and np.isfinite(r_new).all()):
             raise NumericalBlowupError("NaN/overflow during integration")
         t += dt
@@ -373,11 +371,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
             z_sing = z_final[i]
         est = SingularEstimate(z=float(z_sing), rho=0.0, T=T)
 
-    traj = Trajectory(snapshots=snapshots, stop_reason=stop_reason,
+    return Trajectory(snapshots=snapshots, stop_reason=stop_reason,
                       singular_estimate=est,
                       step_times=np.array(hist_t), step_maxA2=np.array(hist_A2),
                       stats=counts)
-    if stop_reason == STOP_UNDERFLOW and est is None:
-        raise InconclusiveRunError(
-            "time step underflowed before any singularity indicator", trajectory=traj)
-    return traj

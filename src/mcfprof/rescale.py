@@ -18,13 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateSurfaceError, DomainError, EmptyWindowError, FitFailureError,
-                     ResolutionError)
+from .errors import DegenerateSurfaceError, DomainError, EmptyWindowError, ResolutionError
 from .flow import Trajectory
 from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node, nearest_node
 
 SPHERE_FIT_RTOL = 1e-14  # the sphere fit stops at a step this small relative to (zc, R)
-SPHERE_FIT_MAX_ITER = 100  # and fails after this many Gauss-Newton steps
+SPHERE_FIT_MAX_ITER = 100  # and reports itself unconverged after this many Gauss-Newton steps
 FIT_WINDOW = 2.0  # radius of the rescaled ball about the blow-up origin that the fits see
 
 
@@ -74,14 +73,14 @@ def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
     return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
 
 
-def waist_node(snapshot: FlowSnapshot, z_near: Optional[float] = None) -> int:
-    """Interior local minimum of r(s), nearest to z_near if given."""
+def waist_node(snapshot: FlowSnapshot, z_near: Optional[float] = None) -> Optional[int]:
+    """Interior local minimum of r(s), nearest to z_near if given; None if there is none."""
     r = snapshot.surface.r
     z = snapshot.surface.z
     i = np.arange(1, r.size - 1)
     locmin = i[(r[i] < r[i - 1]) & (r[i] <= r[i + 1])]
     if locmin.size == 0:
-        raise EmptyWindowError("profile has no interior waist")
+        return None
     if z_near is None:
         return int(locmin[np.argmin(r[locmin])])
     return int(locmin[np.argmin(np.abs(z[locmin] - z_near))])
@@ -91,18 +90,17 @@ def select_blowup_points(traj: Trajectory, rule: str, count: int):
     """Spacetime points on the flow for a normalized blow-up sequence.
 
     'neck': waist nodes (nearest the singular-point estimate) of the last
-    ``count`` snapshots; 'max-curvature': their ``max_curvature_node``.
+    ``count`` snapshots, or the ``max_curvature_node`` of a snapshot without a
+    waist; 'max-curvature': their ``max_curvature_node``.
     """
-    snaps = traj.snapshots[-count:]
+    if rule not in ("neck", "max-curvature"):
+        raise ValueError(f"unknown points rule {rule!r}")
     z_sing = traj.singular_estimate.z if traj.singular_estimate else None
     points = []
-    for snap in snaps:
-        if rule == "neck":
-            j = waist_node(snap, z_sing)
-        elif rule == "max-curvature":
+    for snap in traj.snapshots[-count:]:
+        j = waist_node(snap, z_sing) if rule == "neck" else None
+        if j is None:
             j = max_curvature_node(snap.curvature.A2)
-        else:
-            raise ValueError(f"unknown points rule {rule!r}")
         points.append((float(snap.surface.z[j]), float(snap.surface.r[j]), snap.t))
     return points
 
@@ -146,14 +144,16 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequen
 # model fitting
 # ---------------------------------------------------------------------------
 
-def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float):
-    """Least-squares fit of a model surface; returns (params, rms_residual).
+def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float) -> dict:
+    """Least-squares fit of a model surface; returns its report row {"params", "rms"}.
 
     family in {'sphere', 'cylinder'}.  For axisymmetric snapshots the
     cylinder axis is the symmetry axis and the sphere center lies on it.
     Residuals are RMS signed normal distances over the nodes within ambient
     distance ``window`` of ``origin`` = (z0, rho0); ``window=np.inf`` fits the
-    whole curve.  A window of fewer than 3 nodes raises EmptyWindowError.
+    whole curve.  A window of fewer than 3 nodes raises EmptyWindowError.  A
+    sphere fit that has not converged after SPHERE_FIT_MAX_ITER steps returns
+    its last iterate with ``"converged": False``.
     """
     curve = snapshot.surface
     z0, rho0 = origin
@@ -166,7 +166,7 @@ def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float):
     if family == "cylinder":
         R = float(np.mean(r))
         rms = float(np.sqrt(np.mean((r - R) ** 2)))
-        return {"R": R, "m": curve.n - 1}, rms
+        return {"params": {"R": R, "m": curve.n - 1}, "rms": rms}
     if family == "sphere":
         # Gauss-Newton on f = |(z - zc, r)| - R, Jacobian -(u, 1): 2x2 normal equations
         zc = float(np.mean(z))
@@ -182,10 +182,9 @@ def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float):
             converged = math.hypot(dzc, dR) <= SPHERE_FIT_RTOL * math.hypot(zc, R)
             if converged:
                 break
-        rms = float(np.sqrt(np.mean((np.hypot(z - zc, r) - R) ** 2)))
-        if not converged:
-            raise FitFailureError("sphere fit did not converge", best=({"zc": zc, "R": R}, rms))
-        return {"zc": zc, "R": R}, rms
+        row = {"params": {"zc": zc, "R": R},
+               "rms": float(np.sqrt(np.mean((np.hypot(z - zc, r) - R) ** 2)))}
+        return row if converged else dict(row, converged=False)
     raise ValueError(f"unknown model family {family!r}")
 
 
@@ -193,14 +192,8 @@ def classify_tangent_flow(term: BlowupTerm, window: float = FIT_WINDOW) -> dict:
     """Cylinder vs sphere residuals of one normalized blow-up term; ``best`` has the lower rms."""
     snap = term.center
     origin = (0.0, term.origin_rho)
-    out = {}
-    for family in ("cylinder", "sphere"):
-        try:
-            params, rms = fit_model(snap, family, origin=origin, window=window)
-            out[family] = {"params": params, "rms": rms}
-        except FitFailureError as exc:
-            params, rms = exc.best
-            out[family] = {"params": params, "rms": rms, "converged": False}
+    out = {family: fit_model(snap, family, origin=origin, window=window)
+           for family in ("cylinder", "sphere")}
     # 3 window nodes include one off the axis, so R > 0
     out["cylinder"]["rms_over_R"] = out["cylinder"]["rms"] / out["cylinder"]["params"]["R"]
     out["best"] = min(("cylinder", "sphere"), key=lambda f: out[f]["rms"])

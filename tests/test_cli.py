@@ -1,6 +1,7 @@
 """Command-line runner: config validation, artifacts, determinism, exit codes."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcfprof import cli
 from mcfprof import diagnostics as dg
 from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK,
                          _dump_json, _harnack_report, _jsonable, _snapshot_from_obj,
@@ -356,6 +358,19 @@ def test_run_byte_determinism(tmp_path):
 
 ALL_DIAGNOSTICS = ("noncollapse", "pinching", "ratioA2H2", "harnack", "Hevolution", "blowup",
                    "distance-scaling")
+
+
+@pytest.mark.parametrize("initial", [{"sphere": {"R0": 1.0}}, {"ovaloid": {"a": 1.0, "b": 0.6}}],
+                         ids=["sphere", "ovaloid"])
+def test_blowup_on_data_without_a_waist(tmp_path, initial):
+    # the default points rule is "neck": with no waist it takes the curvature maximum
+    cfg = {"name": "no-waist", "initial": initial, "nodes": 200, "diagnostics": {"blowup": True}}
+    code, out = run_scenario(tmp_path, cfg, "nowaist")
+    assert code == EXIT_OK
+    blowup = json.loads((out / "report.json").read_text())["diagnostics"]["blowup"]
+    assert "error" not in blowup
+    assert blowup["fits"]["best"] == "sphere"
+    assert blowup["scales_increasing"]
 
 
 def test_an_object_turns_a_diagnostic_on_with_its_defaults(tmp_path):
@@ -754,13 +769,18 @@ def test_exit_code_unwritable_output(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_exit_code_inconclusive_writes_partial(tmp_path):
+def test_exit_code_inconclusive_writes_partial(tmp_path, capsys):
     cfg = dict(BASE_CFG)
     cfg["step"] = {"dt_min": 1.0, "A2_stop": 1e4}
+    capsys.readouterr()
     code, out = run_scenario(tmp_path, cfg, "inc")
     assert code == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == ("inconclusive run (partial outputs written): "
+                                       "time step underflowed before any singularity indicator\n")
     assert (out / "manifest.json").is_file()
     assert (out / "timeseries.csv").is_file()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stop_reason"] == "step-underflow" and manifest["T_sing"] is None
 
 
 def test_analyze_rejects_non_run_dir(tmp_path):
@@ -798,6 +818,20 @@ def test_models_table_in_tolerance(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_models_table_fails_a_run_that_stops_short(capsys, monkeypatch):
+    # the radius law is checked at t_end, never at the earlier time a run stopped at
+    run_until = cli.run_until
+    monkeypatch.setattr(cli, "run_until", lambda initial, ctl: run_until(
+        initial, dataclasses.replace(ctl, dt_min=1.0)))
+    assert models_check() == EXIT_NUMERICAL
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert len(lines) == 4
+    assert lines[0].startswith("PASS") and lines[1].startswith("PASS")  # the bowl rows
+    for line, kind in zip(lines[2:], ("sphere", "cylinder")):
+        assert line.startswith(f"FAIL  {kind} radius-law round trip (stopped by step-underflow "
+                               "at t=0): ")
 
 
 # runs one command on each target given on the command line (a config for `run`, a run

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from mcfprof import flow
-from mcfprof.errors import InconclusiveRunError, NeckPinchError, NumericalBlowupError
+from mcfprof.errors import NumericalBlowupError
 from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
                           STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END, STOP_UNDERFLOW,
                           StepControl, _implicit_step, _pinched, _step_operator,
@@ -42,11 +42,10 @@ def test_run_until_snapshot_times_increasing(sphere_run):
 
 
 def test_underflow_before_indicator_is_inconclusive():
-    with pytest.raises(InconclusiveRunError) as info:
-        run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0),
-                  StepControl(dt_min=1.0))
-    assert info.value.trajectory is not None
-    assert len(info.value.trajectory.snapshots) >= 1
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0), StepControl(dt_min=1.0))
+    assert traj.stop_reason == STOP_UNDERFLOW
+    assert traj.singular_estimate is None
+    assert len(traj.snapshots) >= 1
 
 
 def test_pinch_guard_retries_at_half_the_step(monkeypatch):
@@ -56,7 +55,7 @@ def test_pinch_guard_retries_at_half_the_step(monkeypatch):
     def pinch_once(z, r, n, closed, period, dt, op=None):
         tried.append(dt)
         if len(tried) == 1:
-            raise NeckPinchError("pinched")
+            return None  # pinched
         return _implicit_step(z, r, n, closed, period, dt, op)
 
     monkeypatch.setattr(flow, "_implicit_step", pinch_once)
@@ -68,12 +67,41 @@ def test_pinch_guard_retries_at_half_the_step(monkeypatch):
 
 def test_pinch_guard_underflows_when_every_step_pinches(monkeypatch):
     def always_pinch(*args, **kwargs):
-        raise NeckPinchError("pinched")
+        return None  # pinched
 
     monkeypatch.setattr(flow, "_implicit_step", always_pinch)
-    with pytest.raises(InconclusiveRunError) as info:
-        run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0), StepControl(t_end=0.01))
-    assert info.value.trajectory.stop_reason == STOP_UNDERFLOW
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0), StepControl(t_end=0.01))
+    assert traj.stop_reason == STOP_UNDERFLOW
+    assert traj.singular_estimate is None
+
+
+@pytest.mark.parametrize("shape", ["cylinder", "dumbbell"])
+def test_implicit_step_returns_none_on_a_pinch(shape):
+    """A step past the extinction of the neck is no state: it returns None, as the reference does."""
+    curve = STEP_SHAPES[shape]()
+    args = (curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period, 1.0)
+    assert _implicit_step(*args) is None
+    assert _reference_implicit_step(*args) is None
+
+
+@pytest.mark.parametrize("shape", ["sphere-n2", "perturbed-cylinder"])
+def test_pinched_half_step_returns_none(monkeypatch, shape):
+    """A half step that puts a node on the axis ends the step there, with no second half."""
+    euler = flow._implicit_euler
+    calls = []
+
+    def pinching(z, r, op, closed, dt):
+        new = euler(z, r, op, closed, dt)
+        calls.append(dt)
+        if len(calls) == 2:  # the first half step
+            new[1][5] = 0.0
+        return new
+
+    monkeypatch.setattr(flow, "_implicit_euler", pinching)
+    curve = STEP_SHAPES[shape]()
+    assert _implicit_step(curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period,
+                          1e-4) is None
+    assert len(calls) == 2
 
 
 def test_mean_convexity_report(sphere_run):
@@ -322,12 +350,12 @@ def _reference_implicit_step(z, r, n, closed, period, dt):
     z_full, r_full = _reference_implicit_euler(z, r, n, closed, period, dt)
     z_half, r_half = _reference_implicit_euler(z, r, n, closed, period, 0.5 * dt)
     if _pinched(r_half, closed):
-        raise NeckPinchError("r <= 0 at an interior node after a half step")
+        return None
     z_half, r_half = _reference_implicit_euler(z_half, r_half, n, closed, period, 0.5 * dt)
     z_new = 2.0 * z_half - z_full
     r_new = 2.0 * r_half - r_full
     if _pinched(r_new, closed):
-        raise NeckPinchError("r <= 0 at an interior node after the step")
+        return None
     return z_new, r_new
 
 

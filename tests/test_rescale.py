@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mcfprof import rescale
-from mcfprof.errors import EmptyWindowError, FitFailureError
+from mcfprof.errors import EmptyWindowError
 from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import shrinker_radius
-from mcfprof.rescale import (DilationParams, classify_tangent_flow, fit_model, normalized_blowup,
-                             parabolic_dilate, select_blowup_points, waist_node)
+from mcfprof.rescale import (FIT_WINDOW, DilationParams, classify_tangent_flow, fit_model,
+                             normalized_blowup, parabolic_dilate, select_blowup_points,
+                             waist_node)
 from mcfprof.flow import Trajectory
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, ovaloid_profile, sphere_profile
 
@@ -67,18 +68,19 @@ def test_fixed_point_of_shrinking_sphere():
 
 def test_fit_exact_cylinder():
     snap = FlowSnapshot(cylinder_profile(0.7, np.pi, 2, 200), 0.0)
-    params, rms = fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)
-    assert abs(params["R"] - 0.7) < 1e-12
-    assert rms < 1e-12
+    row = fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)
+    assert set(row) == {"params", "rms"}
+    assert abs(row["params"]["R"] - 0.7) < 1e-12
+    assert row["rms"] < 1e-12
 
 
 def test_fit_sphere_discriminates():
     snap = FlowSnapshot(sphere_profile(1.0, 2, 200), 0.0)
-    params, rms = fit_model(snap, "sphere", origin=(0.0, 0.0), window=np.inf)
-    assert abs(params["R"] - 1.0) < 1e-10 and abs(params["zc"]) < 1e-10
-    assert rms < 1e-10
-    _, rms_cyl = fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)
-    assert rms_cyl >= 0.1
+    row = fit_model(snap, "sphere", origin=(0.0, 0.0), window=np.inf)
+    assert set(row) == {"params", "rms"}  # converged: no "converged" key
+    assert abs(row["params"]["R"] - 1.0) < 1e-10 and abs(row["params"]["zc"]) < 1e-10
+    assert row["rms"] < 1e-10
+    assert fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)["rms"] >= 0.1
 
 
 def _sphere_trajectory(ctl_stop=2.0 / 0.05**2):
@@ -96,9 +98,9 @@ def test_normalized_blowup_sphere_is_unit_H_sphere():
     for term in seq.terms:
         assert abs(term.H_origin - 1.0) <= 5.0 * term.center.surface.mean_spacing
         # unit-H sphere has radius n = 2
-        fit, rms = fit_model(term.center, "sphere", origin=(0.0, 0.0), window=np.inf)
-        assert abs(fit["R"] - 2.0) < 0.02
-        assert rms / fit["R"] < 0.01
+        row = fit_model(term.center, "sphere", origin=(0.0, 0.0), window=np.inf)
+        assert abs(row["params"]["R"] - 2.0) < 0.02
+        assert row["rms"] / row["params"]["R"] < 0.01
 
 
 def test_normalized_blowup_decreasing_scales_flagged():
@@ -129,11 +131,11 @@ def test_sphere_fit_reproducible_on_neck_blowup(dumbbell_run):
     term = _neck_term(dumbbell_run)
     s = term.center.surface
     z0, rho0, window = 0.5, term.origin_rho, 2.0
-    params, _ = fit_model(term.center, "sphere", origin=(z0, rho0), window=window)
+    params = fit_model(term.center, "sphere", origin=(z0, rho0), window=window)["params"]
     eps = 1e-14
     moved = FlowSnapshot(ProfileCurve(s.z * (1 + eps), s.r * (1 + eps), s.n, s.topology), 0.0)
-    params2, _ = fit_model(moved, "sphere", origin=(z0 * (1 + eps), rho0 * (1 + eps)),
-                           window=window * (1 + eps))
+    params2 = fit_model(moved, "sphere", origin=(z0 * (1 + eps), rho0 * (1 + eps)),
+                        window=window * (1 + eps))["params"]
     for key in ("zc", "R"):
         assert abs(params2[key] - params[key]) < 1e-10 * abs(params[key])
     # the gradient of sum f^2 / 2, f = |(z - zc, r)| - R, is at roundoff
@@ -149,14 +151,17 @@ def test_sphere_fit_reproducible_on_neck_blowup(dumbbell_run):
 def test_sphere_fit_failure_reports_best(dumbbell_run, monkeypatch):
     term = _neck_term(dumbbell_run)
     monkeypatch.setattr(rescale, "SPHERE_FIT_MAX_ITER", 1)
-    with pytest.raises(FitFailureError) as info:
-        fit_model(term.center, "sphere", origin=(0.5, term.origin_rho), window=2.0)
-    params, rms = info.value.best
+    row = fit_model(term.center, "sphere", origin=(0.5, term.origin_rho), window=2.0)
+    assert row["converged"] is False
+    params, rms = row["params"], row["rms"]
     assert np.isfinite([params["zc"], params["R"], rms]).all()
     # on the waist-centred window one step already converges
     monkeypatch.setattr(rescale, "SPHERE_FIT_MAX_ITER", 0)
     fits = classify_tangent_flow(term)
     assert fits["sphere"]["converged"] is False
+    # the fit's row is stored as it is returned
+    assert fits["sphere"] == fit_model(term.center, "sphere", origin=(0.0, term.origin_rho),
+                                       window=FIT_WINDOW)
     assert fits["best"] == "cylinder"
 
 
@@ -184,6 +189,16 @@ def test_waist_node_finds_neck():
     assert abs(db.surface.z[j]) < 0.8
 
 
+@pytest.mark.parametrize("curve", [sphere_profile(1.0, 2, 200), ovaloid_profile(1.0, 0.6, 2, 200)],
+                         ids=["sphere", "ovaloid"])
+def test_neck_rule_without_waist_takes_max_curvature(curve):
+    snap = FlowSnapshot(curve, 0.0)
+    assert waist_node(snap) is None and waist_node(snap, 0.0) is None
+    traj = Trajectory([snap], "t-end", None)
+    assert (select_blowup_points(traj, "neck", 1)
+            == select_blowup_points(traj, "max-curvature", 1))
+
+
 @pytest.mark.parametrize("family", ["cylinder", "sphere"])
 def test_fit_window_needs_three_nodes(family):
     # windows about node 50 of a uniform sphere that hold 0, 1, 2 and then 3 nodes
@@ -196,5 +211,5 @@ def test_fit_window_needs_three_nodes(family):
                                           (curve.r[50] + curve.r[51]) / 2.0), 0.6 * h)):
         with pytest.raises(EmptyWindowError, match=f"holds {count} of the 3 nodes"):
             fit_model(snap, family, origin=origin_at, window=window)
-    params, rms = fit_model(snap, family, origin=origin, window=1.5 * h)
-    assert np.isfinite(list(params.values()) + [rms]).all()
+    row = fit_model(snap, family, origin=origin, window=1.5 * h)
+    assert np.isfinite(list(row["params"].values()) + [row["rms"]]).all()
