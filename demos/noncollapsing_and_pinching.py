@@ -29,7 +29,7 @@ traj = run_until(initial, StepControl(A2_stop=2e4, max_nodes=20000))
 
 print(f"{'t':>10} {'kappa_min':>10} {'worst lambda_1/H':>17}")
 for rec in dg.snapshot_records(traj.snapshots, noncollapse=True):
-    print(f"{rec.t:10.5f} {rec.kappa_min:10.4f} {rec.min_lam1_over_H:17.4f}")
+    print(f"{rec.t:10.5f} {rec.kappa_min:10.4f} {rec.min_lambda1_over_H:17.4f}")
 envelope = dg.pinching_profile(traj)
 
 print("\npinching envelope by H-decade (high H first):")

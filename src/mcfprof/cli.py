@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .errors import (ConfigError, DegenerateSurfaceError, McfError, NumericalBlo
                      ResolutionError, TopologyError)
 from .flow import (STOP_T_END, STOP_UNDERFLOW, StepControl, SingularEstimate, Trajectory,
                    run_until)
-from .geometry import (PERIODIC, FlowSnapshot, ProfileCurve, curvature_axisymmetric,
-                       max_curvature_node, nearest_node)
+from .geometry import (FlowSnapshot, ProfileCurve, curvature_axisymmetric, max_curvature_node,
+                       nearest_node)
 from .models import bowl_soliton_profile, shrinker_radius
 from .shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile,
                      perturb_profile, sphere_profile)
@@ -98,15 +99,6 @@ PERTURB_OPTIONS = {
 # so an absent t_end stays absent
 STEP_OPTIONS = {f.name: (*(NODES if f.name == "max_nodes" else POSITIVE), f.default)
                 for f in dataclasses.fields(StepControl)}
-# every diagnostic and its option table: true or an object turns it on, false leaves it off
-DIAG_OPTIONS = {
-    "noncollapse": {}, "pinching": {}, "ratioA2H2": {}, "Hevolution": {}, "distance-scaling": {},
-    "blowup": {"points-rule": (lambda v: v in ("neck", "max-curvature"),
-                               "must be 'neck' or 'max-curvature'", "neck"),
-               "count": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 5),
-               "window": (*POSITIVE, rs.FIT_WINDOW)},
-    "harnack": {"R": (*POSITIVE, 1.0), "H_threshold": (*POSITIVE, 10.0)},
-}
 CONFIG_OPTIONS = {
     "name": (*TEXT, REQUIRED),
     "n": (lambda v: _is_int(v) and 2 <= v <= MAX_N, f"must be an integer in [2, {MAX_N}]", 2),
@@ -114,7 +106,7 @@ CONFIG_OPTIONS = {
                 "must carry exactly one datum tag", REQUIRED),
     "nodes": (*NODES, 400),
     "step": OBJECT,
-    "diagnostics": OBJECT,
+    "diagnostics": OBJECT,  # each one's options are in DIAGNOSTICS below
     "seed": (lambda v: _is_int(v) and v >= 0, "must be an integer >= 0", 0),
 }
 
@@ -158,10 +150,10 @@ def validate_config(raw) -> dict:
     diags = {}
     for key, spec in cfg["diagnostics"].items():
         where = f"diagnostics.{key}"
-        _require(key in DIAG_OPTIONS, f"unknown diagnostic {key!r}", where)
+        _require(key in DIAGNOSTICS, f"unknown diagnostic {key!r}", where)
         _require(isinstance(spec, (bool, dict)), f"{key} must be true, false or an object", where)
         if spec is not False:
-            diags[key] = _options({} if spec is True else spec, DIAG_OPTIONS[key], where)
+            diags[key] = _options({} if spec is True else spec, DIAGNOSTICS[key].options, where)
     return dict(cfg, initial=initial, step=_options(cfg["step"], STEP_OPTIONS, "step"),
                 diagnostics=diags)
 
@@ -276,41 +268,12 @@ def _snapshot_paths(snap_dir: str) -> list:
     return [os.path.join(snap_dir, name) for name in sorted(names)]
 
 
-def _neck_radius(snap: FlowSnapshot) -> float:
-    """Periodic profiles: min r; closed ones: r at the narrowest waist, nan without one."""
-    r = snap.surface.r
-    if snap.surface.topology == PERIODIC:
-        return float(r.min())
-    j = rs.waist_node(snap)
-    return float("nan") if j is None else float(r[j])
-
-
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
 
-def write_timeseries(path: str, traj: Trajectory, records, diags: dict):
-    """One CSV row per snapshot, rendered from its record; nan where the record has none."""
-    cols = ["t", "max_H", "min_H", "max_A2"]
-    if "ratioA2H2" in diags:
-        cols.append("max_A2_over_H2")
-    if "noncollapse" in diags:
-        cols.append("kappa_min")
-    if "pinching" in diags:
-        cols.append("min_lambda1_over_H")
-    cols += ["neck_radius", "dt"]
-    lines = [",".join(cols)]
-    t_prev = None
-    for snap, rec in zip(traj.snapshots, records):
-        row = {"t": rec.t, "max_H": rec.max_H, "min_H": rec.min_H, "max_A2": rec.max_A2,
-               "max_A2_over_H2": rec.max_ratio, "kappa_min": rec.kappa_min,
-               "min_lambda1_over_H": rec.min_lam1_over_H,
-               "neck_radius": _neck_radius(snap),
-               "dt": 0.0 if t_prev is None else rec.t - t_prev}
-        lines.append(",".join(repr(float(row[c])) for c in cols))
-        t_prev = rec.t
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _reason(exc: McfError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _harnack_report(traj: Trajectory, spec: dict) -> dict:
@@ -328,7 +291,7 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
         try:
             records.append({"t": snap.t, "H_p": H_p, **dg.harnack_check(traj, p, R)})
         except McfError as exc:
-            skipped.append({"t": snap.t, "reason": f"{type(exc).__name__}: {exc}"})
+            skipped.append({"t": snap.t, "reason": _reason(exc)})
     out = {"R": R, "H_threshold": threshold, "initial_max_H": H0max, "points": records,
            "skipped": skipped}
     if records:
@@ -351,8 +314,53 @@ def _blowup_report(traj: Trajectory, spec: dict) -> dict:
             "fits": fits, "convexity_last_terms": convexity}
 
 
-def _records(traj: Trajectory, cfg: dict) -> list:
-    return dg.snapshot_records(traj.snapshots, "noncollapse" in cfg["diagnostics"])
+def _kappa_report(records) -> dict:
+    for rec in records:  # the first snapshot whose kappa failed fails the key
+        if "kappa_min" in rec.skipped:
+            raise rec.skipped["kappa_min"]
+    return {"series": [{"t": r.t, "kappa_min": r.kappa_min} for r in records],
+            "kappa_min_overall": min(r.kappa_min for r in records)}
+
+
+class Diagnostic(NamedTuple):
+    options: dict  # its option table: true or an object turns it on, false leaves it off
+    column: Optional[str]  # the SnapshotRecord field it adds to timeseries.csv
+    report: Callable  # its report.json entry from (trajectory, records, options)
+
+
+# every diagnostic, in timeseries.csv column order; the entries look dg and rs up at call
+# time, so a wrapper set on those modules' functions sees the call
+DIAGNOSTICS = {
+    "ratioA2H2": Diagnostic({}, "max_A2_over_H2", lambda traj, records, spec: {
+        "t": np.array([r.t for r in records]),
+        "max_ratio": np.array([r.max_A2_over_H2 for r in records]), **dg.ratio_A2_H2(records)}),
+    "noncollapse": Diagnostic({}, "kappa_min", lambda traj, records, spec: _kappa_report(records)),
+    "pinching": Diagnostic({}, "min_lambda1_over_H", lambda traj, records, spec: {
+        "envelope": dg.pinching_profile(traj),
+        "worst_ratio_series": [{"t": r.t, "worst_ratio": r.min_lambda1_over_H} for r in records]}),
+    "Hevolution": Diagnostic({}, None, lambda traj, records, spec: dg.verify_H_evolution(traj)),
+    "distance-scaling": Diagnostic(
+        {}, None, lambda traj, records, spec: dg.singular_distance_scaling(traj)),
+    "blowup": Diagnostic(
+        {"points-rule": (lambda v: v in ("neck", "max-curvature"),
+                         "must be 'neck' or 'max-curvature'", "neck"),
+         "count": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 5),
+         "window": (*POSITIVE, rs.FIT_WINDOW)},
+        None, lambda traj, records, spec: _blowup_report(traj, spec)),
+    "harnack": Diagnostic({"R": (*POSITIVE, 1.0), "H_threshold": (*POSITIVE, 10.0)},
+                          None, lambda traj, records, spec: _harnack_report(traj, spec)),
+}
+
+
+def write_timeseries(path: str, records, diags: dict):
+    """One CSV row per record, with each enabled diagnostic's column; nan where it has none."""
+    cols = ["t", "max_H", "min_H", "max_A2",
+            *(d.column for key, d in DIAGNOSTICS.items() if d.column and key in diags),
+            "neck_radius", "dt"]
+    lines = [",".join(cols)]
+    lines += [",".join(repr(float(getattr(rec, c))) for c in cols) for rec in records]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def build_report(traj: Trajectory, cfg: dict, records) -> dict:
@@ -360,7 +368,8 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
 
     Depends only on (snapshots, stop_reason, singular_estimate, config) and
     their records so that ``analyze`` on stored snapshots reproduces it
-    byte-identically.  A key missing a snapshot's value lists it under ``skipped``.
+    byte-identically.  A failed diagnostic with a column lists the snapshots
+    whose value is missing under ``skipped``.
     """
     diags = cfg["diagnostics"]
     est = traj.singular_estimate
@@ -373,35 +382,16 @@ def build_report(traj: Trajectory, cfg: dict, records) -> dict:
         "diagnostics": {},
     }
     out = report["diagnostics"]
-    kappa_skipped = [{"t": r.t, "reason": r.kappa_skipped} for r in records if r.kappa_skipped]
-    skipped = [{"t": r.t, "reason": r.skipped} for r in records if r.skipped]
-    for key in sorted(diags):
+    for key, (_, column, entry) in DIAGNOSTICS.items():
+        if key not in diags:
+            continue
         try:
-            if key == "noncollapse":
-                if kappa_skipped:
-                    out[key] = {"error": kappa_skipped[0]["reason"], "skipped": kappa_skipped}
-                else:
-                    out[key] = {"series": [{"t": r.t, "kappa_min": r.kappa_min} for r in records],
-                                "kappa_min_overall": min(r.kappa_min for r in records)}
-            elif key == "pinching":
-                out[key] = {"envelope": dg.pinching_profile(traj),
-                            "worst_ratio_series": [{"t": r.t, "worst_ratio": r.min_lam1_over_H}
-                                                   for r in records]}
-            elif key == "harnack":
-                out[key] = _harnack_report(traj, diags[key])
-            elif key == "ratioA2H2":
-                out[key] = {"t": np.array([r.t for r in records]),
-                            "max_ratio": np.array([r.max_ratio for r in records]),
-                            **dg.ratio_A2_H2(records)}
-            elif key == "Hevolution":
-                out[key] = dg.verify_H_evolution(traj)
-            elif key == "blowup":
-                out[key] = _blowup_report(traj, diags[key])
-            elif key == "distance-scaling":
-                out[key] = dg.singular_distance_scaling(traj)
+            out[key] = entry(traj, records, diags[key])
         except McfError as exc:
-            out[key] = {"error": f"{type(exc).__name__}: {exc}"}
-            if key in ("pinching", "ratioA2H2") and skipped:
+            out[key] = {"error": _reason(exc)}
+            skipped = [{"t": r.t, "reason": _reason(r.skipped[column])}
+                       for r in records if column in r.skipped]
+            if skipped:
                 out[key]["skipped"] = skipped
     return report
 
@@ -438,12 +428,12 @@ def cmd_run(args) -> int:
     # report content must be reproducible from the stored snapshots alone
     rep_traj = Trajectory(snapshots=traj.snapshots, stop_reason=traj.stop_reason,
                           singular_estimate=traj.singular_estimate)
-    records = _records(rep_traj, cfg)
+    records = dg.snapshot_records(rep_traj.snapshots, "noncollapse" in cfg["diagnostics"])
     report = build_report(rep_traj, cfg, records)
     clock.append(time.perf_counter())
 
     written = ["timeseries.csv", "report.json"]
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, records, cfg["diagnostics"])
+    write_timeseries(os.path.join(out_dir, "timeseries.csv"), records, cfg["diagnostics"])
     # snapshots are nearly all the JSON bytes of a run: compact, they take json's C encoder
     for k, snap in enumerate(traj.snapshots):
         written.append(os.path.join("snapshots", f"t_{k:05d}.json"))
@@ -529,12 +519,13 @@ def _parse_point(text: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    check, need, _ = DIAG_OPTIONS["blowup"]["window"]
+    check, need, _ = DIAGNOSTICS["blowup"].options["window"]
     _require(check(args.window), f"--window {need}", "--window")
     cfg, traj = _load_run_dir(args.run_dir)
     if args.blowup_at is None:
         # identity re-analysis: rebuild report.json from the stored snapshots
-        report = build_report(traj, cfg, _records(traj, cfg))
+        records = dg.snapshot_records(traj.snapshots, "noncollapse" in cfg["diagnostics"])
+        report = build_report(traj, cfg, records)
         _dump_json(os.path.join(args.run_dir, "report.json"), report)
         print(f"report.json rebuilt from {len(traj.snapshots)} stored snapshots")
         return EXIT_OK
@@ -609,7 +600,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--blowup-at", default=None, metavar='"x=...,t=..."',
                       help="normalized blow-up at a spacetime point; without rho, at the "
                            "surface node nearest the axis point (x, 0)")
-    p_an.add_argument("--window", type=float, default=DIAG_OPTIONS["blowup"]["window"][2],
+    p_an.add_argument("--window", type=float, default=DIAGNOSTICS["blowup"].options["window"][2],
                       help="rescaled window radius for model fits")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -11,8 +11,8 @@ sqrt(tau) distance-scaling law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -20,27 +20,31 @@ from .errors import (DomainError, InsufficientDataError, McfError,
                      TopologyError, WindowError)
 from .flow import Trajectory, _step_operator
 from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, nearest_node
+from .rescale import waist_node
 
 
 @dataclass
 class SnapshotRecord:
-    """Per-snapshot scalars that timeseries.csv and report.json both render.
+    """One snapshot's timeseries.csv row: each field but the last two is the column of its name.
 
-    H-normalized values are nan where H <= 0 at some node, and ``skipped``
-    says why; ``kappa_min`` is nan when not asked for or when it failed
-    (``kappa_skipped``).  ``spacing``: ``node_spacing`` at the max ratio node.
+    ``neck_radius`` is min r on a periodic profile, else r at the narrowest waist (nan
+    without one); ``dt`` is the time since the previous record (0 for the first).
+    H-normalized values are nan where H <= 0 at some node, ``kappa_min`` when not asked
+    for; ``skipped`` maps the column of each value that failed to its McfError.
+    ``spacing``: ``node_spacing`` at the max ratio node.
     """
 
     t: float
     max_H: float
     min_H: float
     max_A2: float
-    max_ratio: float = float("nan")
-    spacing: float = float("nan")
-    min_lam1_over_H: float = float("nan")
+    neck_radius: float
+    dt: float
+    max_A2_over_H2: float = float("nan")
     kappa_min: float = float("nan")
-    skipped: Optional[str] = None
-    kappa_skipped: Optional[str] = None
+    min_lambda1_over_H: float = float("nan")
+    spacing: float = float("nan")
+    skipped: dict = field(default_factory=dict)
 
 
 def snapshot_records(snapshots: Sequence[FlowSnapshot],
@@ -51,23 +55,27 @@ def snapshot_records(snapshots: Sequence[FlowSnapshot],
     """
     records = []
     for snap in snapshots:
-        c = snap.curvature
+        c, r = snap.curvature, snap.surface.r
         H = c.H
+        neck = int(np.argmin(r)) if snap.surface.topology == PERIODIC else waist_node(snap)
         rec = SnapshotRecord(t=snap.t, max_H=float(H.max()), min_H=float(H.min()),
-                             max_A2=float(c.A2.max()))
+                             max_A2=float(c.A2.max()),
+                             neck_radius=float("nan") if neck is None else float(r[neck]),
+                             dt=snap.t - records[-1].t if records else 0.0)
         if rec.min_H > 0.0:
             ratio = c.A2 / H ** 2
             k = int(np.argmax(ratio))
-            rec.max_ratio = float(ratio[k])
+            rec.max_A2_over_H2 = float(ratio[k])
             rec.spacing = float(snap.surface.node_spacing()[k])
-            rec.min_lam1_over_H = float(np.min(c.lam1 / H))
+            rec.min_lambda1_over_H = float(np.min(c.lam1 / H))
         else:
-            rec.skipped = f"DomainError: min H = {rec.min_H!r} <= 0"
+            exc = DomainError(f"min H = {rec.min_H!r} <= 0")
+            rec.skipped = {"max_A2_over_H2": exc, "min_lambda1_over_H": exc}
         if noncollapse:
             try:
                 rec.kappa_min = noncollapsing_ratio(snap)
             except McfError as exc:
-                rec.kappa_skipped = f"{type(exc).__name__}: {exc}"
+                rec.skipped["kappa_min"] = exc
         records.append(rec)
     return records
 
@@ -303,12 +311,12 @@ def ratio_A2_H2(records: Sequence[SnapshotRecord]) -> dict:
     (discretization error of the maximum principle), h the ``spacing`` of the
     later record.
     """
-    if any(rec.skipped for rec in records):
+    if any("max_A2_over_H2" in rec.skipped for rec in records):
         raise DomainError("|A|^2/H^2 check requires H > 0 throughout")
     worst = 0.0
     for prev, rec in zip(records, records[1:]):
         slack = 10.0 * rec.spacing ** 2 * max(rec.t - prev.t, 0.0)
-        worst = max(worst, rec.max_ratio - prev.max_ratio - slack)
+        worst = max(worst, rec.max_A2_over_H2 - prev.max_A2_over_H2 - slack)
     return {"nonincreasing": worst <= 0.0, "worst_excess": worst}
 
 

@@ -159,8 +159,8 @@ def test_criterion_07_monotone_ratio(sphere_run, cylinder_run, dumbbell_run, ova
                       ("dumbbell", dumbbell_run), ("ovaloid", ovaloid_run)):
         records[name] = dg.snapshot_records(run["traj"].snapshots, noncollapse=False)
         ok &= dg.ratio_A2_H2(records[name])["nonincreasing"]
-    ok &= all(abs(r.max_ratio - 0.5) < 1e-6 for r in records["sphere"])
-    ok &= all(abs(r.max_ratio - 1.0) < 1e-6 for r in records["cylinder"])
+    ok &= all(abs(r.max_A2_over_H2 - 0.5) < 1e-6 for r in records["sphere"])
+    ok &= all(abs(r.max_A2_over_H2 - 1.0) < 1e-6 for r in records["cylinder"])
     verdict(7, "monotone max |A|^2/H^2", ok)
 
 

@@ -448,6 +448,9 @@ def test_timeseries_and_report_render_the_same_values(tmp_path):
     cfg = dict(BASE_CFG, diagnostics={"noncollapse": True, "pinching": True, "ratioA2H2": True})
     code, out = run_scenario(tmp_path, cfg, "same")
     assert code == EXIT_OK
+    header = (out / "timeseries.csv").read_text().splitlines()[0]
+    assert header == ("t,max_H,min_H,max_A2,max_A2_over_H2,kappa_min,min_lambda1_over_H,"
+                      "neck_radius,dt")
     cols = csv_columns(out / "timeseries.csv")
     diags = json.loads((out / "report.json").read_text())["diagnostics"]
     assert cols["kappa_min"] == [r["kappa_min"] for r in diags["noncollapse"]["series"]]
@@ -617,6 +620,19 @@ def test_analyze_blowup_at_must_be_finite_numbers(tmp_path, capsys, value):
         assert not (out / "analysis.json").exists()
 
 
+def test_analyze_blowup_at_point_off_the_flow_is_inconclusive(tmp_path, capsys):
+    # rho = 5 is far outside the late unit sphere: no node lies within 3h of the point
+    _, out = run_scenario(tmp_path, BASE_CFG, "off")
+    last = json.loads(sorted((out / "snapshots").iterdir())[-1].read_text())
+    capsys.readouterr()
+    code = main(["analyze", str(out), "--blowup-at", f"x=0,rho=5,t={last['t']}"])
+    assert code == EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err
+    assert err.startswith("EmptyWindowError: point (0, 5, t=") and "Traceback" not in err
+    assert err.endswith(" away from the flow\n")
+    assert not (out / "analysis.json").exists()
+
+
 def test_analyze_window_of_one_node_is_an_error_not_nan(tmp_path, capsys):
     # rescaled spacing ~0.03 at the last snapshot: a 0.01 window holds one node
     _, out = run_scenario(tmp_path, BASE_CFG, "w1")
@@ -669,6 +685,10 @@ PROFILE_FILE = '{"profile-file": {"path": "profile.json"}}'
 # with _sphere_file's r = sin(t): a closed profile that crosses itself at z = 0, r = 1/2
 _T = np.linspace(0.0, np.pi, 64)
 LOOPED = {"z": list(-np.cos(_T) + np.sin(2.0 * _T))}
+# a periodic cylinder of radius 1 whose r is 0 at one node
+PERIODIC_WITH_ZERO = {"z": list(np.linspace(0.0, 2.0, 64, endpoint=False)),
+                      "r": [1.0] * 32 + [0.0] + [1.0] * 31,
+                      "topology": "periodic-in-z", "period": 2.0}
 
 
 @pytest.mark.parametrize("initial_text, profile_change", [
@@ -686,11 +706,12 @@ LOOPED = {"z": list(-np.cos(_T) + np.sin(2.0 * _T))}
     (PROFILE_FILE, {"r": list(0.1 + np.sin(np.linspace(0.0, np.pi, 64)))}),
     (PROFILE_FILE, {"r": [0.0] + [0.5] * 8 + [0.0]}),
     (PROFILE_FILE, LOOPED),
+    (PROFILE_FILE, PERIODIC_WITH_ZERO),
 ], ids=["amplitude-string", "R0-overflow", "R0-bool", "R0-huge-int", "amplitude-huge-int",
          "amplitude-1e300", "amplitude-cusps", "R0-tiny",
          "model-kind",
          "profile-3-nodes", "profile-nan", "profile-off-axis", "profile-length-mismatch",
-         "profile-self-intersecting"])
+         "profile-self-intersecting", "profile-periodic-zero-r"])
 def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_text,
                                          profile_change):
     monkeypatch.chdir(tmp_path)
@@ -704,6 +725,9 @@ def test_exit_code_invalid_initial_datum(tmp_path, capsys, monkeypatch, initial_
     assert err.startswith("config error (field: initial.") and "Traceback" not in err
     if initial_text.startswith('{"model"'):  # the shapes and profile-file are the only tags
         assert err.startswith("config error (field: initial.model): unknown initial tag")
+    if profile_change is PERIODIC_WITH_ZERO:
+        assert err == ("config error (field: initial.profile-file): invalid initial datum: "
+                       "non-positive r on a periodic profile\n")
 
 
 def test_profile_file_path_is_not_a_file_descriptor(tmp_path, capsys):

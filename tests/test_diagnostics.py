@@ -290,7 +290,7 @@ def test_pinching_trend_on_dumbbell(dumbbell_run):
     traj = dumbbell_run["traj"]
     env = pinching_profile(traj)
     # neck has lambda_1 < 0 at t = 0
-    assert snapshot_records(traj.snapshots, noncollapse=False)[0].min_lam1_over_H < 0.0
+    assert snapshot_records(traj.snapshots, noncollapse=False)[0].min_lambda1_over_H < 0.0
     assert env[0]["phi_hat"] > 0.0
     assert env[0]["ratio"] < env[1]["ratio"]  # phi_hat/H falls with H
 
@@ -340,12 +340,12 @@ def test_harnack_window_error(sphere_run):
 def test_ratio_exact_on_models(sphere_run, cylinder_run):
     for run, exact in ((sphere_run, 0.5), (cylinder_run, 1.0)):
         records = snapshot_records(run["traj"].snapshots, noncollapse=False)
-        assert max(abs(r.max_ratio - exact) for r in records) < 1e-6
+        assert max(abs(r.max_A2_over_H2 - exact) for r in records) < 1e-6
 
 
 def test_ratio_monotone_on_dumbbell(dumbbell_run):
     records = snapshot_records(dumbbell_run["traj"].snapshots, noncollapse=False)
-    assert records[0].max_ratio > 1.0  # neck anisotropy at t = 0
+    assert records[0].max_A2_over_H2 > 1.0  # neck anisotropy at t = 0
     assert ratio_A2_H2(records)["nonincreasing"]
 
 
