@@ -24,12 +24,12 @@ est = traj.singular_estimate
 print(f"pinch estimate: T = {est.T:.6f} at (z, rho) = ({est.z:.4f}, {est.rho:.4f})\n")
 
 points = rs.select_blowup_points(traj, "neck", 4)
-seq = rs.normalized_blowup(traj, points)
+terms = rs.normalized_blowup(traj, points)
 print(f"{'scale a':>12} {'H at origin':>12}")
-for term in seq.terms:
-    print(f"{term.params.a:12.4f} {term.H_origin:12.6f}")
+for term in terms:
+    print(f"{term.scale:12.4f} {term.H_origin:12.6f}")
 
-fits = rs.classify_tangent_flow(seq.terms[-1])
+fits = rs.classify_tangent_flow(terms[-1])
 cyl, sph = fits["cylinder"], fits["sphere"]
 print(f"\ntangent flow: {fits['best']}")
 print(f"  cylinder fit: R = {cyl['params']['R']:.4f}, "
@@ -37,9 +37,9 @@ print(f"  cylinder fit: R = {cyl['params']['R']:.4f}, "
 print(f"  sphere fit:   rms = {sph['rms']:.4f} "
       f"({sph['rms'] / cyl['rms']:.1f}x the cylinder residual)")
 
-for term in seq.terms[-3:]:
+for term in terms[-3:]:
     min_lam1 = dg.convexity_check(term.center)
-    print(f"  rescaled term at scale {term.params.a:10.2f}: min lambda_1 = {min_lam1:+.4f}")
+    print(f"  rescaled term at scale {term.scale:10.2f}: min lambda_1 = {min_lam1:+.4f}")
 min_lam1 = dg.convexity_check(traj.snapshots[0])
 print(f"  unrescaled initial surface:         min lambda_1 = {min_lam1:+.4f}")
 

@@ -4,8 +4,8 @@ from .geometry import (CLOSED, PERIODIC, CurvatureField, FlowSnapshot,
                        ProfileCurve, curvature_axisymmetric, resample_arclength)
 from .flow import StepControl, Trajectory, run_until
 from .models import bowl_soliton_profile, shrinker_radius
-from .rescale import (BlowupSequence, BlowupTerm, DilationParams, fit_model,
-                      normalized_blowup, parabolic_dilate, select_blowup_points)
+from .rescale import (BlowupTerm, fit_model, normalized_blowup, parabolic_dilate,
+                      select_blowup_points)
 from .diagnostics import (SnapshotRecord, convexity_check, harnack_check,
                           noncollapsing_ratio, pinching_profile, ratio_A2_H2,
                           singular_distance_scaling, snapshot_records,

@@ -301,16 +301,14 @@ def _harnack_report(traj: Trajectory, spec: dict) -> dict:
 
 def _blowup_report(traj: Trajectory, spec: dict) -> dict:
     points = rs.select_blowup_points(traj, spec["points-rule"], spec["count"])
-    seq = rs.normalized_blowup(traj, points)
-    fits = rs.classify_tangent_flow(seq.terms[-1], window=spec["window"])
-    convexity = []
-    for term in seq.terms[-3:]:
-        convexity.append({"scale": term.params.a,
-                          "min_lambda1": dg.convexity_check(term.center)})
-    return {"points": [list(p) for p in points],
-            "scales": [t.params.a for t in seq.terms],
-            "H_origin": [t.H_origin for t in seq.terms],
-            "scales_increasing": seq.scales_increasing,
+    terms = rs.normalized_blowup(traj, points)
+    fits = rs.classify_tangent_flow(terms[-1], window=spec["window"])
+    convexity = [{"scale": t.scale, "min_lambda1": dg.convexity_check(t.center)}
+                 for t in terms[-3:]]
+    scales = [t.scale for t in terms]
+    return {"points": [list(p) for p in points], "scales": scales,
+            "H_origin": [t.H_origin for t in terms],
+            "scales_increasing": all(b > a for a, b in zip(scales, scales[1:])),
             "fits": fits, "convexity_last_terms": convexity}
 
 
@@ -537,11 +535,10 @@ def cmd_analyze(args) -> int:
         surf = traj.nearest_snapshot(pt["t"]).surface
         j = nearest_node(surf, pt["z"], 0.0)
         pt["z"], pt["rho"] = float(surf.z[j]), float(surf.r[j])
-    seq = rs.normalized_blowup(traj, [(pt["z"], pt["rho"], pt["t"])])
-    fits = rs.classify_tangent_flow(seq.terms[0], window=args.window)
-    result = {"point": pt, "scale": seq.terms[0].params.a,
-              "H_origin": seq.terms[0].H_origin, "fits": fits,
-              "min_lambda1": dg.convexity_check(seq.terms[0].center)}
+    [term] = rs.normalized_blowup(traj, [(pt["z"], pt["rho"], pt["t"])])
+    result = {"point": pt, "scale": term.scale, "H_origin": term.H_origin,
+              "fits": rs.classify_tangent_flow(term, window=args.window),
+              "min_lambda1": dg.convexity_check(term.center)}
     _dump_json(os.path.join(args.run_dir, "analysis.json"), result)
     sys.stdout.write(_json_text(result))
     return EXIT_OK

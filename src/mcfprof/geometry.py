@@ -283,8 +283,14 @@ def curvature_axisymmetric(curve: ProfileCurve) -> CurvatureField:
 
 
 def nearest_node(curve: ProfileCurve, z: float, rho: float) -> int:
-    """The node of ``curve`` nearest the meridian point (z, rho)."""
-    return int(np.argmin((curve.z - z) ** 2 + (curve.r - rho) ** 2))
+    """The node of ``curve`` nearest the meridian point (z, rho).
+
+    That is the lowest index among nodes within a relative 1e-6 of the minimum
+    squared distance, so roundoff chooses neither between mirror nodes nor among
+    the nodes of a round sphere about its centre.
+    """
+    d2 = (curve.z - z) ** 2 + (curve.r - rho) ** 2
+    return int(np.argmax(d2 <= (1.0 + 1e-6) * d2.min()))
 
 
 def max_curvature_node(A2: np.ndarray) -> int:

@@ -28,49 +28,29 @@ FIT_WINDOW = 2.0  # radius of the rescaled ball about the blow-up origin that th
 
 
 @dataclass
-class DilationParams:
-    """Scale a > 0 and spacetime center (z0, rho0, t0)."""
-
-    a: float
-    z0: float
-    rho0: float
-    t0: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("dilation scale must be positive")
-
-
-@dataclass
 class BlowupTerm:
     """One member of a blow-up sequence: the dilated snapshot at its center."""
 
-    params: DilationParams
-    center: FlowSnapshot  # the center's snapshot dilated by params, at rescaled time 0
+    scale: float  # a = H at the center point
+    center: FlowSnapshot  # the center's snapshot dilated by a, at rescaled time 0
     origin_rho: float  # off-axis position of the blow-up origin, = a * rho0
     H_origin: float  # recomputed rescaled mean curvature at the origin
 
 
-@dataclass
-class BlowupSequence:
-    terms: list
-    scales_increasing: bool
-
-
-def parabolic_dilate(snapshot: FlowSnapshot, d: DilationParams) -> FlowSnapshot:
-    """Apply the parabolic dilation to one snapshot.
+def parabolic_dilate(snapshot: FlowSnapshot, a: float, z0: float, t0: float) -> FlowSnapshot:
+    """Apply the parabolic dilation by a > 0 about (z0, t0) to one snapshot.
 
     Curvature of the result is recomputed from the mapped geometry (it must
     agree with H/a, lambda_i/a by scale covariance of the operators).
     """
-    t_new = d.a**2 * (snapshot.t - d.t0)
+    if a <= 0:
+        raise ValueError("dilation scale must be positive")
     surf = snapshot.surface
-    z = d.a * (surf.z - d.z0)
-    r = d.a * surf.r
-    period = None if surf.period is None else d.a * surf.period
+    period = None if surf.period is None else a * surf.period
     if period == 0.0:
         raise DegenerateSurfaceError("the dilated period underflows to 0")
-    return FlowSnapshot(ProfileCurve(z, r, surf.n, surf.topology, period), t_new)
+    return FlowSnapshot(ProfileCurve(a * (surf.z - z0), a * surf.r, surf.n, surf.topology,
+                                     period), a**2 * (snapshot.t - t0))
 
 
 def waist_node(snapshot: FlowSnapshot, z_near: Optional[float] = None) -> Optional[int]:
@@ -105,13 +85,13 @@ def select_blowup_points(traj: Trajectory, rule: str, count: int):
     return points
 
 
-def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequence:
-    """Blow-up sequence with a_k = H(x_k, t_k) at each requested spacetime point.
+def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> list[BlowupTerm]:
+    """Blow-up terms with a_k = H(x_k, t_k) at each requested spacetime point.
 
-    Each point is snapped to the nearest node of the nearest recorded
-    snapshot, at most 3h away; the rescaled mean curvature at the origin must
-    come out 1 within discretization tolerance 5h.  h is the
-    ``node_spacing`` at the snapped node.
+    Each point is snapped to the nearest node j of the nearest recorded
+    snapshot, at most 3h away; the rescaled mean curvature at node j, which
+    the dilation maps to the origin (0, a r_j), must come out 1 within
+    discretization tolerance 5h.  h is the rescaled ``node_spacing`` at j.
     """
     terms = []
     for (z, rho, t) in points:
@@ -123,21 +103,17 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> BlowupSequen
         if snap_dist > 3.0 * h:
             raise EmptyWindowError(
                 f"point ({z:.4g}, {rho:.4g}, t={t:.4g}) is {snap_dist:.3g} away from the flow")
-        H = float(snap.curvature.H[j])
-        if H <= 0.0:
+        a = float(snap.curvature.H[j])
+        if a <= 0.0:
             raise DomainError("normalized blow-up requires H > 0 at the center point")
-        d = DilationParams(a=H, z0=float(curve.z[j]), rho0=float(curve.r[j]), t0=snap.t)
-        center = parabolic_dilate(snap, d)
-        j2 = nearest_node(center.surface, 0.0, d.a * d.rho0)
-        H_origin = float(center.curvature.H[j2])
-        tol = 5.0 * center.surface.node_spacing()[j2]
+        center = parabolic_dilate(snap, a, float(curve.z[j]), snap.t)
+        H_origin = float(center.curvature.H[j])
+        tol = 5.0 * center.surface.node_spacing()[j]
         if abs(H_origin - 1.0) > tol:
             raise ResolutionError(
                 f"rescaled H at the origin is {H_origin:.6g}, outside 1 +- {tol:.3g}")
-        terms.append(BlowupTerm(d, center, d.a * d.rho0, H_origin))
-    scales = [t.params.a for t in terms]
-    increasing = all(b > a for a, b in zip(scales, scales[1:]))
-    return BlowupSequence(terms=terms, scales_increasing=increasing)
+        terms.append(BlowupTerm(a, center, a * float(curve.r[j]), H_origin))
+    return terms
 
 
 # ---------------------------------------------------------------------------

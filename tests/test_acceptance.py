@@ -91,7 +91,7 @@ def test_criterion_03_noncollapsing(sphere_run, cylinder_run, dumbbell_run, oval
     # dilation invariance of kappa
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
     k1 = dg.noncollapsing_ratio(snap)
-    k2 = dg.noncollapsing_ratio(rs.parabolic_dilate(snap, rs.DilationParams(4.7, 0.3, 0.0, 0.0)))
+    k2 = dg.noncollapsing_ratio(rs.parabolic_dilate(snap, 4.7, 0.3, 0.0))
     ok &= abs(k2 / k1 - 1.0) < 1e-8
     verdict(3, "noncollapsing constants", ok)
 
@@ -104,8 +104,8 @@ def test_criterion_04_neckpinch_tangent_flow(dumbbell_run):
     ok = dumbbell_run["runtime"] < 300.0
     traj = dumbbell_run["traj"]
     points = rs.select_blowup_points(traj, "neck", 4)
-    seq = rs.normalized_blowup(traj, points)
-    fits = rs.classify_tangent_flow(seq.terms[-1])
+    terms = rs.normalized_blowup(traj, points)
+    fits = rs.classify_tangent_flow(terms[-1])
     cyl = fits["cylinder"]
     ok &= fits["best"] == "cylinder"
     ok &= cyl["rms_over_R"] < 0.05
@@ -125,9 +125,9 @@ def test_criterion_04_neckpinch_tangent_flow(dumbbell_run):
 def test_criterion_05_blowup_convexity(dumbbell_run):
     traj = dumbbell_run["traj"]
     points = rs.select_blowup_points(traj, "neck", 4)
-    seq = rs.normalized_blowup(traj, points)
+    terms = rs.normalized_blowup(traj, points)
     ok = True
-    for term in seq.terms[-3:]:
+    for term in terms[-3:]:
         ok &= dg.convexity_check(term.center) >= -0.05
     # the unrescaled initial dumbbell must fail the same check
     ok &= dg.convexity_check(traj.snapshots[0]) < -0.05
@@ -141,8 +141,8 @@ def test_criterion_05_blowup_convexity(dumbbell_run):
 def test_criterion_06_round_point(ovaloid_run):
     traj = ovaloid_run["traj"]
     points = rs.select_blowup_points(traj, "max-curvature", 3)
-    seq = rs.normalized_blowup(traj, points)
-    c = seq.terms[-1].center.curvature
+    terms = rs.normalized_blowup(traj, points)
+    c = terms[-1].center.curvature
     sphericity = float(np.fmax(c.lam_axial, c.lam_rot).max() / c.lam1.min())
     ok = 1.0 / 1.05 <= sphericity <= 1.05
     verdict(6, "round point sphericity", ok)

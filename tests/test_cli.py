@@ -19,7 +19,7 @@ from mcfprof.cli import (EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_NUMERICAL, EXIT_OK
                          _dump_json, _harnack_report, _jsonable, _snapshot_from_obj,
                          _snapshot_obj, main, models_check, validate_config)
 from mcfprof.errors import ConfigError, WindowError
-from mcfprof.flow import Trajectory
+from mcfprof.flow import StepControl, Trajectory, run_until
 from mcfprof.geometry import FlowSnapshot, nearest_node
 from mcfprof.rescale import FIT_WINDOW, fit_model
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile, perturb_profile,
@@ -371,6 +371,18 @@ def test_blowup_on_data_without_a_waist(tmp_path, initial):
     assert "error" not in blowup
     assert blowup["fits"]["best"] == "sphere"
     assert blowup["scales_increasing"]
+
+
+def test_blowup_entry_flags_decreasing_scales(monkeypatch):
+    # points in decreasing curvature order are accepted, and the entry says so
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 200), 0.0),
+                     StepControl(A2_stop=2.0 / 0.05**2))
+    select = cli.rs.select_blowup_points
+    monkeypatch.setattr(cli.rs, "select_blowup_points", lambda *args: select(*args)[::-1])
+    entry = cli._blowup_report(traj, {"points-rule": "max-curvature", "count": 3,
+                                      "window": FIT_WINDOW})
+    assert entry["scales"] == sorted(entry["scales"], reverse=True)
+    assert entry["scales_increasing"] is False
 
 
 def test_an_object_turns_a_diagnostic_on_with_its_defaults(tmp_path):
@@ -785,6 +797,48 @@ def test_run_takes_only_config_and_out(tmp_path, tail):
     assert not (tmp_path / "out").exists()
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # a directory where the config file should be: open() raises, not json.load
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"r": [0.0, 1.0], "topology": "closed"}'],
+                         ids=["not-json", "no-z"])
+def test_unusable_profile_file_names_its_path(tmp_path, capsys, text):
+    profile = tmp_path / "profile.json"
+    profile.write_text(text)
+    cfg = write_cfg(tmp_path, {"name": "x", "nodes": 64,
+                               "initial": {"profile-file": {"path": str(profile)}}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: initial.profile-file.path): bad profile file: ")
+    assert "Traceback" not in err
+
+
+def test_overflowing_shape_datum_names_its_tag(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"name": "x", "nodes": 64, "initial": {
+        "dumbbell": {"bulb_R": 1e200, "neck_r": 0.35, "length": 8.0}}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error (field: initial.dumbbell): bad initial datum: ")
+    assert "Traceback" not in err
+
+
+def test_exit_code_nan_state_during_integration(tmp_path, capsys, monkeypatch):
+    from mcfprof import flow
+
+    def overflowing(z, r, *args):
+        return np.full_like(z, np.inf), r
+
+    monkeypatch.setattr(flow, "_implicit_step", overflowing)
+    code, _ = run_scenario(tmp_path, BASE_CFG, "inf")
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: NaN/overflow during integration\n"
+
+
 def test_exit_code_unwritable_output(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")  # a plain file where a directory component is needed
@@ -809,6 +863,38 @@ def test_exit_code_inconclusive_writes_partial(tmp_path, capsys):
 
 def test_analyze_rejects_non_run_dir(tmp_path):
     assert main(["analyze", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_analyze_run_dir_without_snapshots(tmp_path, capsys):
+    _, out = run_scenario(tmp_path, BASE_CFG, "nosnap")
+    for path in (out / "snapshots").iterdir():
+        path.unlink()
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "holds no snapshot" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_blowup_at_needs_a_time(tmp_path, capsys):
+    _, out = run_scenario(tmp_path, BASE_CFG, "no-t")
+    capsys.readouterr()
+    assert main(["analyze", str(out), "--blowup-at", "x=0.0,rho=0.1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error (field: --blowup-at): point spec needs x=<z> and t=<time>\n"
+    assert not (out / "analysis.json").exists()
+
+
+def test_analyze_blowup_at_needs_a_snapshot_cascade(tmp_path, capsys):
+    _, out = run_scenario(tmp_path, BASE_CFG, "few")
+    for path in sorted((out / "snapshots").iterdir())[2:]:
+        path.unlink()
+    capsys.readouterr()
+    assert main(["analyze", str(out), "--blowup-at", "x=0.0,t=0.0"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: blow-up analysis needs a snapshot cascade")
+    assert "Traceback" not in err
+    assert not (out / "analysis.json").exists()
 
 
 SPHERE_SNAPSHOT = _jsonable(_snapshot_obj(FlowSnapshot(sphere_profile(1.0, 2, 40), 0.0), 0))

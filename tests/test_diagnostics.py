@@ -13,7 +13,7 @@ from mcfprof.diagnostics import (convexity_check, harnack_check,
 from mcfprof.errors import DomainError, InsufficientDataError, WindowError
 from mcfprof.flow import StepControl, Trajectory, _implicit_step, run_until
 from mcfprof.geometry import FlowSnapshot, ProfileCurve, resample_arclength
-from mcfprof.rescale import DilationParams, parabolic_dilate, waist_node
+from mcfprof.rescale import parabolic_dilate, waist_node
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
                             ovaloid_profile, sphere_profile)
 from scipy.spatial import cKDTree
@@ -100,7 +100,7 @@ def test_noncollapsing_requires_mean_convex():
 def test_kappa_dilation_invariance():
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 300), 0.0)
     kappa = noncollapsing_ratio(snap)
-    scaled = parabolic_dilate(snap, DilationParams(4.7, 0.3, 0.0, 0.0))
+    scaled = parabolic_dilate(snap, 4.7, 0.3, 0.0)
     assert abs(noncollapsing_ratio(scaled) / kappa - 1.0) < 1e-8
 
 

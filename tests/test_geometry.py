@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 from mcfprof import geometry
 from mcfprof.errors import DegenerateSurfaceError, ResolutionError, TopologyError
 from mcfprof.geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, cubic_spline,
-                              curvature_axisymmetric, resample_arclength)
+                              curvature_axisymmetric, nearest_node, resample_arclength)
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile,
                             ovaloid_profile, perturb_profile, sphere_profile)
 
@@ -329,3 +329,18 @@ def test_snapshot_curvature_cached_and_consistent():
     assert snap.curvature is c1
     c2 = curvature_axisymmetric(snap.surface)
     assert np.array_equal(c1.H, c2.H)
+
+
+def test_nearest_node_to_the_centre_of_a_round_sphere_is_mirror_invariant():
+    # on the last snapshot of a flowed 400-node sphere every node lies within 1.5e-7
+    # (relative) of the same squared distance to (0, 0); roundoff alone used to pick
+    # node 200 there and node 199 on the z-mirrored profile
+    from mcfprof.flow import StepControl, run_until
+    traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0),
+                     StepControl(A2_stop=2.0 / 0.03**2))
+    curve = traj.snapshots[-1].surface
+    mirror = ProfileCurve(-curve.z, curve.r, curve.n, curve.topology, curve.period)
+    assert nearest_node(curve, 0.0, 0.0) == nearest_node(mirror, 0.0, 0.0)
+    exact = sphere_profile(1.0, 2, 400)
+    assert nearest_node(exact, 0.0, 0.0) == nearest_node(
+        ProfileCurve(-exact.z, exact.r, exact.n, exact.topology), 0.0, 0.0)

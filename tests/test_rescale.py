@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from mcfprof import rescale
-from mcfprof.errors import EmptyWindowError
+from mcfprof.errors import DegenerateSurfaceError, DomainError, EmptyWindowError
 from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import shrinker_radius
-from mcfprof.rescale import (FIT_WINDOW, DilationParams, classify_tangent_flow, fit_model,
-                             normalized_blowup, parabolic_dilate, select_blowup_points,
-                             waist_node)
+from mcfprof.rescale import (FIT_WINDOW, classify_tangent_flow, fit_model, normalized_blowup,
+                             parabolic_dilate, select_blowup_points, waist_node)
 from mcfprof.flow import Trajectory
 from mcfprof.shapes import cylinder_profile, dumbbell_profile, ovaloid_profile, sphere_profile
 
 
 def test_identity_dilation():
     snap = FlowSnapshot(sphere_profile(1.0, 2, 100), 0.3)
-    out = parabolic_dilate(snap, DilationParams(1.0, 0.0, 0.0, 0.0))
+    out = parabolic_dilate(snap, 1.0, 0.0, 0.0)
     assert np.array_equal(out.surface.z, snap.surface.z)
     assert np.array_equal(out.surface.r, snap.surface.r)
     assert out.t == 0.3
@@ -24,19 +23,33 @@ def test_identity_dilation():
 
 def test_dilation_scales_sphere_and_curvature():
     snap = FlowSnapshot(sphere_profile(0.5, 2, 200), 0.7)
-    out = parabolic_dilate(snap, DilationParams(2.0, 0.0, 0.0, 0.7))
+    out = parabolic_dilate(snap, 2.0, 0.0, 0.7)
     R = np.hypot(out.surface.z, out.surface.r)
     assert np.abs(R - 1.0).max() < 1e-12
     assert out.t == 0.0
     assert np.abs(out.curvature.H - 2.0).max() < 2e-3  # 4 -> 2
 
 
+@pytest.mark.parametrize("a", [0.0, -2.0])
+def test_dilation_scale_must_be_positive(a):
+    snap = FlowSnapshot(sphere_profile(1.0, 2, 100), 0.0)
+    with pytest.raises(ValueError, match="dilation scale must be positive"):
+        parabolic_dilate(snap, a, 0.0, 0.0)
+
+
+def test_dilated_period_that_underflows_is_degenerate():
+    # 5e-324, the least subnormal, times a period of 0.4 rounds to 0
+    snap = FlowSnapshot(cylinder_profile(0.1, 0.4, 2, 64), 0.0)
+    with pytest.raises(DegenerateSurfaceError, match="dilated period underflows"):
+        parabolic_dilate(snap, 5e-324, 0.0, 0.0)
+
+
 def test_dilation_composition():
     snap = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 200), 0.1)
-    d_a = DilationParams(3.0, 0.2, 0.0, 0.1)
-    d_b = DilationParams(5.0, 0.0, 0.0, 0.0)  # about the image of the center
-    two = parabolic_dilate(parabolic_dilate(snap, d_a), d_b)
-    one = parabolic_dilate(snap, DilationParams(15.0, 0.2, 0.0, 0.1))
+    d_a = 3.0, 0.2, 0.1
+    d_b = 5.0, 0.0, 0.0  # about the image of the center
+    two = parabolic_dilate(parabolic_dilate(snap, *d_a), *d_b)
+    one = parabolic_dilate(snap, 15.0, 0.2, 0.1)
     scale = np.abs(one.surface.z).max()
     assert np.abs(two.surface.z - one.surface.z).max() / scale < 1e-12
     assert np.abs(two.surface.r - one.surface.r).max() / scale < 1e-12
@@ -47,9 +60,8 @@ def test_curvature_covariance():
     for surf in (sphere_profile(1.0, 2, 300), cylinder_profile(0.7, np.pi, 2, 300),
                  dumbbell_profile(1.0, 0.35, 8.0, 2, 300)):
         snap = FlowSnapshot(surf, 0.0)
-        d = DilationParams(7.3, 0.11, 0.0, 0.0)
-        H_an = snap.curvature.H / d.a
-        H_re = parabolic_dilate(snap, d).curvature.H
+        H_an = snap.curvature.H / 7.3
+        H_re = parabolic_dilate(snap, 7.3, 0.11, 0.0).curvature.H
         assert np.max(np.abs(H_re - H_an) / np.abs(H_an)) < 1e-10
 
 
@@ -59,7 +71,7 @@ def test_fixed_point_of_shrinking_sphere():
     for t in (0.1, 0.2, 0.24):
         snap = FlowSnapshot(sphere_profile(shrinker_radius("sphere", 2, 1.0, t), 2, 200), t)
         a = 3.0
-        out = parabolic_dilate(snap, DilationParams(a, 0.0, 0.0, T))
+        out = parabolic_dilate(snap, a, 0.0, T)
         s = out.t
         assert s < 0.0
         R = np.hypot(out.surface.z, out.surface.r)
@@ -93,9 +105,9 @@ def test_normalized_blowup_sphere_is_unit_H_sphere():
     traj = _sphere_trajectory()
     # pole points (on the axis) of the last few snapshots
     points = [(float(s.surface.z[0]), 0.0, s.t) for s in traj.snapshots[-4:]]
-    seq = normalized_blowup(traj, points)
-    assert seq.scales_increasing
-    for term in seq.terms:
+    terms = normalized_blowup(traj, points)
+    assert all(b.scale > a.scale for a, b in zip(terms, terms[1:]))
+    for term in terms:
         assert abs(term.H_origin - 1.0) <= 5.0 * term.center.surface.mean_spacing
         # unit-H sphere has radius n = 2
         row = fit_model(term.center, "sphere", origin=(0.0, 0.0), window=np.inf)
@@ -103,18 +115,19 @@ def test_normalized_blowup_sphere_is_unit_H_sphere():
         assert row["rms"] / row["params"]["R"] < 0.01
 
 
-def test_normalized_blowup_decreasing_scales_flagged():
-    traj = _sphere_trajectory()
-    points = [(float(s.surface.z[0]), 0.0, s.t) for s in traj.snapshots[-4:]]
-    seq = normalized_blowup(traj, points[::-1])  # decreasing curvature order
-    assert not seq.scales_increasing  # accepted but flagged
+def test_normalized_blowup_needs_H_above_zero_at_the_centre():
+    snap = FlowSnapshot(dumbbell_profile(1.0, 0.05, 8.0, 2, 300), 0.0)
+    j = int(np.argmin(snap.curvature.H))
+    assert snap.curvature.H[j] < 0.0  # the thin neck
+    traj = Trajectory([snap], "t-end", None)
+    with pytest.raises(DomainError, match="requires H > 0 at the center point"):
+        normalized_blowup(traj, [(float(snap.surface.z[j]), float(snap.surface.r[j]), 0.0)])
 
 
 def test_neck_blowup_classifies_cylinder(dumbbell_run):
     traj = dumbbell_run["traj"]
     points = select_blowup_points(traj, "neck", 4)
-    seq = normalized_blowup(traj, points)
-    fits = classify_tangent_flow(seq.terms[-1])
+    fits = classify_tangent_flow(normalized_blowup(traj, points)[-1])
     assert fits["best"] == "cylinder"
     assert fits["cylinder"]["rms_over_R"] < 0.05
     assert fits["sphere"]["rms"] > 0.2  # > 20% of the ~unit fitted radius
@@ -122,7 +135,7 @@ def test_neck_blowup_classifies_cylinder(dumbbell_run):
 
 def _neck_term(dumbbell_run):
     traj = dumbbell_run["traj"]
-    return normalized_blowup(traj, select_blowup_points(traj, "neck", 5)).terms[-1]
+    return normalized_blowup(traj, select_blowup_points(traj, "neck", 5))[-1]
 
 
 def test_sphere_fit_reproducible_on_neck_blowup(dumbbell_run):
