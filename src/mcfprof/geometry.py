@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,14 +23,18 @@ from .errors import DegenerateSurfaceError, NumericalBlowupError, ResolutionErro
 
 
 def _lapack_gtsv():
-    """LAPACK dgtsv, loaded from scipy's compiled ``_flapack`` module.
+    """LAPACK dgtsv, loaded from scipy's compiled ``linalg/_flapack`` module.
 
     Importing ``scipy.linalg`` runs its package init, whose array-API layer imports
     numpy.f2py, numpy.testing, numpy.ma and numpy.random: about half the start-up
-    of a run.  Only the light ``scipy`` init runs here.  The routine is the object
-    that ``scipy.linalg.lapack.dgtsv`` names, whichever of the two is imported first.
+    of a run.  ``find_spec`` of the top-level ``scipy`` only locates the package,
+    so no scipy package init runs here.  The routine is the object that
+    ``scipy.linalg.lapack.dgtsv`` names, whichever of the two is imported first.
     """
-    folder = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    folder = [os.path.join(path, "linalg") for path in scipy_spec.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", folder)
     if spec is None:
         raise ImportError(f"scipy's compiled LAPACK module _flapack is not in {folder}")
@@ -300,6 +305,15 @@ def max_curvature_node(A2: np.ndarray) -> int:
     of a symmetric profile.
     """
     return int(np.argmax(A2 >= (1.0 - TIE_RTOL) * A2.max()))
+
+
+def zero_roundoff(z: float, h: float) -> float:
+    """z, or 0.0 when |z| is below a millionth of the node spacing h there.
+
+    A profile symmetric about z = 0 puts its singular point at z = 0 up to
+    roundoff, which would otherwise be reported with an arbitrary sign.
+    """
+    return 0.0 if abs(z) < 1e-6 * h else z
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DegenerateSurfaceError, DomainError, EmptyWindowError, ResolutionError
 from .flow import Trajectory
-from .geometry import FlowSnapshot, ProfileCurve, max_curvature_node, nearest_node
+from .geometry import (FlowSnapshot, ProfileCurve, max_curvature_node, nearest_node,
+                       zero_roundoff)
 
 SPHERE_FIT_RTOL = 1e-14  # the sphere fit stops at a step this small relative to (zc, R)
 SPHERE_FIT_MAX_ITER = 100  # and reports itself unconverged after this many Gauss-Newton steps
@@ -71,7 +72,8 @@ def select_blowup_points(traj: Trajectory, rule: str, count: int):
 
     'neck': waist nodes (nearest the singular-point estimate) of the last
     ``count`` snapshots, or the ``max_curvature_node`` of a snapshot without a
-    waist; 'max-curvature': their ``max_curvature_node``.
+    waist; 'max-curvature': their ``max_curvature_node``.  A z within roundoff
+    of 0 is reported as 0.0 (``zero_roundoff``).
     """
     if rule not in ("neck", "max-curvature"):
         raise ValueError(f"unknown points rule {rule!r}")
@@ -81,7 +83,8 @@ def select_blowup_points(traj: Trajectory, rule: str, count: int):
         j = waist_node(snap, z_sing) if rule == "neck" else None
         if j is None:
             j = max_curvature_node(snap.curvature.A2)
-        points.append((float(snap.surface.z[j]), float(snap.surface.r[j]), snap.t))
+        z = zero_roundoff(float(snap.surface.z[j]), snap.surface.node_spacing()[j])
+        points.append((z, float(snap.surface.r[j]), snap.t))
     return points
 
 

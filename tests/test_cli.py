@@ -946,8 +946,8 @@ def test_models_table_fails_a_run_that_stops_short(capsys, monkeypatch):
 
 # runs one command on each target given on the command line (a config for `run`, a run
 # directory for `analyze`), then prints the exit codes and every loaded module that the
-# commands must not need: the unused scipy subpackages, the package init of scipy.linalg
-# (not its compiled _flapack module) and the numpy parts that init imports
+# commands must not need: the unused scipy subpackages, the package inits of scipy and
+# scipy.linalg (not its compiled _flapack module) and the numpy parts that init imports
 COMMAND_IMPORTS = """
 import json, sys
 from mcfprof.cli import main
@@ -956,7 +956,7 @@ codes = [main(["run", "--config", t, "--out", t + ".out"] if cmd == "run" else [
          for t in targets]
 unused = ("scipy.interpolate", "scipy.optimize", "scipy.integrate",
           "scipy.spatial", "scipy.special", "scipy.sparse")
-heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+heavy = ("scipy", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
 print(json.dumps({"codes": codes,
                   "loaded": sorted(m for m in sys.modules if m.startswith(unused) or m in heavy)}))
 """

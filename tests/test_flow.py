@@ -79,7 +79,7 @@ def test_pinch_guard_underflows_when_every_step_pinches(monkeypatch):
 def test_implicit_step_returns_none_on_a_pinch(shape):
     """A step past the extinction of the neck is no state: it returns None, as the reference does."""
     curve = STEP_SHAPES[shape]()
-    args = (curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period, 1.0)
+    args = (curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period, 0.5)
     assert _implicit_step(*args) is None
     assert _reference_implicit_step(*args) is None
 
@@ -170,13 +170,29 @@ def test_node_demand_past_float_range_is_numerical_failure():
 
 def test_radius_law_convergence_order():
     errs = []
-    for N in (100, 200):
+    # from N = 200 on, the h-term of the step rule binds, so dt is proportional to h
+    for N in (200, 400):
         traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, N), 0.0),
                          StepControl(t_end=0.05))
         final = traj.snapshots[-1]
         R = np.hypot(final.surface.z, final.surface.r)
         errs.append(np.abs(R - np.sqrt(1.0 - 4.0 * final.t)).max())
     assert np.log2(errs[0] / errs[1]) >= 1.9
+
+
+def test_singular_time_error_is_third_order_in_the_step(monkeypatch):
+    """Halving CFL halves every step on a round sphere: T's error falls ~2^3-fold.
+
+    The geometric error is used, since node-wise state differences keep a ratio
+    near 1 at any order (stiff modes, tangential drift); a second-order step gives 3.9.
+    """
+    errs = []
+    for cfl in (3.2, 1.6):
+        monkeypatch.setattr(flow, "CFL", cfl)
+        traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0),
+                         StepControl(A2_stop=2.0 / 0.03**2))
+        errs.append(abs(traj.singular_estimate.T - 0.25) / 0.25)  # T = R0^2 / 4
+    assert errs[0] / errs[1] >= 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +362,24 @@ def _reference_implicit_euler(z, r, n, closed, period, dt):
     return z + _reference_solve_tridiagonal(lo, a_z, up, dt * f_z), r + dr
 
 
+def _reference_euler_run(z, r, n, closed, period, dt, m):
+    """m reference Euler substeps of dt/m; None when a substep state is pinched."""
+    h = dt / m
+    z, r = _reference_implicit_euler(z, r, n, closed, period, h)
+    for _ in range(m - 1):
+        if _pinched(r, closed):
+            return None
+        z, r = _reference_implicit_euler(z, r, n, closed, period, h)
+    return z, r
+
+
 def _reference_implicit_step(z, r, n, closed, period, dt):
-    z_full, r_full = _reference_implicit_euler(z, r, n, closed, period, dt)
-    z_half, r_half = _reference_implicit_euler(z, r, n, closed, period, 0.5 * dt)
-    if _pinched(r_half, closed):
+    runs = [_reference_euler_run(z, r, n, closed, period, dt, m) for m in (1, 2, 3)]
+    if any(run is None for run in runs):
         return None
-    z_half, r_half = _reference_implicit_euler(z_half, r_half, n, closed, period, 0.5 * dt)
-    z_new = 2.0 * z_half - z_full
-    r_new = 2.0 * r_half - r_full
+    (z1, r1), (z2, r2), (z3, r3) = runs
+    z_new = z3 + 3.5 * (z3 - z2) - 0.5 * (z2 - z1)
+    r_new = r3 + 3.5 * (r3 - r2) - 0.5 * (r2 - r1)
     if _pinched(r_new, closed):
         return None
     return z_new, r_new
@@ -456,8 +482,11 @@ def test_tridiagonal_solve_equals_solve_banded(cyclic, N):
     assert np.array_equal(x, _reference_solve_tridiagonal(lower, diag, upper, rhs, cyclic=cyclic))
 
 
-def test_two_stencil_passes_per_step(monkeypatch):
-    """The step rule and the full and first half step share one operator assembly."""
+def test_four_stencil_passes_per_step(monkeypatch):
+    """One operator assembly at the settled curve, one at each of dt/2, dt/3 and 2dt/3.
+
+    The step rule and the first substep of every Euler run share the first.
+    """
     calls = []
 
     def counted(*args):
@@ -466,7 +495,7 @@ def test_two_stencil_passes_per_step(monkeypatch):
 
     monkeypatch.setattr(flow, "profile_derivatives", counted)
     traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
-    assert len(calls) <= 2 * len(traj.step_times)
+    assert len(calls) <= 4 * len(traj.step_times)
 
 
 def test_one_curvature_block_per_step(monkeypatch):

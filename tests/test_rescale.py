@@ -9,8 +9,9 @@ from mcfprof.geometry import FlowSnapshot, ProfileCurve
 from mcfprof.models import shrinker_radius
 from mcfprof.rescale import (FIT_WINDOW, classify_tangent_flow, fit_model, normalized_blowup,
                              parabolic_dilate, select_blowup_points, waist_node)
-from mcfprof.flow import Trajectory
-from mcfprof.shapes import cylinder_profile, dumbbell_profile, ovaloid_profile, sphere_profile
+from mcfprof.flow import StepControl, Trajectory, run_until
+from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile, perturb_profile,
+                            sphere_profile)
 
 
 def test_identity_dilation():
@@ -200,6 +201,24 @@ def test_waist_node_finds_neck():
     # the flat waist segment has its strict minima at its shoulders (~|z| = 0.5)
     assert abs(db.surface.r[j] - 0.35) < 0.01
     assert abs(db.surface.z[j]) < 0.8
+
+
+def test_roundoff_z_of_a_symmetric_neck_is_zero(dumbbell_run):
+    """The mirror-symmetric dumbbell pinches at z = 0.0 exactly, not at a roundoff-signed z."""
+    traj = dumbbell_run["traj"]
+    assert traj.singular_estimate.z == 0.0
+    zs = [z for z, _, _ in select_blowup_points(traj, "neck", 5)]
+    assert zs[-1] == 0.0
+    # a waist between two mirror nodes is half a spacing off the plane, never roundoff
+    assert all(z == 0.0 or abs(z) > 1e-6 for z in zs)
+
+
+def test_asymmetric_neck_keeps_its_z():
+    # the benchmark's seed-1 neckpinch datum
+    curve = perturb_profile(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.004268728488224803, 3, 1)
+    traj = run_until(FlowSnapshot(curve, 0.0), StepControl(A2_stop=2.0e4, max_nodes=20000))
+    assert abs(traj.singular_estimate.z + 0.0288) < 1e-3
+    assert select_blowup_points(traj, "neck", 1)[0][0] == traj.singular_estimate.z
 
 
 @pytest.mark.parametrize("curve", [sphere_profile(1.0, 2, 200), ovaloid_profile(1.0, 0.6, 2, 200)],
