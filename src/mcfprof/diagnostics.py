@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, McfError,
                      TopologyError, WindowError)
-from .flow import Trajectory, _step_operator
-from .geometry import CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, nearest_node
+from .flow import Trajectory, _euler_operator
+from .geometry import (CLOSED, PERIODIC, FlowSnapshot, ProfileCurve, nearest_node,
+                       profile_derivatives)
 from .rescale import waist_node
 
 
@@ -375,7 +376,8 @@ def verify_H_evolution(traj: Trajectory) -> dict:
     # Lap H from the integrator's frozen Δ = ∂ss + (n-1)(r_s/r)∂s at the middle
     # curve; the pole rows of a closed profile come out non-finite or masked below
     closed = curve.topology == CLOSED
-    op = _step_operator(curve.z, curve.r, curve.n, closed, curve.period)
+    op = _euler_operator(curve.r, curve.n, closed,
+                         *profile_derivatives(curve.z, curve.r, closed, curve.period))
     lap = op.lower * np.roll(H, 1) + op.diag * H + op.upper * np.roll(H, -1)
 
     Hm, ok_m = _interp_H_at_projection(prev_s.surface, prev_s.curvature.H,

@@ -110,9 +110,7 @@ class StepOperator(NamedTuple):
     """The dt-independent part of the implicit step at one curve state.
 
     M = tridiag(lower, diag, upper) is Δ = ∂ss + (n-1)(r_s/r)∂s frozen at the curve,
-    q = (n-1)/r² linearizes -(n-1)/r, (f_z, f_r) is the explicit right-hand side;
-    max_A2 and the spacings ds (with the periodic wrap segment) feed the step rule,
-    and the per-node |A|² A2 the respacing rule: a substep state leaves them None.
+    q = (n-1)/r² linearizes -(n-1)/r, and (f_z, f_r) is the explicit right-hand side.
     """
 
     lower: np.ndarray
@@ -121,13 +119,10 @@ class StepOperator(NamedTuple):
     q: np.ndarray
     f_z: np.ndarray
     f_r: np.ndarray
-    max_A2: Optional[float] = None
-    ds: Optional[np.ndarray] = None
-    A2: Optional[np.ndarray] = None
 
 
-def _euler_operator(r, n, closed, z_s, r_s, z_ss, r_ss, seg):
-    """(lower, diag, upper, q, f_z, f_r) of the StepOperator at (z, r), from its derivatives."""
+def _euler_operator(r, n, closed, z_s, r_s, z_ss, r_ss, seg) -> StepOperator:
+    """The StepOperator at (z, r), from its derivatives."""
     hm = seg[:-1]
     hp = seg[1:]
     # r = 0 makes the pole rows non-finite here; they are replaced below
@@ -146,18 +141,17 @@ def _euler_operator(r, n, closed, z_s, r_s, z_ss, r_ss, seg):
         diag[-1], lower[-1] = -c_last, c_last
         f_z[0] = n * z_ss[0]
         f_z[-1] = n * z_ss[-1]
-    return lower, diag, upper, q, f_z, f_r
+    return StepOperator(lower, diag, upper, q, f_z, f_r)
 
 
-def _step_operator(z, r, n, closed, period) -> StepOperator:
-    """Assemble the StepOperator of raw profile arrays from one stencil pass."""
+def _step_operator(z, r, n, closed, period):
+    """(StepOperator, |A|² per node, spacings with the periodic wrap) of a curve, in one pass."""
     derivs = profile_derivatives(z, r, closed, period)
     A2 = principal_curvatures(*derivs[:4], r, n, closed)[2]
-    max_A2 = float(A2.max())
-    if not math.isfinite(max_A2):  # no step, respacing or cascade rung follows from it
+    if not math.isfinite(float(A2.max())):  # no step, respacing or cascade rung follows from it
         raise NumericalBlowupError("non-finite curvature")
     ds = derivs[4][1:-1] if closed else derivs[4][1:]
-    return StepOperator(*_euler_operator(r, n, closed, *derivs), max_A2, ds, A2)
+    return _euler_operator(r, n, closed, *derivs), A2, ds
 
 
 def _implicit_euler(z, r, op, closed, dt):
@@ -195,7 +189,7 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
     a substep state or in the result.
     """
     if op is None:
-        op = _step_operator(z, r, n, closed, period)
+        op = _step_operator(z, r, n, closed, period)[0]
     runs = []
     for m in (1, 2, 3):
         h = dt / m
@@ -203,8 +197,7 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
         for _ in range(m - 1):
             if _pinched(r_m, closed):
                 return None
-            op_m = StepOperator(*_euler_operator(
-                r_m, n, closed, *profile_derivatives(z_m, r_m, closed, period)))
+            op_m = _euler_operator(r_m, n, closed, *profile_derivatives(z_m, r_m, closed, period))
             z_m, r_m = _implicit_euler(z_m, r_m, op_m, closed, h)
         runs.append((z_m, r_m))
     (z1, r1), (z2, r2), (z3, r3) = runs
@@ -240,11 +233,11 @@ def target_spacing(A2, h0, refine_target, periodic):
     return np.exp(log_delta)
 
 
-def _respace(z, r, n, topology, period, op: StepOperator, h0, ctl: StepControl):
+def _respace(z, r, n, topology, period, A2, ds, h0, ctl: StepControl):
     """Resample (z, r) in arclength, graded by curvature, when the spacings call for it.
 
-    op is the StepOperator of (z, r) and h0 the mean spacing of the run's
-    initial curve.  Each segment's target spacing delta comes from
+    A2 is |A|² per node of (z, r), ds its spacings and h0 the mean spacing of
+    the run's initial curve.  Each segment's target spacing delta comes from
     ``target_spacing``; when some segment is longer than 1.25 delta the curve
     is resampled to ceil(sum(ds/delta)) + 1 nodes (never fewer than N, at most
     max_nodes), so every new segment is at most its delta long.  Otherwise it
@@ -252,8 +245,8 @@ def _respace(z, r, n, topology, period, op: StepOperator, h0, ctl: StepControl):
     RESAMPLE_RATIO.  New nodes are spaced in proportion to delta.  If neither
     test fires (z, r) is returned as given.
     """
-    delta = target_spacing(op.A2, h0, ctl.refine_target, topology != CLOSED)
-    fill = op.ds / delta
+    delta = target_spacing(A2, h0, ctl.refine_target, topology != CLOSED)
+    fill = ds / delta
     top = fill.max()
     num = None
     if top > 1.25:
@@ -286,15 +279,15 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
     counts = {"steps": 0, "respaces": 0, "refinements": 0}
 
     def settle(z, r):
-        """(z, r) after the spacing test on its own |A|², and the StepOperator of the result."""
-        op = _step_operator(z, r, n, closed, period)
-        z_new, r_new = _respace(z, r, n, topology, period, op, h0, ctl)
+        """(z, r) after the spacing test on its own |A|², then the _step_operator of the result."""
+        op, A2, ds = _step_operator(z, r, n, closed, period)
+        z_new, r_new = _respace(z, r, n, topology, period, A2, ds, h0, ctl)
         if z_new is z:
-            return z, r, op
+            return z, r, op, A2, ds
         counts["refinements" if z_new.size > z.size else "respaces"] += 1
-        return z_new, r_new, _step_operator(z_new, r_new, n, closed, period)
+        return (z_new, r_new, *_step_operator(z_new, r_new, n, closed, period))
 
-    z, r, op = settle(curve.z, curve.r)
+    z, r, op, A2, ds = settle(curve.z, curve.r)
     t = initial.t
 
     def make_snapshot():
@@ -303,16 +296,14 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
     snapshots = [make_snapshot()]
     hist_t, hist_A2 = [], []
     stop_reason = None
-    cascade_level = None
+    cascade_level = max(float(A2.max()), 1e-12) * CASCADE_FACTOR
     cascade_count = 0
     last_recorded_t = t
 
     while True:
-        maxA2, ds = op.max_A2, op.ds
+        maxA2 = float(A2.max())
         hist_t.append(t)
         hist_A2.append(maxA2)
-        if cascade_level is None:
-            cascade_level = max(maxA2, 1e-12) * CASCADE_FACTOR
         # a rung is recorded at the curve that crossed it, not one step later,
         # where a coarse step could merge it with the final snapshot
         if maxA2 >= cascade_level and cascade_count < MAX_CASCADE_SNAPSHOTS:
@@ -362,7 +353,7 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
             raise NumericalBlowupError("NaN/overflow during integration")
         t += dt
         counts["steps"] += 1
-        z, r, op = settle(z_new, r_new)
+        z, r, op, A2, ds = settle(z_new, r_new)
 
     if last_recorded_t != t or len(snapshots) == 1:
         snapshots.append(make_snapshot())
