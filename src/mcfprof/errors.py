@@ -21,10 +21,6 @@ class NumericalBlowupError(McfError):
     """NaN or overflow encountered during time stepping."""
 
 
-class ExtinctError(McfError):
-    """Model solution queried at or past its extinction time."""
-
-
 class DomainError(McfError):
     """Argument outside the domain of a model solution."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExtinctError
+from .errors import DomainError
 
 
 def shrinker_radius(kind: str, n: int, R0: float, t: float) -> float:
@@ -24,7 +24,7 @@ def shrinker_radius(kind: str, n: int, R0: float, t: float) -> float:
     k = n if kind == "sphere" else n - 1
     T = R0**2 / (2.0 * k)
     if t >= T:
-        raise ExtinctError(f"t = {t} at/past extinction time {T}")
+        raise DomainError(f"t = {t} at/past extinction time {T}")
     return float(np.sqrt(R0**2 - 2.0 * k * t))
 
 

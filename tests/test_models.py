@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcfprof.errors import ExtinctError
+from mcfprof.errors import DomainError
 from mcfprof.flow import StepControl, _implicit_step, run_until
 from mcfprof.geometry import FlowSnapshot
 from mcfprof.models import bowl_soliton_profile, shrinker_radius
@@ -17,7 +17,7 @@ def test_shrinker_radius_law():
     for kind, n, exponent in (("sphere", 2, 2), ("cylinder", 2, 1), ("cylinder", 3, 2)):
         T = 2.0**2 / (2.0 * exponent)
         assert abs(shrinker_radius(kind, n, 2.0, 0.5 * T) - np.sqrt(2.0)) < 1e-14
-        with pytest.raises(ExtinctError):
+        with pytest.raises(DomainError):
             shrinker_radius(kind, n, 2.0, T)
     with pytest.raises(ValueError):
         shrinker_radius("dumbbell", 2, 1.0, 0.0)
@@ -45,7 +45,7 @@ def test_shrinker_profile_values():
     assert np.abs(sphere.curvature.H - 2.0).max() < 2e-3
     cyl = cylinder_profile(shrinker_radius("cylinder", 2, 1.0, 0.25), np.pi, 2, 64)
     assert np.abs(cyl.r - np.sqrt(0.5)).max() < 1e-14
-    with pytest.raises(ExtinctError):
+    with pytest.raises(DomainError):
         shrinker_radius("sphere", 2, 1.0, 0.3)
 
 
