@@ -47,5 +47,5 @@ res = dg.singular_distance_scaling(traj)
 print(f"\ndistance scaling: log-log slope of r_tau vs tau = {res['slope']:.4f} "
       f"(a neck gives 1/2)")
 band = res["ratio"] / np.sqrt(2.0)
-print(f"r_tau / sqrt(2 tau) over the ladder: "
+print(f"r_tau / sqrt(2 tau) over the stored snapshots: "
       f"[{band.min():.4f}, {band.max():.4f}]  (cylinder value 1)")

@@ -480,15 +480,15 @@ def _load_run_dir(run_dir: str):
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         cfg = validate_config(manifest["config"])
+        est = None
+        if manifest.get("T_sing") is not None:
+            sp = manifest["singular_point"]
+            est = SingularEstimate(z=sp["z"], rho=sp["rho"], T=manifest["T_sing"])
         snaps = []
         for path in paths:
             with open(path) as fh:
                 snaps.append(_snapshot_from_obj(json.load(fh)))
             snaps[-1].surface.validate()
-        est = None
-        if manifest.get("T_sing") is not None:
-            sp = manifest.get("singular_point") or {"z": float("nan"), "rho": float("nan")}
-            est = SingularEstimate(z=sp["z"], rho=sp["rho"], T=manifest["T_sing"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             DegenerateSurfaceError, ResolutionError, TopologyError) as exc:
         raise ConfigError(f"malformed run directory: {path}: {type(exc).__name__}: {exc}",

@@ -157,17 +157,15 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
 
     r(x) is the tangent-constrained inscribed radius: sup{rho : the ball of
     radius rho centered at x + rho*nu(x) stays inside the enclosed region},
-    with the inside test at rho "every node is at distance >= rho - tol from
-    the center", tol = h/10 and h the node's ``ProfileCurve.node_spacing`` (so
-    a graded mesh is resolved at its local spacing).  Centers are meridian
-    points (z_c, r_c) at ambient radial coordinate |r_c|, so a center that
-    crosses the axis is measured correctly.
+    with the inside test at rho "every node is at distance >= rho from the
+    center".  Centers are meridian points (z_c, r_c) at ambient radial
+    coordinate |r_c|, so a center that crosses the axis is measured correctly.
 
     The test has a closed form (Andrews' two-point function
-    k(x, y) = 2<y - x, nu>/|y - x|^2 with tol folded in): a point y -- a node,
-    its axis mirror (z, -r) or a periodic copy -- with a = <y - x, nu> > tol
-    fails it exactly when rho > g(y) = (|y - x|^2 - tol^2) / (2 (a - tol)),
-    and no other point ever fails it.  So r(x) = min(diam, min_y g(y)), and
+    k(x, y) = 2<y - x, nu>/|y - x|^2): a point y -- a node, its axis mirror
+    (z, -r) or a periodic copy -- with a = <y - x, nu> > 0 fails it exactly
+    when rho > g(y) = |y - x|^2 / (2a) = 1/k(x, y), and no other point ever
+    fails it.  So r(x) = min(diam, min_y g(y)), and
     kappa_min is the least H(x) g(y) over pairs, searched without any r(x):
     start from kappa = min_x H(x) min(diam, g(mirror of x)); each round, for
     every active node, query the nearest node to the center at rho = kappa/H(x).
@@ -189,20 +187,18 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
     if curve.topology == PERIODIC:
         shift = np.array([curve.period, 0.0])
         surface = np.vstack((pts - shift, pts, pts + shift))
-    tol = curve.node_spacing() / 10.0
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
     else:
         diam = float(np.hypot(curve.period, 2.0 * curve.r.max()))
 
     def bound(idx, y):
-        """g(y) for each node of idx against its point y; inf where a <= tol."""
+        """g(y) for each node of idx against its point y; inf where a <= 0."""
         dy = y - pts[idx]
         a = np.einsum("ij,ij->i", dy, normal[idx])
-        eps = tol[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = (np.einsum("ij,ij->i", dy, dy) - eps * eps) / (2.0 * (a - eps))
-        return np.where(a > eps, g, np.inf)
+            g = np.einsum("ij,ij->i", dy, dy) / (2.0 * a)
+        return np.where(a > 0.0, g, np.inf)
 
     active = np.arange(curve.num_nodes)
     kappa = float(np.min(H * np.minimum(diam, bound(active, pts * np.array([1.0, -1.0])))))
@@ -210,8 +206,7 @@ def noncollapsing_ratio(snapshot: FlowSnapshot) -> float:
         rho = kappa / H[active]
         # the meridian point nearest each center inside its test ball, mirrored when r_c < 0
         centers = pts[active] + rho[:, None] * normal[active]
-        j = _nearest_within(surface, np.column_stack((centers[:, 0], np.abs(centers[:, 1]))),
-                            rho - tol[active])
+        j = _nearest_within(surface, np.column_stack((centers[:, 0], np.abs(centers[:, 1]))), rho)
         hit = j >= 0
         active, centers, j = active[hit], centers[hit], j[hit]
         y = surface[j]
@@ -413,10 +408,10 @@ def convexity_check(snapshot: FlowSnapshot) -> float:
 def singular_distance_scaling(traj: Trajectory) -> dict:
     """Fit of r_tau = dist(singular point, flow at T - tau) against sqrt(tau).
 
-    Uses a geometric tau ladder tau_j = tau_max * 2^(-j), j < 14, mapped to
-    the nearest recorded snapshots, with tau_max half the gap from T back to
-    the first snapshot after t0.  Returns {"tau", "r_tau", "slope", "ratio"}:
-    the ladder, its distances, the log-log slope and the band r_tau / sqrt(tau).
+    Uses every recorded snapshot with 0 < tau = T - t <= tau_max, in increasing
+    tau, with tau_max half the gap from T back to the first snapshot after t0.
+    Returns {"tau", "r_tau", "slope", "ratio"}: the taus, their distances, the
+    log-log slope and the band r_tau / sqrt(tau).
     """
     if traj.singular_estimate is None:
         raise InsufficientDataError("trajectory has no singular-point estimate")
@@ -425,24 +420,17 @@ def singular_distance_scaling(traj: Trajectory) -> dict:
     T = est.T
     later = times[times > times[0]]
     tau_max = 0.5 * float(T - later[0]) if later.size else 0.1 * T
-    taus, rtaus, prev = [], [], None
-    for j in range(14):
-        # the ladder's snapshots are nondecreasing in t: a repeat follows its first use
-        snap = traj.nearest_snapshot(T - tau_max * 2.0**(-j))
-        if snap is prev or T - snap.t <= 0.0:
-            continue
-        prev = snap
-        taus.append(T - snap.t)
-        rtaus.append(float(np.hypot(snap.surface.z - est.z, snap.surface.r - abs(est.rho)).min()))
-    if len(taus) < 4:
-        raise InsufficientDataError(f"only {len(taus)} usable ladder points (need 4)")
-    taus = np.array(taus)
-    rtaus = np.array(rtaus)
+    # snapshot times increase, so their taus decrease
+    used = [snap for snap in reversed(traj.snapshots) if 0.0 < T - snap.t <= tau_max]
+    if len(used) < 4:
+        raise InsufficientDataError(f"only {len(used)} snapshots with 0 < T - t <= "
+                                    f"{tau_max:.6g} (need 4)")
+    taus = np.array([T - snap.t for snap in used])
+    rtaus = np.array([np.hypot(snap.surface.z - est.z, snap.surface.r - abs(est.rho)).min()
+                      for snap in used])
     if np.any(rtaus <= 0.0):
         raise InsufficientDataError(
             f"singular-point estimate lies on the flow at tau = {taus[rtaus <= 0.0].max():.6g}")
-    order = np.argsort(taus)
-    taus, rtaus = taus[order], rtaus[order]
     slope = np.polyfit(np.log(taus), np.log(rtaus), 1)[0]
     return {"tau": taus, "r_tau": rtaus, "slope": float(slope),
             "ratio": rtaus / np.sqrt(taus)}

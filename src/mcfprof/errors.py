@@ -42,4 +42,4 @@ class ConfigError(McfError):
 
 
 class InsufficientDataError(McfError):
-    """Not enough samples (snapshots, ladder points) for the requested analysis."""
+    """Not enough samples (snapshots, fit points) for the requested analysis."""

@@ -10,7 +10,6 @@ def two_point_inscribed_radii(snapshot):
     curve = snapshot.surface
     normal = snapshot.curvature.normal
     pts = np.column_stack((curve.z, curve.r))
-    tol = curve.node_spacing() / 10.0
     if curve.topology == CLOSED:
         diam = float(np.hypot(curve.z.max() - curve.z.min(), 2.0 * curve.r.max()))
         ys = pts
@@ -20,7 +19,6 @@ def two_point_inscribed_radii(snapshot):
     ys = np.vstack((ys, ys * [1.0, -1.0]))
     dy = ys[None, :, :] - pts[:, None, :]
     a = np.einsum("ijk,ik->ij", dy, normal)
-    eps = tol[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(a > eps, ((dy * dy).sum(axis=2) - eps * eps) / (2.0 * (a - eps)), np.inf)
+        g = np.where(a > 0.0, (dy * dy).sum(axis=2) / (2.0 * a), np.inf)
     return np.minimum(diam, g.min(axis=1))

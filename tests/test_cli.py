@@ -923,6 +923,26 @@ def test_analyze_malformed_run_dir(tmp_path, capsys, manifest_text, snapshot):
     assert snapshot is None or "t_00000.json" in err
 
 
+@pytest.mark.parametrize("singular_point", ["absent", None])
+def test_analyze_manifest_with_T_sing_needs_its_singular_point(tmp_path, capsys, singular_point):
+    # a run that estimated T_sing wrote where it is; a manifest without it is malformed,
+    # not a run whose distance scaling reads nan
+    code, out = run_scenario(tmp_path, BASE_CFG, "run")
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["T_sing"] is not None
+    if singular_point == "absent":
+        del manifest["singular_point"]
+    else:
+        manifest["singular_point"] = singular_point
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed run directory: ") and "manifest.json" in err
+    assert "Traceback" not in err
+
+
 def test_models_table_in_tolerance(capsys):
     assert models_check() == EXIT_OK
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

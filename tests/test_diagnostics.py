@@ -145,7 +145,7 @@ RADIUS_SHAPES = {
 }
 
 
-# the last snapshot of each session run: refined, graded meshes whose tol varies per node
+# the last snapshot of each session run: refined, graded meshes
 RUN_SNAPSHOTS = ("sphere_run", "cylinder_run", "dumbbell_run")
 
 
@@ -166,6 +166,17 @@ def test_inscribed_radii_equal_bisection_reference(shape, request):
     else:  # the perturbed cylinder has H < 0 somewhere; the sweep below covers its radii
         with pytest.raises(DomainError):
             noncollapsing_ratio(snap)
+
+
+@pytest.mark.parametrize("curve, kappa", [
+    (lambda: sphere_profile(1.0, 2, 800), 2.0),
+    (lambda: sphere_profile(1.0, 3, 800), 3.0),
+    (lambda: cylinder_profile(1.0, np.pi, 2, 400), 1.0),
+], ids=["sphere-n2", "sphere-n3", "cylinder"])
+def test_kappa_of_round_shrinkers_is_exact(curve, kappa):
+    # Andrews' two-point bound, with no tolerance: the round S^n has r = R and H = n/R
+    # at every node, so kappa = n up to the O(h^2) error of H, and the unit cylinder 1
+    assert abs(noncollapsing_ratio(FlowSnapshot(curve(), 0.0)) - kappa) < 1e-5
 
 
 # small meshes of the RADIUS_SHAPES kinds, swept node by node below
@@ -429,6 +440,18 @@ def test_distance_scaling_cylinder(cylinder_run):
     res = singular_distance_scaling(cylinder_run["traj"])
     assert abs(res["slope"] - 0.5) < 0.02
     assert np.abs(res["ratio"] / np.sqrt(2.0) - 1.0).max() < 0.05
+
+
+def test_distance_scaling_reads_every_snapshot_up_to_tau_max(sphere_run):
+    # one tau per stored snapshot with 0 < T - t <= tau_max, tau_max half the gap from T
+    # back to the first snapshot after t0, in increasing tau; more than a 14-rung ladder
+    # of halvings of tau_max could reach
+    traj = sphere_run["traj"]
+    tau = traj.singular_estimate.T - traj.times
+    tau_max = 0.5 * tau[1]
+    expected = np.sort(tau[(tau > 0.0) & (tau <= tau_max)])
+    assert expected.size > 14
+    np.testing.assert_array_equal(singular_distance_scaling(traj)["tau"], expected)
 
 
 def test_distance_scaling_insufficient_data():
