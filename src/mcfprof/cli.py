@@ -484,6 +484,7 @@ def _load_run_dir(run_dir: str):
         if manifest.get("T_sing") is not None:
             sp = manifest["singular_point"]
             est = SingularEstimate(z=sp["z"], rho=sp["rho"], T=manifest["T_sing"])
+        stop_reason = manifest["stop_reason"]
         snaps = []
         for path in paths:
             with open(path) as fh:
@@ -493,9 +494,7 @@ def _load_run_dir(run_dir: str):
             DegenerateSurfaceError, ResolutionError, TopologyError) as exc:
         raise ConfigError(f"malformed run directory: {path}: {type(exc).__name__}: {exc}",
                           field="")
-    traj = Trajectory(snapshots=snaps, stop_reason=manifest.get("stop_reason"),
-                      singular_estimate=est)
-    return cfg, traj
+    return cfg, Trajectory(snapshots=snaps, stop_reason=stop_reason, singular_estimate=est)
 
 
 def _parse_point(text: str) -> dict:

@@ -3,7 +3,7 @@
 Profiles advance by a linearly implicit step: z_t = Δz and r_t = Δr - (n-1)/r,
 with Δ the Laplace-Beltrami operator frozen at the current curve, one
 tridiagonal solve per coordinate, and extrapolation of that Euler step over
-1, 2 and 3 substeps to third order in time.  The integrator detects the
+1, 2, 3 and 4 substeps to fourth order in time.  The integrator detects the
 approach to the first singular time via curvature blow-up and records a
 snapshot cascade accumulating there.
 """
@@ -33,15 +33,19 @@ CASCADE_FACTOR = np.sqrt(2.0)
 MAX_CASCADE_SNAPSHOTS = 240
 
 # profile step: dt = CFL * min(h_min / sqrt(max|A|^2), STEP_K / max|A|^2).  The
-# h-term keeps dt proportional to h, so the third-order step's time error stays
-# below the stencils' second-order error in h; the curvature term stops refined
-# meshes from taking steps so large that the cascade skips rungs.
-CFL = 2.4
-STEP_K = 1.0 / 30.0
+# h-term keeps dt proportional to h, so a finer mesh also takes finer steps;
+# the curvature term stops refined meshes from taking steps so large that the
+# cascade skips rungs.  At these constants the step, not the mesh, still sets
+# most of the error of the singular time.
+CFL = 5.4
+STEP_K = 0.16 / CFL
 # a step that would carry max|A|^2 past the next rung (or A2_stop) is shortened
 # to end at this multiple of it, so every run records its rungs and its final
 # snapshot at the same curvature levels however coarse its steps are
 LANDING_FACTOR = 1.02
+# a step that lands past that target by more than this factor is redone once,
+# with dt from the secant over the rejected step
+RELANDING_FACTOR = 1.002
 # graded respacing: the target spacings of neighbouring segments differ by at
 # most this factor, so the neck's fine spacing blends into the coarse bulbs
 GRADING_FACTOR = 1.1
@@ -76,7 +80,9 @@ class Trajectory:
     singular_estimate: Optional[SingularEstimate]
     step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_maxA2: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # run counters: steps taken, respacings at the same node count, refinements
+    # run counters: steps taken, respacings at the same node count, refinements,
+    # re-landings; and step_error_max, the largest ExtrapolatedStep.error times
+    # sqrt(max|A|^2) at the start of its step, a scale-free local error estimate
     stats: dict = field(default_factory=dict)
 
     @property
@@ -176,22 +182,34 @@ def _pinched(r, closed) -> bool:
     return bool(((r[1:-1] if closed else r) <= 0.0).any())
 
 
+class ExtrapolatedStep(tuple):
+    """The (z, r) of an extrapolated step, unpacked as a pair.
+
+    ``error`` is max|X4 - X3| over both coordinates, the gap between the order-4
+    result and the order-3 extrapolant of the same runs: a local error estimate
+    of the order-3 extrapolant, in units of length.
+    """
+
+    error: float
+
+
 def _implicit_step(z, r, n, closed, period, dt, op=None):
-    """Linearly implicit profile step, extrapolated to third order in dt.
+    """Linearly implicit profile step, extrapolated to fourth order in dt.
 
     E_m is m linearly implicit Euler substeps of dt/m, and the step returns the
-    Aitken-Neville combination 4.5 E3 - 4 E2 + 0.5 E1, which cancels the dt and
-    dt² terms of their error.  The runs go in the order E1, E2, E3, and each
-    starts with ``op``, the StepOperator of (z, r), assembled here if not given.
-    The substep states at dt/2, dt/3 and 2dt/3 assemble no curvature: a
-    non-finite operator there fails its solve with NumericalBlowupError.
-    Returns None when a node that must stay off the axis reaches the axis, in
-    a substep state or in the result.
+    Aitken-Neville combination X4 = 32/3 E4 - 27/2 E3 + 4 E2 - 1/6 E1, which
+    cancels the dt, dt² and dt³ terms of their error, as an ExtrapolatedStep
+    that carries its distance to X3 = 4.5 E3 - 4 E2 + 0.5 E1.  The runs go in
+    the order E1, E2, E3, E4, and each starts with ``op``, the StepOperator of
+    (z, r), assembled here if not given.  The substep states assemble no
+    curvature: a non-finite operator there fails its solve with
+    NumericalBlowupError.  Returns None when a node that must stay off the axis
+    reaches the axis, in a substep state, in X3 or in X4.
     """
     if op is None:
         op = _step_operator(z, r, n, closed, period)[0]
     runs = []
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         h = dt / m
         z_m, r_m = _implicit_euler(z, r, op, closed, h)
         for _ in range(m - 1):
@@ -200,12 +218,18 @@ def _implicit_step(z, r, n, closed, period, dt, op=None):
             op_m = _euler_operator(r_m, n, closed, *profile_derivatives(z_m, r_m, closed, period))
             z_m, r_m = _implicit_euler(z_m, r_m, op_m, closed, h)
         runs.append((z_m, r_m))
-    (z1, r1), (z2, r2), (z3, r3) = runs
-    # 4.5 E3 - 4 E2 + 0.5 E1 written in differences, which lose no digits to
-    # the large weights where the runs agree
-    z_new = z3 + 3.5 * (z3 - z2) - 0.5 * (z2 - z1)
-    r_new = r3 + 3.5 * (r3 - r2) - 0.5 * (r2 - r1)
-    return None if _pinched(r_new, closed) else (z_new, r_new)
+    (z1, r1), (z2, r2), (z3, r3), (z4, r4) = runs
+    # both extrapolants written in differences, which lose no digits to the
+    # large weights where the runs agree
+    r_3 = r3 + 3.5 * (r3 - r2) - 0.5 * (r2 - r1)
+    z_new = z4 + 29.0 / 3.0 * (z4 - z3) - 23.0 / 6.0 * (z3 - z2) + 1.0 / 6.0 * (z2 - z1)
+    r_new = r4 + 29.0 / 3.0 * (r4 - r3) - 23.0 / 6.0 * (r3 - r2) + 1.0 / 6.0 * (r2 - r1)
+    if _pinched(r_3, closed) or _pinched(r_new, closed):
+        return None
+    z_3 = z3 + 3.5 * (z3 - z2) - 0.5 * (z2 - z1)
+    step = ExtrapolatedStep((z_new, r_new))
+    step.error = float(max(np.abs(z_new - z_3).max(), np.abs(r_new - r_3).max()))
+    return step
 
 
 def target_spacing(A2, h0, refine_target, periodic):
@@ -276,7 +300,8 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
     n, closed, period = curve.n, curve.topology == CLOSED, curve.period
     topology = curve.topology
     h0 = curve.mean_spacing
-    counts = {"steps": 0, "respaces": 0, "refinements": 0}
+    counts = {"steps": 0, "respaces": 0, "refinements": 0, "relandings": 0,
+              "step_error_max": 0.0}
 
     def settle(z, r):
         """(z, r) after the spacing test on its own |A|², then the _step_operator of the result."""
@@ -292,6 +317,19 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
 
     def make_snapshot():
         return FlowSnapshot(ProfileCurve(z.copy(), r.copy(), n, topology, period), t)
+
+    def advance(dt):
+        """(dt, error, z, r, op, A2, ds) of a step from (z, r), settled; dt halves on a pinch.
+
+        Returns None when the halving underflows."""
+        while (new := _implicit_step(z, r, n, closed, period, dt, op)) is None:
+            dt *= 0.5  # a pinch: retry at half the step, down to dt_min
+            if dt <= ctl.dt_min or t + dt == t:
+                return None
+        z_new, r_new = new
+        if not (np.isfinite(z_new).all() and np.isfinite(r_new).all()):
+            raise NumericalBlowupError("NaN/overflow during integration")
+        return dt, new.error, *settle(z_new, r_new)
 
     snapshots = [make_snapshot()]
     hist_t, hist_A2 = [], []
@@ -324,6 +362,10 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
             stop_reason = STOP_EXTINCTION
             break
 
+        level = ctl.A2_stop
+        if cascade_count < MAX_CASCADE_SNAPSHOTS:
+            level = min(level, cascade_level)
+        target = LANDING_FACTOR * level
         dt = (CFL * min(ds.min() / math.sqrt(maxA2), STEP_K / maxA2)
               if maxA2 > 0.0 else np.inf)
         # 1/max|A|^2 is nearly affine in t under the type-I law: its secant
@@ -331,29 +373,28 @@ def run_until(initial: FlowSnapshot, ctl: StepControl) -> Trajectory:
         if len(hist_t) > 1 and maxA2 > 0.0 and hist_A2[-2] > 0.0:
             rate = (1.0 / hist_A2[-2] - 1.0 / maxA2) / (t - hist_t[-2])
             if rate > 0.0:
-                level = ctl.A2_stop
-                if cascade_count < MAX_CASCADE_SNAPSHOTS:
-                    level = min(level, cascade_level)
-                dt = min(dt, (1.0 / maxA2 - 1.0 / (LANDING_FACTOR * level)) / rate)
+                dt = min(dt, (1.0 / maxA2 - 1.0 / target) / rate)
         if dt < ctl.dt_min or t + dt == t:  # t + dt == t: dt is below the resolution of t
             stop_reason = STOP_UNDERFLOW
             break
         if ctl.t_end is not None and t + dt > ctl.t_end:
             dt = ctl.t_end - t
 
-        while (new := _implicit_step(z, r, n, closed, period, dt, op)) is None:
-            dt *= 0.5  # a pinch: retry at half the step, down to dt_min
-            if dt <= ctl.dt_min or t + dt == t:
-                break
-        if new is None:
+        step = advance(dt)
+        if step is None:
             stop_reason = STOP_UNDERFLOW
             break
-        z_new, r_new = new
-        if not (np.isfinite(z_new).all() and np.isfinite(r_new).all()):
-            raise NumericalBlowupError("NaN/overflow during integration")
+        A2_new = float(step[5].max())
+        if maxA2 > 0.0 and A2_new > RELANDING_FACTOR * target:
+            # a re-landing: redo once from the same state, with dt from the
+            # secant over the rejected step (kept if the redo underflows)
+            rate = (1.0 / maxA2 - 1.0 / A2_new) / step[0]
+            counts["relandings"] += 1
+            step = advance((1.0 / maxA2 - 1.0 / target) / rate) or step
+        dt, error, z, r, op, A2, ds = step
+        counts["step_error_max"] = max(counts["step_error_max"], error * math.sqrt(maxA2))
         t += dt
         counts["steps"] += 1
-        z, r, op, A2, ds = settle(z_new, r_new)
 
     if last_recorded_t != t or len(snapshots) == 1:
         snapshots.append(make_snapshot())

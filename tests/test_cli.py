@@ -923,6 +923,31 @@ def test_analyze_malformed_run_dir(tmp_path, capsys, manifest_text, snapshot):
     assert snapshot is None or "t_00000.json" in err
 
 
+def test_analyze_manifest_needs_its_stop_reason(tmp_path, capsys):
+    # every run writes why it stopped; a manifest without it is malformed
+    code, out = run_scenario(tmp_path, BASE_CFG, "run")
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["stop_reason"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed run directory: ") and "manifest.json" in err
+    assert "stop_reason" in err and "Traceback" not in err
+
+
+def test_step_error_and_relandings_are_manifest_only(tmp_path):
+    code, out = run_scenario(tmp_path, BASE_CFG, "stats")
+    assert code == EXIT_OK
+    stats = json.loads((out / "manifest.json").read_text())["run_stats"]
+    assert stats["relandings"] >= 0
+    assert 0.0 < stats["step_error_max"] < 1e-3
+    for name in ("report.json", "timeseries.csv"):
+        text = (out / name).read_text()
+        assert "relanding" not in text and "step_error" not in text
+
+
 @pytest.mark.parametrize("singular_point", ["absent", None])
 def test_analyze_manifest_with_T_sing_needs_its_singular_point(tmp_path, capsys, singular_point):
     # a run that estimated T_sing wrote where it is; a manifest without it is malformed,

@@ -8,7 +8,7 @@ from mcfprof import flow
 from mcfprof.errors import NumericalBlowupError
 from mcfprof.flow import (CASCADE_FACTOR, GRADING_FACTOR, LANDING_FACTOR,
                           STOP_CURVATURE, STOP_EXTINCTION, STOP_T_END, STOP_UNDERFLOW,
-                          StepControl, _implicit_step, _pinched, _step_operator,
+                          ExtrapolatedStep, StepControl, _implicit_step, _pinched, _step_operator,
                           run_until, target_spacing)
 from mcfprof.geometry import (FlowSnapshot, ProfileCurve, CLOSED,
                               _solve_tridiagonal, curvature_axisymmetric,
@@ -180,11 +180,11 @@ def test_radius_law_convergence_order():
     assert np.log2(errs[0] / errs[1]) >= 1.9
 
 
-def test_singular_time_error_is_third_order_in_the_step(monkeypatch):
-    """Halving CFL halves every step on a round sphere: T's error falls ~2^3-fold.
+def test_singular_time_error_is_fourth_order_in_the_step(monkeypatch):
+    """Halving CFL halves every step on a round sphere: T's error falls ~2^4-fold.
 
     The geometric error is used, since node-wise state differences keep a ratio
-    near 1 at any order (stiff modes, tangential drift); a second-order step gives 3.9.
+    near 1 at any order (stiff modes, tangential drift); a third-order step gives 7.7.
     """
     errs = []
     for cfl in (3.2, 1.6):
@@ -192,7 +192,32 @@ def test_singular_time_error_is_third_order_in_the_step(monkeypatch):
         traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0),
                          StepControl(A2_stop=2.0 / 0.03**2))
         errs.append(abs(traj.singular_estimate.T - 0.25) / 0.25)  # T = R0^2 / 4
-    assert errs[0] / errs[1] >= 6.0
+    assert errs[0] / errs[1] >= 12.0
+
+
+def test_step_error_estimate_is_fourth_order(monkeypatch):
+    """Halving CFL from its default on a round sphere divides the run's largest
+    scale-free step error estimate ~2^4-fold."""
+    est = []
+    for cfl in (flow.CFL, 0.5 * flow.CFL):
+        monkeypatch.setattr(flow, "CFL", cfl)
+        traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0),
+                         StepControl(A2_stop=2.0 / 0.03**2))
+        est.append(traj.stats["step_error_max"])
+    assert 12.0 <= est[0] / est[1] <= 20.0
+
+
+def test_relanding_keeps_rungs_in_their_landing_window(monkeypatch, dumbbell_run):
+    """Without the re-landing, a coarse dumbbell step lands a rung past its window."""
+    assert dumbbell_run["traj"].stats["relandings"] >= 1
+    monkeypatch.setattr(flow, "RELANDING_FACTOR", np.inf)
+    traj = run_until(FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, 2, 800), 0.0),
+                     StepControl(A2_stop=2.0e4, max_nodes=20000))
+    assert traj.stats["relandings"] == 0
+    at = dict(zip(traj.step_times, traj.step_maxA2))
+    A2 = np.array([at[snap.t] for snap in traj.snapshots[1:-1]])
+    past = np.log(A2 / traj.step_maxA2[0]) / np.log(CASCADE_FACTOR) - np.arange(1, A2.size + 1)
+    assert past.max() > np.log(LANDING_FACTOR) / np.log(CASCADE_FACTOR) + 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +399,19 @@ def _reference_euler_run(z, r, n, closed, period, dt, m):
 
 
 def _reference_implicit_step(z, r, n, closed, period, dt):
-    runs = [_reference_euler_run(z, r, n, closed, period, dt, m) for m in (1, 2, 3)]
+    runs = [_reference_euler_run(z, r, n, closed, period, dt, m) for m in (1, 2, 3, 4)]
     if any(run is None for run in runs):
         return None
-    (z1, r1), (z2, r2), (z3, r3) = runs
-    z_new = z3 + 3.5 * (z3 - z2) - 0.5 * (z2 - z1)
-    r_new = r3 + 3.5 * (r3 - r2) - 0.5 * (r2 - r1)
-    if _pinched(r_new, closed):
+    (z1, r1), (z2, r2), (z3, r3), (z4, r4) = runs
+    z_3 = z3 + 3.5 * (z3 - z2) - 0.5 * (z2 - z1)
+    r_3 = r3 + 3.5 * (r3 - r2) - 0.5 * (r2 - r1)
+    z_new = z4 + 29.0 / 3.0 * (z4 - z3) - 23.0 / 6.0 * (z3 - z2) + 1.0 / 6.0 * (z2 - z1)
+    r_new = r4 + 29.0 / 3.0 * (r4 - r3) - 23.0 / 6.0 * (r3 - r2) + 1.0 / 6.0 * (r2 - r1)
+    if _pinched(r_3, closed) or _pinched(r_new, closed):
         return None
-    return z_new, r_new
+    step = ExtrapolatedStep((z_new, r_new))
+    step.error = max(np.abs(z_new - z_3).max(), np.abs(r_new - r_3).max())
+    return step
 
 
 STEP_SHAPES = {
@@ -411,6 +440,14 @@ def test_implicit_step_equals_reference(shape, dt):
     assert A2.max() == max_A2 and np.array_equal(ds, ds_ref)
     # one curvature kernel: the diagnostics read the step rule's |A|^2
     assert np.array_equal(curvature_axisymmetric(curve).A2, A2)
+
+
+@pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
+def test_step_error_estimate_equals_reference(shape):
+    curve = STEP_SHAPES[shape]()
+    args = (curve.z, curve.r, curve.n, curve.topology == CLOSED, curve.period, 2e-3)
+    step = _implicit_step(*args)
+    assert step.error > 0.0 and step.error == _reference_implicit_step(*args).error
 
 
 @pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
@@ -482,10 +519,11 @@ def test_tridiagonal_solve_equals_solve_banded(cyclic, N):
     assert np.array_equal(x, _reference_solve_tridiagonal(lower, diag, upper, rhs, cyclic=cyclic))
 
 
-def test_four_stencil_passes_per_step(monkeypatch):
-    """One operator assembly at the settled curve, one at each of dt/2, dt/3 and 2dt/3.
+def test_seven_stencil_passes_per_step(monkeypatch):
+    """One operator assembly at the settled curve, one at each of the six inner substep states.
 
-    The step rule and the first substep of every Euler run share the first.
+    The step rule and the first substep of every Euler run share the first; a
+    re-landing redoes a whole step.
     """
     calls = []
 
@@ -495,7 +533,7 @@ def test_four_stencil_passes_per_step(monkeypatch):
 
     monkeypatch.setattr(flow, "profile_derivatives", counted)
     traj = run_until(FlowSnapshot(sphere_profile(1.0, 2, 400), 0.0), StepControl(A2_stop=1e3))
-    assert len(calls) <= 4 * len(traj.step_times)
+    assert len(calls) <= 7 * (len(traj.step_times) + traj.stats["relandings"])
 
 
 def test_one_curvature_block_per_step(monkeypatch):
