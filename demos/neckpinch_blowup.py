@@ -6,8 +6,9 @@
 # dilations normalized so that H = 1 at the marked point, the rescaled
 # surfaces approach a shrinking round cylinder.  This script runs the flow to
 # a large curvature threshold, builds the normalized blow-up sequence at the
-# neck, classifies the final term against cylinder/sphere model fits, and
-# checks the sqrt(tau) distance-scaling law at the pinch point.
+# neck, scores the final term against the unit-H cylinder (radius n - 1) and
+# sphere (radius n), and checks the sqrt(tau) distance-scaling law at the
+# pinch point.
 
 import numpy as np
 
@@ -32,9 +33,9 @@ for term in terms:
 fits = rs.classify_tangent_flow(terms[-1])
 cyl, sph = fits["cylinder"], fits["sphere"]
 print(f"\ntangent flow: {fits['best']}")
-print(f"  cylinder fit: R = {cyl['params']['R']:.4f}, "
+print(f"  cylinder model: R = n - 1 = {cyl['params']['R']:.0f}, "
       f"rms/R = {cyl['rms_over_R']:.4f}")
-print(f"  sphere fit:   rms = {sph['rms']:.4f} "
+print(f"  sphere model:   R = n = {sph['params']['R']:.0f}, rms = {sph['rms']:.4f} "
       f"({sph['rms'] / cyl['rms']:.1f}x the cylinder residual)")
 
 for term in terms[-3:]:

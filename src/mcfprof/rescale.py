@@ -1,8 +1,10 @@
-"""Parabolic dilation, normalized blow-up sequences, and tangent-flow fitting.
+"""Parabolic dilation, normalized blow-up sequences, and tangent-flow models.
 
 The tangent flow at a first singularity of a mean-convex surface of
-revolution is a round cylinder S^(n-1) x R or a round sphere S^n, so a
-blow-up term is classified by whichever of those two fits has the lower rms.
+revolution is a round cylinder S^(n-1) x R or a round sphere S^n.  A
+normalized blow-up term has H = 1 at its origin, where those two have radius
+n - 1 and n; the term is classified by whichever of the two fixed models it
+matches with the lower rms.
 
 The dilation (x, t) -> (a(x - x0), a^2(t - t0)) is applied to axisymmetric
 snapshots in the axis-aligned frame: z' = a(z - z0), r' = a r, with the
@@ -12,7 +14,6 @@ agrees with the literal spacetime map up to a rigid radial translation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,8 +24,6 @@ from .flow import Trajectory
 from .geometry import (FlowSnapshot, ProfileCurve, max_curvature_node, nearest_node,
                        zero_roundoff)
 
-SPHERE_FIT_RTOL = 1e-14  # the sphere fit stops at a step this small relative to (zc, R)
-SPHERE_FIT_MAX_ITER = 100  # and reports itself unconverged after this many Gauss-Newton steps
 FIT_WINDOW = 2.0  # radius of the rescaled ball about the blow-up origin that the fits see
 
 
@@ -120,19 +119,19 @@ def normalized_blowup(traj: Trajectory, points: Sequence[tuple]) -> list[BlowupT
 
 
 # ---------------------------------------------------------------------------
-# model fitting
+# tangent-flow models
 # ---------------------------------------------------------------------------
 
 def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float) -> dict:
-    """Least-squares fit of a model surface; returns its report row {"params", "rms"}.
+    """Score a normalized blow-up against a unit-H model; returns its report row {"params", "rms"}.
 
-    family in {'sphere', 'cylinder'}.  For axisymmetric snapshots the
-    cylinder axis is the symmetry axis and the sphere center lies on it.
-    Residuals are RMS signed normal distances over the nodes within ambient
-    distance ``window`` of ``origin`` = (z0, rho0); ``window=np.inf`` fits the
-    whole curve.  A window of fewer than 3 nodes raises EmptyWindowError.  A
-    sphere fit that has not converged after SPHERE_FIT_MAX_ITER steps returns
-    its last iterate with ``"converged": False``.
+    A normalized blow-up has H = 1 at its origin, so the models have no free
+    parameter.  'cylinder' is S^(n-1) x R of radius R = n - 1 about the axis;
+    'sphere' is S^n of radius R = n, centred on the axis at zc = z_j + n nu_z(j),
+    j the node nearest ``origin`` and nu the inner normal.  The rms is over the
+    signed distances to the model of the nodes within ambient distance
+    ``window`` of ``origin`` = (z0, rho0); ``window=np.inf`` takes the whole
+    curve.  A window of fewer than 3 nodes raises EmptyWindowError.
     """
     curve = snapshot.surface
     z0, rho0 = origin
@@ -141,30 +140,18 @@ def fit_model(snapshot: FlowSnapshot, family: str, origin, window: float) -> dic
     if inside < 3:
         raise EmptyWindowError(f"the fit window holds {inside} of the 3 nodes a fit needs")
     z, r = curve.z[mask], curve.r[mask]
+    n = curve.n
 
     if family == "cylinder":
-        R = float(np.mean(r))
-        rms = float(np.sqrt(np.mean((r - R) ** 2)))
-        return {"params": {"R": R, "m": curve.n - 1}, "rms": rms}
-    if family == "sphere":
-        # Gauss-Newton on f = |(z - zc, r)| - R, Jacobian -(u, 1): 2x2 normal equations
-        zc = float(np.mean(z))
-        R = float(np.mean(np.hypot(z - zc, r)))
-        converged = False
-        for _ in range(SPHERE_FIT_MAX_ITER):
-            d = np.hypot(z - zc, r)
-            u, f = (z - zc) / d, d - R
-            uu, us, uf, fs = u @ u, u.sum(), u @ f, f.sum()
-            det = uu * z.size - us * us
-            dzc, dR = (z.size * uf - us * fs) / det, (uu * fs - us * uf) / det
-            zc, R = zc + float(dzc), R + float(dR)
-            converged = math.hypot(dzc, dR) <= SPHERE_FIT_RTOL * math.hypot(zc, R)
-            if converged:
-                break
-        row = {"params": {"zc": zc, "R": R},
-               "rms": float(np.sqrt(np.mean((np.hypot(z - zc, r) - R) ** 2)))}
-        return row if converged else dict(row, converged=False)
-    raise ValueError(f"unknown model family {family!r}")
+        params = {"R": float(n - 1), "m": n - 1}
+        dist = r - params["R"]
+    elif family == "sphere":
+        j = nearest_node(curve, z0, rho0)
+        params = {"zc": float(curve.z[j] + n * snapshot.curvature.normal[j, 0]), "R": float(n)}
+        dist = np.hypot(z - params["zc"], r) - params["R"]
+    else:
+        raise ValueError(f"unknown model family {family!r}")
+    return {"params": params, "rms": float(np.sqrt(np.mean(dist ** 2)))}
 
 
 def classify_tangent_flow(term: BlowupTerm, window: float = FIT_WINDOW) -> dict:
@@ -173,7 +160,6 @@ def classify_tangent_flow(term: BlowupTerm, window: float = FIT_WINDOW) -> dict:
     origin = (0.0, term.origin_rho)
     out = {family: fit_model(snap, family, origin=origin, window=window)
            for family in ("cylinder", "sphere")}
-    # 3 window nodes include one off the axis, so R > 0
     out["cylinder"]["rms_over_R"] = out["cylinder"]["rms"] / out["cylinder"]["params"]["R"]
     out["best"] = min(("cylinder", "sphere"), key=lambda f: out[f]["rms"])
     out["window"] = window

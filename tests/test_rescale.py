@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from mcfprof import rescale
 from mcfprof.errors import DegenerateSurfaceError, DomainError, EmptyWindowError
-from mcfprof.geometry import FlowSnapshot, ProfileCurve
+from mcfprof.geometry import FlowSnapshot
 from mcfprof.models import shrinker_radius
-from mcfprof.rescale import (FIT_WINDOW, classify_tangent_flow, fit_model, normalized_blowup,
+from mcfprof.rescale import (classify_tangent_flow, fit_model, normalized_blowup,
                              parabolic_dilate, select_blowup_points, waist_node)
 from mcfprof.flow import StepControl, Trajectory, run_until
 from mcfprof.shapes import (cylinder_profile, dumbbell_profile, ovaloid_profile, perturb_profile,
@@ -80,20 +79,44 @@ def test_fixed_point_of_shrinking_sphere():
 
 
 def test_fit_exact_cylinder():
-    snap = FlowSnapshot(cylinder_profile(0.7, np.pi, 2, 200), 0.0)
-    row = fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)
-    assert set(row) == {"params", "rms"}
-    assert abs(row["params"]["R"] - 0.7) < 1e-12
-    assert row["rms"] < 1e-12
+    # the unit-H cylinder at n = 2 has radius 1; a cylinder of any other radius
+    # is off the model by the difference, with no free radius to absorb it
+    for R in (1.0, 0.7):
+        snap = FlowSnapshot(cylinder_profile(R, np.pi, 2, 200), 0.0)
+        row = fit_model(snap, "cylinder", origin=(0.0, R), window=np.inf)
+        assert set(row) == {"params", "rms"}
+        assert row["params"] == {"R": 1.0, "m": 1}
+        assert abs(row["rms"] - (1.0 - R)) < 1e-12
 
 
 def test_fit_sphere_discriminates():
-    snap = FlowSnapshot(sphere_profile(1.0, 2, 200), 0.0)
-    row = fit_model(snap, "sphere", origin=(0.0, 0.0), window=np.inf)
-    assert set(row) == {"params", "rms"}  # converged: no "converged" key
-    assert abs(row["params"]["R"] - 1.0) < 1e-10 and abs(row["params"]["zc"]) < 1e-10
-    assert row["rms"] < 1e-10
-    assert fit_model(snap, "cylinder", origin=(0.0, 0.0), window=np.inf)["rms"] >= 0.1
+    # the unit-H sphere at n = 2 has radius 2
+    snap = FlowSnapshot(sphere_profile(2.0, 2, 200), 0.0)
+    row = fit_model(snap, "sphere", origin=(-2.0, 0.0), window=np.inf)
+    assert set(row) == {"params", "rms"}
+    assert row["params"]["R"] == 2.0 and abs(row["params"]["zc"]) < 1e-12
+    assert row["rms"] < 1e-12
+    assert fit_model(snap, "cylinder", origin=(-2.0, 0.0), window=np.inf)["rms"] >= 0.1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unit_H_shrinkers_score_zero(n):
+    # H = 1 makes the sphere S^n of radius n and the cylinder S^(n-1) x R of radius n - 1
+    sphere = FlowSnapshot(sphere_profile(float(n), n, 200), 0.0)
+    s = sphere.surface
+    for j in (0, 37, 100, 163):  # the pole and interior nodes: zc sits at the centre from each
+        row = fit_model(sphere, "sphere", origin=(s.z[j], s.r[j]), window=np.inf)
+        assert set(row) == {"params", "rms"}
+        assert row["params"]["R"] == n and abs(row["params"]["zc"]) < 1e-12
+        assert row["rms"] < 1e-12
+    cylinder = FlowSnapshot(cylinder_profile(n - 1.0, np.pi, n, 200), 0.0)
+    row = fit_model(cylinder, "cylinder", origin=(0.0, n - 1.0), window=np.inf)
+    assert set(row) == {"params", "rms"}
+    assert row["params"] == {"R": n - 1, "m": n - 1} and row["rms"] < 1e-12
+    if n == 2:
+        # the unit sphere is not the unit-H sphere, and no free radius fits it
+        unit = FlowSnapshot(sphere_profile(1.0, 2, 200), 0.0)
+        assert fit_model(unit, "sphere", origin=(-1.0, 0.0), window=np.inf)["rms"] > 0.5
 
 
 def _sphere_trajectory(ctl_stop=2.0 / 0.05**2):
@@ -125,58 +148,18 @@ def test_normalized_blowup_needs_H_above_zero_at_the_centre():
         normalized_blowup(traj, [(float(snap.surface.z[j]), float(snap.surface.r[j]), 0.0)])
 
 
-def test_neck_blowup_classifies_cylinder(dumbbell_run):
-    traj = dumbbell_run["traj"]
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_neck_blowup_classifies_cylinder(n, dumbbell_run):
+    if n == 2:
+        traj = dumbbell_run["traj"]
+    else:
+        initial = FlowSnapshot(dumbbell_profile(1.0, 0.35, 8.0, n, 400), 0.0)
+        traj = run_until(initial, StepControl(A2_stop=2e3 * (n - 1) ** 2, max_nodes=20000))
     points = select_blowup_points(traj, "neck", 4)
     fits = classify_tangent_flow(normalized_blowup(traj, points)[-1])
     assert fits["best"] == "cylinder"
-    assert fits["cylinder"]["rms_over_R"] < 0.05
-    assert fits["sphere"]["rms"] > 0.2  # > 20% of the ~unit fitted radius
-
-
-def _neck_term(dumbbell_run):
-    traj = dumbbell_run["traj"]
-    return normalized_blowup(traj, select_blowup_points(traj, "neck", 5))[-1]
-
-
-def test_sphere_fit_reproducible_on_neck_blowup(dumbbell_run):
-    # the sphere is a poor model of a neck (rms/R ~ 0.27) and its cost is flat
-    # in zc; the window is moved off the waist so zc is not 0 by symmetry
-    term = _neck_term(dumbbell_run)
-    s = term.center.surface
-    z0, rho0, window = 0.5, term.origin_rho, 2.0
-    params = fit_model(term.center, "sphere", origin=(z0, rho0), window=window)["params"]
-    eps = 1e-14
-    moved = FlowSnapshot(ProfileCurve(s.z * (1 + eps), s.r * (1 + eps), s.n, s.topology), 0.0)
-    params2 = fit_model(moved, "sphere", origin=(z0 * (1 + eps), rho0 * (1 + eps)),
-                        window=window * (1 + eps))["params"]
-    for key in ("zc", "R"):
-        assert abs(params2[key] - params[key]) < 1e-10 * abs(params[key])
-    # the gradient of sum f^2 / 2, f = |(z - zc, r)| - R, is at roundoff
-    mask = np.hypot(s.z - z0, s.r - rho0) <= window
-    z, r = s.z[mask], s.r[mask]
-    d = np.hypot(z - params["zc"], r)
-    f = d - params["R"]
-    u = (z - params["zc"]) / d
-    assert abs(u @ f) < 1e-13 * np.abs(u * f).sum()
-    assert abs(f.sum()) < 1e-13 * np.abs(f).sum()
-
-
-def test_sphere_fit_failure_reports_best(dumbbell_run, monkeypatch):
-    term = _neck_term(dumbbell_run)
-    monkeypatch.setattr(rescale, "SPHERE_FIT_MAX_ITER", 1)
-    row = fit_model(term.center, "sphere", origin=(0.5, term.origin_rho), window=2.0)
-    assert row["converged"] is False
-    params, rms = row["params"], row["rms"]
-    assert np.isfinite([params["zc"], params["R"], rms]).all()
-    # on the waist-centred window one step already converges
-    monkeypatch.setattr(rescale, "SPHERE_FIT_MAX_ITER", 0)
-    fits = classify_tangent_flow(term)
-    assert fits["sphere"]["converged"] is False
-    # the fit's row is stored as it is returned
-    assert fits["sphere"] == fit_model(term.center, "sphere", origin=(0.0, term.origin_rho),
-                                       window=FIT_WINDOW)
-    assert fits["best"] == "cylinder"
+    assert fits["cylinder"]["rms_over_R"] < 3e-2
+    assert fits["sphere"]["rms"] > 0.5  # the neck is far from the unit-H sphere
 
 
 def test_max_curvature_pick_ignores_roundoff():
