@@ -238,14 +238,16 @@ def target_spacing(A2, h0, refine_target, periodic):
     delta = min(h0, refine_target / |A|), with |A| the larger of the segment's
     end values (A2 holds |A|² per node; a periodic profile's last segment wraps
     to node 0), then limited so that neighbouring targets differ by at most
-    GRADING_FACTOR: two cumulative-minimum sweeps in log spacing, over three
-    copies of a periodic profile so the limit also holds across the wrap.
+    GRADING_FACTOR: two cumulative-minimum sweeps in log(delta/h0), over three
+    copies of a periodic profile so the limit also holds across the wrap.  The
+    grading reads A2 only through h0^2 |A|^2, which a dilation by a power of 2
+    leaves exact, so the targets of the dilated curve are exactly dilated.
     """
     if refine_target * refine_target >= h0 * h0 * A2.max():  # the cap h0 binds on every segment
         return np.full(A2.size if periodic else A2.size - 1, h0)
     A2_seg = np.maximum(A2, np.roll(A2, -1)) if periodic else np.maximum(A2[:-1], A2[1:])
     with np.errstate(divide="ignore"):
-        log_delta = np.minimum(np.log(h0), np.log(refine_target) - 0.5 * np.log(A2_seg))
+        log_delta = np.minimum(0.0, np.log(refine_target) - 0.5 * np.log(A2_seg * (h0 * h0)))
     m = log_delta.size
     if periodic:
         log_delta = np.tile(log_delta, 3)
@@ -254,7 +256,7 @@ def target_spacing(A2, h0, refine_target, periodic):
     log_delta = (np.minimum.accumulate((log_delta + ramp)[::-1]) - ramp[::-1])[::-1]
     if periodic:
         log_delta = log_delta[m:2 * m]
-    return np.exp(log_delta)
+    return h0 * np.exp(log_delta)
 
 
 def _respace(z, r, n, topology, period, A2, ds, h0, ctl: StepControl):

@@ -584,6 +584,22 @@ def test_graded_mesh_node_total(dumbbell_run):
     assert snaps[-1].surface.num_nodes > snaps[0].surface.num_nodes
 
 
+def test_doubled_dumbbell_is_exactly_dilated(dumbbell_run):
+    """Parabolic scaling: lengths x2, A2_stop / 4 and dt_min x 4 give every snapshot
+    exactly x2 in z and r and x4 in t, with the same run counters."""
+    curve = dumbbell_profile(1.0, 0.35, 8.0, 2, 800)
+    doubled = ProfileCurve(2.0 * curve.z, 2.0 * curve.r, curve.n, curve.topology)
+    ctl = StepControl(A2_stop=2.0e4 / 4.0, dt_min=4.0 * StepControl.dt_min, max_nodes=20000)
+    traj = dumbbell_run["traj"]
+    big = run_until(FlowSnapshot(doubled, 0.0), ctl)
+    assert big.stop_reason == traj.stop_reason and big.stats == traj.stats
+    assert len(big.snapshots) == len(traj.snapshots)
+    for snap, snap2 in zip(traj.snapshots, big.snapshots):
+        assert snap2.t == 4.0 * snap.t
+        assert np.array_equal(snap2.surface.z, 2.0 * snap.surface.z)
+        assert np.array_equal(snap2.surface.r, 2.0 * snap.surface.r)
+
+
 def test_run_stats_match_trajectory(dumbbell_run):
     traj = dumbbell_run["traj"]
     stats = traj.stats
