@@ -239,9 +239,8 @@ def target_spacing(A2, h0, refine_target, periodic):
     end values (A2 holds |A|² per node; a periodic profile's last segment wraps
     to node 0), then limited so that neighbouring targets differ by at most
     GRADING_FACTOR: two cumulative-minimum sweeps in log(delta/h0), over three
-    copies of a periodic profile so the limit also holds across the wrap.  The
-    grading reads A2 only through h0^2 |A|^2, which a dilation by a power of 2
-    leaves exact, so the targets of the dilated curve are exactly dilated.
+    copies of a periodic profile so the limit also holds across the wrap.
+    h0²|A|² is exact under a power-of-2 dilation, so the targets dilate exactly.
     """
     if refine_target * refine_target >= h0 * h0 * A2.max():  # the cap h0 binds on every segment
         return np.full(A2.size if periodic else A2.size - 1, h0)
